@@ -1,10 +1,10 @@
 // scalecheck_cli: run any bug scenario / mode / scale from the command line.
 //
-//   scalecheck_cli --bug=C3831 --mode=real --nodes=64
-//   scalecheck_cli --bug=C5456 --mode=full --nodes=128 --seed=7 --jobs=4
-//   scalecheck_cli --bug=C3881 --mode=colo --nodes=96 --trace
-//   scalecheck_cli --bug=C3831 --mode=full --nodes=64 --json
-//   scalecheck_cli --bug=C3831 --mode=real --nodes=64 --faults=standard-chaos
+//   scalecheck_cli --bug=C3831 --mode=suite --sim-modes=real --nodes=64
+//   scalecheck_cli --bug=C5456 --mode=suite --nodes=128 --seed=7 --jobs=4
+//   scalecheck_cli --bug=C3881 --mode=suite --sim-modes=colo --nodes=96 --trace
+//   scalecheck_cli --bug=C3831 --mode=suite --nodes=64 --json
+//   scalecheck_cli --mode=real --nodes=16 --faults=island
 //
 // --faults=NAME injects a seed-deterministic fault schedule (partitions,
 // crash+restart, slow nodes, memory pressure) into every run; see
@@ -21,8 +21,6 @@
 // the link-level events of the plan are replayed against the sockets
 // (rescaled to the real gossip interval) and the run must then pass the
 // partition-heals reconvergence bound, or the CLI exits 4.
-// Old spellings (full/colo/memoize/replay/real-scale) still parse as
-// deprecated aliases for one release.
 
 #include <algorithm>
 #include <cstdio>
@@ -275,7 +273,6 @@ void Usage() {
       "                      [--workload=W]\n"
       "  bugs: %s\n"
       "  modes: suite search repro real\n"
-      "         (deprecated aliases: full colo memoize replay real-scale)\n"
       "  --sim-modes=CSV             --mode=suite only: which simulated\n"
       "                              deployments (real|colo|memoize|replay;\n"
       "                              default all four, the comparison grid)\n"
@@ -358,10 +355,10 @@ int RunOne(const BugSpec& spec, const CliOptions& cli, RunMode mode) {
     Result<MemoStore> loaded = MemoStore::Load(memo_path);
     if (!loaded.ok()) {
       if (loaded.status().code() == StatusCode::kNotFound) {
-        std::fprintf(stderr, "no memo DB at %s — run --mode=memoize first\n",
+        std::fprintf(stderr, "no memo DB at %s — run --sim-modes=memoize first\n",
                      memo_path.c_str());
       } else {
-        std::fprintf(stderr, "memo DB unusable (%s) — re-run --mode=memoize\n",
+        std::fprintf(stderr, "memo DB unusable (%s) — re-run --sim-modes=memoize\n",
                      loaded.status().ToString().c_str());
       }
       return 1;
@@ -493,22 +490,22 @@ int RunSearch(const BugSpec& spec, const CliOptions& cli) {
 // scenario.
 int RunReal(const CliOptions& cli) {
   RealCluster::Options options;
-  options.num_nodes = cli.nodes;
-  options.node.seed = cli.seed;
-  options.node.gossip_interval = VirtualDuration::Millis(cli.gossip_ms);
-  options.node.enable_kv = cli.kv_ops > 0;
+  options.config.initial_nodes = cli.nodes;
+  options.config.seed = cli.seed;
+  options.config.gossip_interval = VirtualDuration::Millis(cli.gossip_ms);
+  options.config.enable_kv = cli.kv_ops > 0;
   if (cli.have_kv_consistency) {
-    options.node.kv_consistency = cli.kv_consistency;
+    options.config.kv_consistency = cli.kv_consistency;
   }
-  options.node.kv_wal = cli.kv_wal;
-  options.node.kv_repair = cli.kv_repair;
+  options.config.kv_wal = cli.kv_wal;
+  options.config.kv_repair = cli.kv_repair;
   if (cli.kv_repair_rate > 0) {
-    options.node.kv_repair_rate_bytes = cli.kv_repair_rate;
+    options.config.kv_repair_rate_bytes = cli.kv_repair_rate;
   }
   if (cli.kv_repair_max_sessions > 0) {
-    options.node.kv_repair_max_sessions = cli.kv_repair_max_sessions;
+    options.config.kv_repair_max_sessions = cli.kv_repair_max_sessions;
   }
-  options.node.plant_repair_storm = cli.plant_repair_storm;
+  options.config.check.plant_repair_storm = cli.plant_repair_storm;
   options.kv_ops = cli.kv_ops;
   options.convergence_timeout = VirtualDuration::Seconds(cli.real_seconds);
   if (!cli.faults.empty()) {
@@ -548,10 +545,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const ModeSelection sel = parsed.value();
-  if (sel.deprecated_alias) {
-    std::fprintf(stderr, "warning: --mode=%s is deprecated; use %s\n",
-                 cli.mode.c_str(), sel.canonical.c_str());
-  }
   // A --repro artifact implies repro mode regardless of --mode (historical
   // behavior); --mode=repro without an artifact is a usage error.
   if (!cli.repro.empty()) {

@@ -28,14 +28,16 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # and the per-node monitor) — TSan over those is the race gate for src/net;
 # net_link_filter_test hammers the TcpTransport link-filter handoff
 # (concurrent SetLinkFilter/SeverConnsTo against sending threads — the
-# real-carrier fault-injection path).
+# real-carrier fault-injection path); cluster_protocol_node_test drives the
+# shared ProtocolNode's restart reset, which the ASan leg checks leaves
+# nothing dangling.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
          pil_replay_policy_test pil_memo_corruption_test
          faults_search_test
          transport_conformance_test real_cluster_test
-         net_link_filter_test
+         net_link_filter_test cluster_protocol_node_test
          kv_merkle_test kv_repair_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null

@@ -58,14 +58,15 @@ echo "== fidelity-guard exit codes =="
 CLI="$BUILD_DIR/examples/scalecheck_cli"
 
 # A comfortable run must exit 0 with an ok verdict.
-if ! "$CLI" --bug=C3831 --mode=colo --nodes=16 --json >/dev/null; then
+if ! "$CLI" --bug=C3831 --mode=suite --sim-modes=colo --nodes=16 --json >/dev/null; then
   echo "FAIL: healthy run did not exit 0" >&2
   exit 1
 fi
 
 # An impossible lateness budget must produce an invalid verdict and exit 3.
 set +e
-"$CLI" --bug=C3831 --mode=colo --nodes=96 --guard-lateness-p99-ms=1 --json \
+"$CLI" --bug=C3831 --mode=suite --sim-modes=colo --nodes=96 \
+  --guard-lateness-p99-ms=1 --json \
   > /dev/null
 code=$?
 set -e
@@ -308,9 +309,13 @@ if [[ "$out" != *'"unreachable_endpoints":0,'* ]]; then
   exit 1
 fi
 
-# Deprecated mode aliases still work (one release) and warn on stderr.
-if ! "$CLI" --bug=C3831 --mode=colo --nodes=16 --json 2>/dev/null >/dev/null; then
-  echo "FAIL: deprecated --mode=colo alias no longer runs" >&2
+# The retired mode aliases are usage errors now (exit 2), not silent runs.
+set +e
+"$CLI" --bug=C3831 --mode=colo --nodes=16 --json >/dev/null 2>&1
+code=$?
+set -e
+if [[ "$code" -ne 2 ]]; then
+  echo "FAIL: retired --mode=colo alias exited $code, expected 2" >&2
   exit 1
 fi
 

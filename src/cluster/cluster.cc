@@ -772,28 +772,11 @@ void Cluster::CollectResult(RunResult* result) const {
   result->kv_latency_p50 = kv_latency_.PercentileDuration(50);
   result->kv_latency_p99 = kv_latency_.PercentileDuration(99);
   result->kv_latency_p999 = kv_latency_.PercentileDuration(99.9);
-  int64_t kv_retries = 0;
-  int64_t kv_gave_up = 0;
   for (const auto& node : nodes_) {
     if (const KvService* kv = node->kv(); kv != nullptr) {
-      kv_retries += kv->stats().retries;
-      kv_gave_up += kv->stats().gave_up;
-      result->kv_wal_bytes += kv->stats().wal_bytes;
-      result->kv_hints_queued += kv->stats().hints_queued;
-      result->kv_hints_replayed += kv->stats().hints_replayed;
-      result->kv_hints_expired += kv->stats().hints_expired;
-      result->kv_read_repairs += kv->stats().read_repairs;
-      result->kv_ops_one += kv->stats().ops_one;
-      result->kv_ops_quorum += kv->stats().ops_quorum;
-      result->kv_ops_all += kv->stats().ops_all;
-      result->kv_repair_sessions += kv->stats().repair_sessions;
-      result->kv_repair_bytes_streamed += kv->stats().repair_bytes_streamed;
-      result->kv_repair_keys_fixed += kv->stats().repair_keys_fixed;
-      result->kv_repair_aborted += kv->stats().repair_aborted;
+      result->AddKvNodeStats(kv->stats());
     }
   }
-  result->kv_retries = kv_retries;
-  result->kv_gave_up = kv_gave_up;
 
   result->messages_sent = network_->messages_sent();
   result->messages_delivered = network_->messages_delivered();

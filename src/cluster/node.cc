@@ -1,13 +1,11 @@
 #include "src/cluster/node.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/gossip/messages.h"
-#include "src/kv/anti_entropy.h"
 
 namespace scalecheck {
 
@@ -50,92 +48,56 @@ size_t CalcOutputCache::size() const {
   return total;
 }
 
-Node::Node(Env* env, NodeId id, Machine* machine, uint64_t seed)
+Node::Node(Env* env, NodeId self, Machine* machine, uint64_t seed)
     : env_(env),
-      id_(id),
       machine_(machine),
-      rng_(seed),
-      gossiper_(id, /*generation=*/1,
-                Gossiper::Callbacks{
-                    [this](NodeId ep, StatusKind o, StatusKind n) { OnStatusChange(ep, o, n); },
-                    [this](NodeId ep) { OnHeartbeat(ep); },
-                    [this](NodeId ep) { OnRestart(ep); },
-                }),
-      fd_(env->config->fd),
-      ring_lock_(env->sim, StrFormat("ring-lock/%d", id)),
-      gossip_task_(env->sim, machine, StrFormat("n%d/gossip-task", id)),
-      gossip_stage_(env->sim, machine, StrFormat("n%d/gossip-stage", id)) {
-  CHECK_NOTNULL(env);
+      ring_lock_(env->sim, StrFormat("ring-lock/%d", self)),
+      gossip_task_(env->sim, machine, StrFormat("n%d/gossip-task", self)),
+      gossip_stage_(env->sim, machine, StrFormat("n%d/gossip-stage", self)),
+      calc_thread_(env->config->calc_placement == CalcPlacement::kInlineGossipStage
+                       ? nullptr
+                       : std::make_unique<SimThread>(env->sim, machine,
+                                                     StrFormat("n%d/calc", self))),
+      kv_stage_(env->config->enable_kv
+                    ? std::make_unique<SimThread>(env->sim, machine,
+                                                  StrFormat("n%d/kv-stage", self))
+                    : nullptr),
+      kv_stage_adapter_(kv_stage_ != nullptr ? std::make_unique<SimStage>(kv_stage_.get())
+                                             : nullptr),
+      core_(self, seed,
+            ProtocolNode::Deps{
+                .config = env->config,
+                .transport = env->transport,
+                .clock = env->clock,
+                .host = this,
+                .kv_stage = kv_stage_adapter_.get(),
+                // Data-path footprint (WAL + memtable/runs + hint queue) lands
+                // in the machine memory model like the gossip arena below:
+                // deltas follow the deterministic event order, so
+                // FidelityGuard memory verdicts and colocation OOMs see the
+                // storage bytes deterministically.
+                .kv_charge =
+                    [this](int64_t delta) {
+                      if (!started_ || core_.crashed()) {
+                        return;
+                      }
+                      if (delta > 0) {
+                        machine_->memory().Allocate(id(), "kv-storage", delta);
+                      } else {
+                        machine_->memory().Release(id(), "kv-storage", -delta);
+                      }
+                    },
+                .kv_history = env->kv_history,
+            }) {
   CHECK_NOTNULL(machine);
-  if (env_->config->calc_placement != CalcPlacement::kInlineGossipStage) {
-    calc_thread_ = std::make_unique<SimThread>(env->sim, machine,
-                                               StrFormat("n%d/calc", id));
-  }
-  if (env_->config->enable_kv) {
-    kv_stage_ = std::make_unique<SimThread>(env->sim, machine,
-                                            StrFormat("n%d/kv-stage", id));
-    kv_stage_adapter_ = std::make_unique<SimStage>(kv_stage_.get());
-    KvService::Deps deps;
-    deps.clock = env->clock;
-    deps.transport = env->transport;
-    deps.stage = kv_stage_adapter_.get();
-    deps.ring = &ring_;
-    deps.gossiper = &gossiper_;
-    deps.self = id_;
-    deps.replication_factor = env->config->replication_factor;
-    deps.timeout = env->config->kv_timeout;
-    deps.max_attempts = env->config->kv_max_attempts;
-    deps.retry_base_backoff = env->config->kv_retry_base_backoff;
-    deps.request_deadline = env->config->kv_request_deadline;
-    deps.consistency = env->config->kv_consistency;
-    deps.wal_enabled = env->config->kv_wal;
-    deps.wal_sync_interval = env->config->kv_wal_sync_interval;
-    deps.plant_ack_before_sync = env->config->check.plant_kv_ack_before_sync;
-    deps.hint_limit = env->config->kv_hint_limit;
-    deps.hint_ttl = env->config->kv_hint_ttl;
-    deps.read_repair_chance = env->config->kv_read_repair_chance;
-    // Derived from the ctor seed without consuming rng_ state, so enabling
-    // retries (or read repair) leaves every other per-node random draw
-    // untouched.
-    deps.retry_seed = HashCombine(seed, 0x4b565254ULL);   // "KVRT"
-    deps.repair_seed = HashCombine(seed, 0x4b565252ULL);  // "KVRR"
-    deps.repair_enabled = env->config->kv_repair;
-    deps.repair_interval = env->config->kv_repair_interval;
-    deps.repair_rate_bytes = env->config->kv_repair_rate_bytes;
-    deps.repair_max_sessions = env->config->kv_repair_max_sessions;
-    deps.repair_session_timeout = env->config->kv_repair_session_timeout;
-    deps.repair_max_retries = env->config->kv_repair_max_retries;
-    deps.repair_pressure_max_inflight =
-        env->config->kv_repair_pressure_max_inflight;
-    deps.plant_repair_storm = env->config->check.plant_repair_storm;
-    deps.anti_entropy_seed = HashCombine(seed, 0x4b565245ULL);  // "KVRE"
-    // Data-path footprint (WAL + memtable/runs + hint queue) lands in the
-    // machine memory model like the gossip arena below: deltas follow the
-    // deterministic event order, so FidelityGuard memory verdicts and
-    // colocation OOMs see the storage bytes deterministically.
-    deps.charge = [this](int64_t delta) {
-      if (!started_ || crashed_) {
-        return;
-      }
-      if (delta > 0) {
-        machine_->memory().Allocate(id_, "kv-storage", delta);
-      } else {
-        machine_->memory().Release(id_, "kv-storage", -delta);
-      }
-    };
-    deps.history = env->kv_history;
-    kv_ = std::make_unique<KvService>(deps);
-  }
-  unmonitored_.insert(id_);
   // Charge gossip-scratch arena growth to the memory model as it happens.
   // Growth points are deterministic (they follow the deterministic event
   // order), so the charges — and FidelityGuard's memory verdict — are too.
   // Pre-start growth is folded into the bulk charge in Start()/Restart();
   // post-crash growth is impossible (the node's threads are dead).
-  gossiper_.scratch_arena().SetGrowHook([this](size_t block_bytes) {
-    if (started_ && !crashed_) {
-      machine_->memory().Allocate(id_, "gossip-arena",
-                                  static_cast<int64_t>(block_bytes));
+  core_.gossiper().scratch_arena().SetGrowHook([this](size_t block_bytes) {
+    if (started_ && !core_.crashed()) {
+      machine_->memory().Allocate(id(), "gossip-arena", static_cast<int64_t>(block_bytes));
     }
   });
 }
@@ -144,70 +106,17 @@ Node::~Node() = default;
 
 void Node::PrimeSettled(const std::map<NodeId, std::vector<Token>>& members) {
   CHECK(!started_);
-  auto self_it = members.find(id_);
-  CHECK(self_it != members.end()) << "settled node" << id_ << "not in member map";
-  my_tokens_ = self_it->second;
-
-  VersionedValue status;
-  status.status = StatusKind::kNormal;
-  status.tokens = my_tokens_;
-  gossiper_.SetLocalState(ApplicationStateKey::kStatus, status);
-
-  for (const auto& [peer, tokens] : members) {
-    ring_.AddNode(peer, tokens);
-    if (peer == id_) {
-      continue;
-    }
-    EndpointState state(/*generation=*/1);
-    VersionedValue peer_status;
-    peer_status.version = 1;
-    peer_status.status = StatusKind::kNormal;
-    peer_status.tokens = tokens;
-    state.Set(ApplicationStateKey::kStatus, peer_status);
-    gossiper_.AddKnownEndpoint(peer, state);
-    // Prime the failure detector so phi is meaningful from t=0.
-    fd_.Report(peer, env_->clock->Now());
-  }
+  core_.PrimeSettled(members);
 }
 
 void Node::PrimeSeeds(const std::map<NodeId, std::vector<Token>>& seed_members) {
   CHECK(!started_);
-  for (const auto& [peer, tokens] : seed_members) {
-    if (peer == id_) {
-      continue;
-    }
-    EndpointState state(/*generation=*/1);
-    VersionedValue peer_status;
-    peer_status.version = 1;
-    peer_status.status = StatusKind::kNormal;
-    peer_status.tokens = tokens;
-    state.Set(ApplicationStateKey::kStatus, peer_status);
-    gossiper_.AddKnownEndpoint(peer, state);
-    // A fresh joiner has an established view of the seeds only.
-    if (!ring_.HasNode(peer)) {
-      ring_.AddNode(peer, tokens);
-    }
-  }
+  core_.PrimeSeeds(seed_members);
 }
 
 void Node::PrimeContacts(const std::vector<NodeId>& contacts) {
   CHECK(!started_);
-  for (NodeId peer : contacts) {
-    if (peer == id_) {
-      continue;
-    }
-    // Generation 0: any real state the contact later advertises wins.
-    gossiper_.AddKnownEndpoint(peer, EndpointState(/*generation=*/0));
-  }
-}
-
-void Node::SetSeedContacts(const std::vector<NodeId>& contacts) {
-  seed_contacts_.clear();
-  for (NodeId peer : contacts) {
-    if (peer != id_) {
-      seed_contacts_.push_back(peer);
-    }
-  }
+  core_.PrimeContacts(contacts);
 }
 
 void Node::EnableOrderEnforcement(std::vector<MessageKey> sequence) {
@@ -216,205 +125,129 @@ void Node::EnableOrderEnforcement(std::vector<MessageKey> sequence) {
       [this](const Message& msg) { ProcessMessage(msg); });
 }
 
+void Node::ChargeProcessMemory() {
+  machine_->memory().Allocate(id(), "runtime", env_->config->RuntimeOverheadBytes());
+  machine_->memory().Allocate(
+      id(), "endpoints",
+      static_cast<int64_t>(core_.gossiper().endpoints().size()) *
+          env_->config->endpoint_state_bytes);
+  machine_->memory().Allocate(id(), "gossip-arena",
+                              static_cast<int64_t>(arena_bytes_reserved()));
+}
+
+void Node::StartGossipTimer() {
+  gossip_timer_ = std::make_unique<PeriodicClockTimer>(
+      env_->clock, env_->config->gossip_interval, [this] { GossipRound(); });
+  gossip_timer_->Start(core_.DrawRoundPhase());
+}
+
 void Node::Start(bool as_joiner, VirtualDuration transition) {
   CHECK(!started_);
   started_ = true;
-
-  machine_->memory().Allocate(id_, "runtime", env_->config->RuntimeOverheadBytes());
-  machine_->memory().Allocate(
-      id_, "endpoints",
-      static_cast<int64_t>(gossiper_.endpoints().size()) *
-          env_->config->endpoint_state_bytes);
-  machine_->memory().Allocate(
-      id_, "gossip-arena",
-      static_cast<int64_t>(gossiper_.scratch_arena().bytes_reserved()));
-
-  env_->transport->RegisterNode(id_, [this](const Message& msg) { OnMessage(msg); });
-  if (kv_ != nullptr) {
-    kv_->Start();  // arms the anti-entropy scheduler when repair is on
+  ChargeProcessMemory();
+  env_->transport->RegisterNode(id(), [this](const Message& msg) { OnMessage(msg); });
+  if (kv() != nullptr) {
+    kv()->Start();  // arms the anti-entropy scheduler when repair is on
   }
 
   if (as_joiner) {
-    CHECK(my_tokens_.empty());
-    my_tokens_ = GenerateTokens(id_, env_->config->vnodes_per_node, env_->config->seed);
-    VersionedValue boot;
-    boot.status = StatusKind::kBootstrapping;
-    boot.tokens = my_tokens_;
-    gossiper_.SetLocalState(ApplicationStateKey::kStatus, boot);
-    AddPendingChange(PendingChange{id_, ChangeKind::kJoining, my_tokens_});
-    MarkRingDirty();
-
+    core_.SetOwnStatus(StatusKind::kBootstrapping);
     // BOOT -> NORMAL after the transition period. The continuation belongs to
     // the incarnation that scheduled it: if the node crashes and restarts in
     // the window, the restarted process must not be promoted by a timer armed
     // by its dead predecessor.
-    const int64_t gen = generation_;
+    const int64_t gen = core_.generation();
     env_->clock->ScheduleAfter(transition, [this, gen] {
-      if (crashed_ || generation_ != gen) {
-        return;
+      if (!core_.crashed() && core_.generation() == gen) {
+        core_.SetOwnStatus(StatusKind::kNormal);
+        core_.MaybeRecalc();
       }
-      VersionedValue normal;
-      normal.status = StatusKind::kNormal;
-      normal.tokens = my_tokens_;
-      gossiper_.SetLocalState(ApplicationStateKey::kStatus, normal);
-      if (!ring_.HasNode(id_)) {
-        ring_.AddNode(id_, my_tokens_);
-      }
-      RemovePendingChange(id_);
-      MarkRingDirty();
-      MaybeScheduleRecalc();
     });
   }
-
-  // Desynchronize rounds across nodes, as real deployments are.
-  VirtualDuration phase = VirtualDuration::Nanos(static_cast<int64_t>(
-      rng_.UniformDouble() * static_cast<double>(env_->config->gossip_interval.nanos())));
-  gossip_timer_ = std::make_unique<PeriodicClockTimer>(
-      env_->clock, env_->config->gossip_interval, [this] { GossipRound(); });
-  gossip_timer_->Start(phase);
+  StartGossipTimer();
 }
 
 void Node::BeginDecommission(VirtualDuration transition) {
   CHECK(started_);
-  VersionedValue leaving;
-  leaving.status = StatusKind::kLeaving;
-  leaving.tokens = my_tokens_;
-  gossiper_.SetLocalState(ApplicationStateKey::kStatus, leaving);
-  AddPendingChange(PendingChange{id_, ChangeKind::kLeaving, {}});
-  MarkRingDirty();
-  MaybeScheduleRecalc();
-
+  core_.SetOwnStatus(StatusKind::kLeaving);
+  core_.MaybeRecalc();
   // Both deferred steps are guarded on the scheduling incarnation: a crash +
   // restart inside the transition window must not let the stale continuation
   // announce LEFT (or silence gossip) on behalf of the fresh process.
-  const int64_t gen = generation_;
+  const int64_t gen = core_.generation();
   env_->clock->ScheduleAfter(transition, [this, gen] {
-    if (crashed_ || generation_ != gen) {
-      return;
+    if (!core_.crashed() && core_.generation() == gen) {
+      core_.SetOwnStatus(StatusKind::kLeft);
+      core_.MaybeRecalc();
     }
-    VersionedValue left;
-    left.status = StatusKind::kLeft;
-    left.tokens = my_tokens_;
-    gossiper_.SetLocalState(ApplicationStateKey::kStatus, left);
-    if (ring_.HasNode(id_)) {
-      ring_.RemoveNode(id_);
-    }
-    RemovePendingChange(id_);
-    MarkRingDirty();
-    MaybeScheduleRecalc();
   });
   // Keep gossiping LEFT for a grace period so it disseminates, then stop.
   env_->clock->ScheduleAfter(transition + VirtualDuration::Seconds(20), [this, gen] {
-    if (crashed_ || generation_ != gen) {
-      return;
+    if (!core_.crashed() && core_.generation() == gen) {
+      gossip_timer_->Stop();
+      env_->transport->UnregisterNode(id());
     }
-    gossip_timer_->Stop();
-    env_->transport->UnregisterNode(id_);
   });
 }
 
 void Node::Crash() {
-  if (crashed_) {
+  if (core_.crashed()) {
     return;
   }
-  crashed_ = true;
+  core_.Crash();
   if (env_->trace != nullptr) {
-    env_->trace->Record(env_->clock->Now(), TraceKind::kNodeCrash, id_);
+    env_->trace->Record(env_->clock->Now(), TraceKind::kNodeCrash, id());
   }
   if (gossip_timer_ != nullptr) {
     gossip_timer_->Stop();
   }
-  env_->transport->UnregisterNode(id_);
-  gossip_task_.Kill();
-  gossip_stage_.Kill();
-  if (calc_thread_ != nullptr) {
-    calc_thread_->Kill();
-  }
-  if (kv_stage_ != nullptr) {
-    kv_stage_->Kill();
+  env_->transport->UnregisterNode(id());
+  for (SimThread* thread : {&gossip_task_, &gossip_stage_, calc_thread_.get(), kv_stage_.get()}) {
+    if (thread != nullptr) {
+      thread->Kill();
+    }
   }
   // A dead process holds no locks: force-release the ring lock (abandoning
   // any waiters, whose threads just died with it) so survivors — and a later
   // restart — are not wedged behind a lock nobody can ever release.
   ring_lock_.ResetForCrash();
-  if (kv_ != nullptr) {
+  if (kv() != nullptr) {
     // Process death for the data path: pending group-commit acks and the
     // volatile hint queue vanish; with the WAL on, so do the unsynced tail
     // and the in-memory storage engine.
-    kv_->OnCrash();
+    kv()->OnCrash();
   }
-  machine_->memory().ReleaseAll(id_);
+  machine_->memory().ReleaseAll(id());
 }
 
 void Node::Restart(const std::vector<NodeId>& contacts) {
-  CHECK(crashed_) << "Restart of a live node " << id_;
   CHECK(started_);
-  crashed_ = false;
-  ++generation_;
+  // Fresh process: all in-memory protocol state is rebuilt by the core, and
+  // the threads come back.
+  core_.Restart(contacts);
   if (env_->trace != nullptr) {
-    env_->trace->Record(env_->clock->Now(), TraceKind::kNodeRestart, id_, kInvalidNode,
-                        generation_);
+    env_->trace->Record(env_->clock->Now(), TraceKind::kNodeRestart, id(), kInvalidNode,
+                        core_.generation());
   }
-
-  // Fresh process: threads come back, all in-memory protocol state is gone.
-  gossip_task_.Revive();
-  gossip_stage_.Revive();
-  if (calc_thread_ != nullptr) {
-    calc_thread_->Revive();
-  }
-  if (kv_stage_ != nullptr) {
-    kv_stage_->Revive();
-  }
-
-  gossiper_.ResetForRestart(generation_);
-  fd_ = PhiAccrualFailureDetector(env_->config->fd);
-  ring_ = TokenRing();
-  pending_changes_.clear();
-  pending_ranges_ = PendingRanges();
-  ring_dirty_ = false;
-  recalc_inflight_ = false;
-  partition_services_allocated_ = false;
-  partition_services_bytes_ = 0;
-  unmonitored_.clear();
-  unmonitored_.insert(id_);
-
-  // We restart with our durable token assignment and announce NORMAL under
-  // the bumped generation; peers replace our stale state wholesale. The
-  // cluster view is re-learned from the contacts.
-  for (NodeId peer : contacts) {
-    if (peer != id_) {
-      gossiper_.AddKnownEndpoint(peer, EndpointState(/*generation=*/0));
+  for (SimThread* thread : {&gossip_task_, &gossip_stage_, calc_thread_.get(), kv_stage_.get()}) {
+    if (thread != nullptr) {
+      thread->Revive();
     }
   }
-  VersionedValue normal;
-  normal.status = StatusKind::kNormal;
-  normal.tokens = my_tokens_;
-  gossiper_.SetLocalState(ApplicationStateKey::kStatus, normal);
-  ring_.AddNode(id_, my_tokens_);
+  partition_services_allocated_ = false;
+  partition_services_bytes_ = 0;
 
-  machine_->memory().Allocate(id_, "runtime", env_->config->RuntimeOverheadBytes());
-  machine_->memory().Allocate(
-      id_, "endpoints",
-      static_cast<int64_t>(gossiper_.endpoints().size()) *
-          env_->config->endpoint_state_bytes);
   // The arena survives the crash (it is process memory of the simulator, and
-  // its blocks are reused by the fresh incarnation); re-charge the footprint
-  // the restarted process would re-acquire.
-  machine_->memory().Allocate(
-      id_, "gossip-arena",
-      static_cast<int64_t>(gossiper_.scratch_arena().bytes_reserved()));
-  env_->transport->RegisterNode(id_, [this](const Message& msg) { OnMessage(msg); });
-  if (kv_ != nullptr) {
+  // its blocks are reused by the fresh incarnation); ChargeProcessMemory
+  // re-charges the footprint the restarted process would re-acquire.
+  ChargeProcessMemory();
+  env_->transport->RegisterNode(id(), [this](const Message& msg) { OnMessage(msg); });
+  if (kv() != nullptr) {
     // With the WAL on, this replays the durable prefix into a fresh storage
     // engine — the acked writes the kv-durability invariant audits.
-    kv_->OnRestart();
+    kv()->OnRestart();
   }
-
-  VirtualDuration phase = VirtualDuration::Nanos(static_cast<int64_t>(
-      rng_.UniformDouble() * static_cast<double>(env_->config->gossip_interval.nanos())));
-  gossip_timer_ = std::make_unique<PeriodicClockTimer>(
-      env_->clock, env_->config->gossip_interval, [this] { GossipRound(); });
-  gossip_timer_->Start(phase);
+  StartGossipTimer();
 }
 
 uint64_t Node::order_divergences() const {
@@ -425,14 +258,10 @@ uint64_t Node::order_enforced() const {
   return enforcer_ == nullptr ? 0 : enforcer_->enforced_in_order();
 }
 
-bool Node::IsSettledView() const {
-  return pending_changes_.empty() && !recalc_inflight_ && !ring_dirty_;
-}
-
-// ---- Gossip plumbing -------------------------------------------------------
+// ---- Message delivery ---------------------------------------------------------
 
 void Node::OnMessage(const Message& msg) {
-  if (crashed_) {
+  if (core_.crashed()) {
     return;
   }
   if (enforcer_ != nullptr) {
@@ -445,7 +274,7 @@ void Node::OnMessage(const Message& msg) {
 void Node::ProcessMessage(const Message& msg) {
   if (env_->record_order && env_->order_log != nullptr) {
     // Stage jobs run FIFO, so enqueue order here IS processing order.
-    env_->order_log->Append(id_, MessageKey::Of(msg));
+    env_->order_log->Append(id(), MessageKey::Of(msg));
   }
   switch (msg.type) {
     case kGossipSyn:
@@ -457,57 +286,20 @@ void Node::ProcessMessage(const Message& msg) {
     case kGossipAck2:
       HandleAck2Message(msg);
       break;
-    case kKvWriteReq:
-    case kKvWriteResp:
-    case kKvReadReq:
-    case kKvReadResp:
-    case kKvRepairHashReq:
-    case kKvRepairHashResp:
-    case kKvRepairStreamWrite:
-      if (kv_ != nullptr) {
-        kv_->HandleMessage(msg);
-      }
-      break;
     default:
-      SC_LOG(Warning) << "node " << id_ << ": unknown message type " << msg.type;
+      core_.HandleInline(msg);  // the data path stages its own work
   }
 }
 
 void Node::GossipRound() {
-  if (crashed_) {
+  if (core_.crashed()) {
     return;
   }
-  VirtualTime intended = env_->clock->Now();
-
   Job round("gossip.round");
-  round.IntendedAt(intended);
-  round
-      .Run([this] {
-        gossiper_.IncrementHeartbeat();
-      })
-      .Compute([this] {
-        return gossiper_.EstimateRoundWork(env_->config->gossip_costs);
-      })
-      .Run([this] {
-        const std::vector<NodeId>& live = gossiper_.LiveEndpointsView();
-        if (!live.empty()) {
-          SendSyn(live[rng_.PickIndex(live.size())]);
-        }
-        // Gossip-to-unreachable escape hatch: a healed partition only
-        // re-converges if somebody eventually SYNs across the conviction
-        // boundary. Probability |unreachable|/(|live|+1), Cassandra-style;
-        // draws happen only when the unreachable set is non-empty.
-        NodeId unreachable = gossiper_.PickUnreachableSynTarget(&rng_);
-        if (unreachable != kInvalidNode) {
-          SendSyn(unreachable);
-        }
-        // Fully islanded (empty live view): fall back to a seed contact
-        // unconditionally, so even a node that convicted the whole cluster
-        // re-establishes contact within one round of the partition healing.
-        if (live.empty() && !seed_contacts_.empty()) {
-          SendSyn(seed_contacts_[rng_.PickIndex(seed_contacts_.size())]);
-        }
-      });
+  round.IntendedAt(env_->clock->Now());
+  round.Run([this] { core_.gossiper().IncrementHeartbeat(); })
+      .Compute([this] { return core_.gossiper().EstimateRoundWork(env_->config->gossip_costs); })
+      .Run([this] { core_.ForEachSynTarget([this](NodeId peer) { SendSyn(peer); }); });
   gossip_task_.Enqueue(std::move(round));
 
   FailureSweep();
@@ -518,40 +310,19 @@ void Node::FailureSweep() {
   sweep
       .Compute([this] {
         return env_->config->fd_check_cost_per_endpoint *
-               static_cast<WorkUnits>(gossiper_.endpoints().size());
+               static_cast<WorkUnits>(core_.gossiper().endpoints().size());
       })
       .Run([this] {
-        VirtualTime now = env_->clock->Now();
-        // Iterating the cached live view is equivalent to scanning all
-        // endpoints and skipping the dead: Node keeps alive ⊆ known. MarkDead
-        // inside the loop only defers a rebuild, it does not move the vector.
-        for (NodeId ep : gossiper_.LiveEndpointsView()) {
-          if (unmonitored_.count(ep) > 0) {
-            continue;
-          }
-          if (fd_.Phi(ep, now) > fd_.config().threshold) {
-            gossiper_.MarkDead(ep);
-            env_->flaps->RecordDown(id_, ep, now);
-            if (env_->trace != nullptr) {
-              env_->trace->Record(now, TraceKind::kConviction, id_, ep);
-            }
-          }
-        }
+        core_.SweepFailures();
         if (env_->profile_hook) {
+          size_t endpoints = core_.gossiper().endpoints().size();
           env_->profile_hook(env_->fd_sweep_function,
                              env_->config->fd_check_cost_per_endpoint *
-                                 static_cast<int64_t>(gossiper_.endpoints().size()),
-                             gossiper_.endpoints().size());
+                                 static_cast<int64_t>(endpoints),
+                             endpoints);
         }
       });
   gossip_task_.Enqueue(std::move(sweep));
-}
-
-void Node::SendSyn(NodeId peer) {
-  std::shared_ptr<SynPayload> syn = syn_pool_.Acquire();
-  gossiper_.CopySynDigests(&syn->digests);
-  digest_bytes_sent_ += syn->SizeBytes();
-  env_->transport->Send(id_, peer, kGossipSyn, std::move(syn));
 }
 
 void Node::HandleSynMessage(const Message& msg) {
@@ -565,14 +336,12 @@ void Node::HandleSynMessage(const Message& msg) {
        return Gossiper::EstimateSynWork(*syn, env_->config->gossip_costs);
      })
       .Run([this, syn, peer] {
-        std::shared_ptr<AckPayload> ack = ack_pool_.Acquire();
-        gossiper_.HandleSyn(syn->digests, &ack->requests, &ack->states);
+        core_.AnswerSyn(peer, *syn, ack_pool_.Acquire());
         if (env_->profile_hook) {
           env_->profile_hook(env_->gossip_syn_function,
                              Gossiper::EstimateSynWork(*syn, env_->config->gossip_costs),
-                             gossiper_.endpoints().size());
+                             core_.gossiper().endpoints().size());
         }
-        env_->transport->Send(id_, peer, kGossipAck, std::move(ack));
       });
   gossip_stage_.Enqueue(std::move(job));
 }
@@ -591,25 +360,18 @@ void Node::HandleAckMessage(const Message& msg) {
     job.Lock(&ring_lock_);
   }
   job.Run([this, ack] {
-    gossiper_.ApplyStates(ack->states);
+    core_.MergeStates(ack->states);
     if (env_->profile_hook) {
       env_->profile_hook(env_->gossip_apply_function,
                          Gossiper::EstimateAckWork(*ack, env_->config->gossip_costs),
-                         gossiper_.endpoints().size());
+                         core_.gossiper().endpoints().size());
     }
   });
   if (UsesRingLock()) {
     job.Unlock(&ring_lock_);
   }
   job.Run([this, ack, peer] {
-    if (!ack->requests.empty()) {
-      std::shared_ptr<Ack2Payload> ack2 = ack2_pool_.Acquire();
-      gossiper_.StatesForRequests(ack->requests, &ack2->states);
-      if (!ack2->states.empty()) {
-        env_->transport->Send(id_, peer, kGossipAck2, std::move(ack2));
-      }
-    }
-    MaybeScheduleRecalc();
+    core_.FinishAck(peer, *ack, [this] { return ack2_pool_.Acquire(); });
   });
   gossip_stage_.Enqueue(std::move(job));
 }
@@ -626,143 +388,40 @@ void Node::HandleAck2Message(const Message& msg) {
   if (UsesRingLock()) {
     job.Lock(&ring_lock_);
   }
-  job.Run([this, ack2] { gossiper_.ApplyStates(ack2->states); });
+  job.Run([this, ack2] { core_.MergeStates(ack2->states); });
   if (UsesRingLock()) {
     job.Unlock(&ring_lock_);
   }
-  job.Run([this] { MaybeScheduleRecalc(); });
+  job.Run([this] { core_.MaybeRecalc(); });
   gossip_stage_.Enqueue(std::move(job));
 }
 
-// ---- Gossiper callbacks ------------------------------------------------------
+// ---- ProtocolNode::Host ----------------------------------------------------------
 
-void Node::OnStatusChange(NodeId ep, StatusKind old_status, StatusKind new_status) {
+void Node::OnConviction(NodeId ep, VirtualTime now) {
+  env_->flaps->RecordDown(id(), ep, now);
   if (env_->trace != nullptr) {
-    env_->trace->Record(env_->clock->Now(), TraceKind::kStatusChange, id_, ep,
+    env_->trace->Record(now, TraceKind::kConviction, id(), ep);
+  }
+}
+
+void Node::OnRescue(NodeId ep, bool restarted) {
+  VirtualTime now = env_->clock->Now();
+  env_->flaps->RecordUp(id(), ep, now);
+  if (!restarted && env_->trace != nullptr) {
+    env_->trace->Record(now, TraceKind::kRescue, id(), ep);
+  }
+}
+
+void Node::OnStatusTransition(NodeId ep, StatusKind new_status) {
+  if (env_->trace != nullptr) {
+    env_->trace->Record(env_->clock->Now(), TraceKind::kStatusChange, id(), ep,
                         static_cast<int64_t>(new_status), StatusKindName(new_status));
   }
-  switch (new_status) {
-    case StatusKind::kBootstrapping: {
-      const EndpointState* state = gossiper_.StateOf(ep);
-      CHECK_NOTNULL(state);
-      AddPendingChange(PendingChange{ep, ChangeKind::kJoining, state->Tokens()});
-      MarkRingDirty();
-      break;
-    }
-    case StatusKind::kNormal: {
-      const EndpointState* state = gossiper_.StateOf(ep);
-      CHECK_NOTNULL(state);
-      if (!ring_.HasNode(ep)) {
-        ring_.AddNode(ep, state->Tokens());
-      }
-      RemovePendingChange(ep);
-      MarkRingDirty();
-      break;
-    }
-    case StatusKind::kLeaving:
-      AddPendingChange(PendingChange{ep, ChangeKind::kLeaving, {}});
-      MarkRingDirty();
-      break;
-    case StatusKind::kLeft:
-    case StatusKind::kRemoved:
-      if (env_->config->check.plant_left_join_bug &&
-          old_status == StatusKind::kUnknown && !ring_.HasNode(ep)) {
-        // Planted recovery bug (CheckOptions::plant_left_join_bug): a view
-        // meeting a tombstoned endpoint for the first time — e.g. a process
-        // that restarted after a peer finished decommissioning — mishandles
-        // the LEFT state as a join and claims the departed node's tokens
-        // back into its ring. The zombie-endpoint invariant exists to catch
-        // exactly this class of mistake.
-        const EndpointState* state = gossiper_.StateOf(ep);
-        if (state != nullptr && !state->Tokens().empty()) {
-          ring_.AddNode(ep, state->Tokens());
-          RemovePendingChange(ep);
-          MarkRingDirty();
-          break;
-        }
-      }
-      if (ring_.HasNode(ep)) {
-        ring_.RemoveNode(ep);
-      }
-      RemovePendingChange(ep);
-      // A properly departed node is no longer monitored; its silence is not
-      // a failure and must not produce flaps.
-      unmonitored_.insert(ep);
-      fd_.Forget(ep);
-      gossiper_.MarkDead(ep);
-      MarkRingDirty();
-      break;
-    case StatusKind::kUnknown:
-      break;
-  }
 }
 
-void Node::OnHeartbeat(NodeId ep) {
-  if (unmonitored_.count(ep) > 0) {
-    return;
-  }
-  fd_.Report(ep, env_->clock->Now());
-  if (!gossiper_.IsAlive(ep)) {
-    gossiper_.MarkAlive(ep);
-    env_->flaps->RecordUp(id_, ep, env_->clock->Now());
-    if (env_->trace != nullptr) {
-      env_->trace->Record(env_->clock->Now(), TraceKind::kRescue, id_, ep);
-    }
-    if (kv_ != nullptr) {
-      // The failure detector just un-convicted this replica: deliver (or
-      // expire) whatever writes we hinted for it while it was down.
-      kv_->OnReplicaAlive(ep);
-    }
-  }
-  if (env_->config->recalc_trigger == RecalcTrigger::kAnyApplyOfPendingEndpoint &&
-      HasPendingChange(ep)) {
-    MarkRingDirty();
-  }
-}
-
-void Node::OnRestart(NodeId ep) {
-  // Treat a restarted peer as freshly alive.
-  if (!gossiper_.IsAlive(ep)) {
-    gossiper_.MarkAlive(ep);
-    env_->flaps->RecordUp(id_, ep, env_->clock->Now());
-    if (kv_ != nullptr) {
-      kv_->OnReplicaAlive(ep);
-    }
-  }
-}
-
-// ---- Ring / pending-range machinery -------------------------------------------
-
-void Node::AddPendingChange(PendingChange change) {
-  for (const PendingChange& existing : pending_changes_) {
-    if (existing.node == change.node && existing.kind == change.kind) {
-      return;
-    }
-  }
-  pending_changes_.push_back(std::move(change));
-  UpdatePartitionServiceMemory();
-}
-
-void Node::RemovePendingChange(NodeId ep) {
-  auto removed = std::remove_if(pending_changes_.begin(), pending_changes_.end(),
-                                [ep](const PendingChange& c) { return c.node == ep; });
-  if (removed != pending_changes_.end()) {
-    pending_changes_.erase(removed, pending_changes_.end());
-    UpdatePartitionServiceMemory();
-  }
-}
-
-bool Node::HasPendingChange(NodeId ep) const {
-  for (const PendingChange& c : pending_changes_) {
-    if (c.node == ep) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void Node::UpdatePartitionServiceMemory() {
-  bool want = !pending_changes_.empty();
+void Node::OnPendingSetChanged() {
+  bool want = !core_.pending_changes().empty();
   if (want == partition_services_allocated_) {
     return;
   }
@@ -771,37 +430,20 @@ void Node::UpdatePartitionServiceMemory() {
     // space-oblivious variant allocates (N-1)*P of them; the fixed code P.
     int64_t services =
         env_->config->space_oblivious_rebalance
-            ? static_cast<int64_t>(gossiper_.endpoints().size() - 1) *
+            ? static_cast<int64_t>(core_.gossiper().endpoints().size() - 1) *
                   env_->config->vnodes_per_node
             : env_->config->vnodes_per_node;
     partition_services_bytes_ = services * env_->config->partition_service_bytes;
-    machine_->memory().Allocate(id_, "partition-services", partition_services_bytes_);
+    machine_->memory().Allocate(id(), "partition-services", partition_services_bytes_);
     partition_services_allocated_ = true;
   } else {
-    machine_->memory().Release(id_, "partition-services", partition_services_bytes_);
+    machine_->memory().Release(id(), "partition-services", partition_services_bytes_);
     partition_services_bytes_ = 0;
     partition_services_allocated_ = false;
   }
 }
 
-void Node::MarkRingDirty() { ring_dirty_ = true; }
-
-void Node::MaybeScheduleRecalc() {
-  if (crashed_ || !ring_dirty_ || recalc_inflight_) {
-    return;
-  }
-  if (pending_changes_.empty()) {
-    // Nothing in flight: the recalculation is trivial; skip it (the cheap
-    // path real code takes too).
-    ring_dirty_ = false;
-    pending_ranges_ = PendingRanges();
-    return;
-  }
-  recalc_inflight_ = true;
-  BuildRecalcJob();
-}
-
-void Node::BuildRecalcJob() {
+void Node::RunCalculator() {
   struct RecalcState {
     TokenRing ring_copy;
     CalcInput input;
@@ -824,57 +466,50 @@ void Node::BuildRecalcJob() {
   auto apply_fn = [this](const std::vector<uint8_t>& output, bool from_memo) {
     PendingRanges decoded;
     if (!PendingRanges::Decode(output, &decoded)) {
-      SC_LOG(Error) << "node " << id_ << ": undecodable pending-range output";
+      SC_LOG(Error) << "node " << id() << ": undecodable pending-range output";
       return;
     }
-    pending_ranges_ = std::move(decoded);
+    core_.set_pending_ranges(std::move(decoded));
   };
 
+  // Runs when the job reaches the calc thread: snapshot the input from the
+  // view as it is then (input.ring points at the live ring).
   auto prepare = [this, state] {
-    ring_dirty_ = false;
     ++*env_->calc_invocations;
     if (env_->trace != nullptr) {
-      env_->trace->Record(env_->clock->Now(), TraceKind::kCalcStart, id_, kInvalidNode,
-                          static_cast<int64_t>(pending_changes_.size()));
+      env_->trace->Record(env_->clock->Now(), TraceKind::kCalcStart, id(), kInvalidNode,
+                          static_cast<int64_t>(core_.pending_changes().size()));
     }
     state->bootstrap_path =
-        ring_.num_nodes() < static_cast<size_t>(env_->config->replication_factor);
-    state->input.changes = pending_changes_;
-    state->input.rf = env_->config->replication_factor;
+        core_.ring().num_nodes() < static_cast<size_t>(env_->config->replication_factor);
+    core_.BeginCalc(&state->input);
   };
   auto finish = [this] {
-    recalc_inflight_ = false;
     if (env_->trace != nullptr) {
-      env_->trace->Record(env_->clock->Now(), TraceKind::kCalcDone, id_, kInvalidNode,
-                          static_cast<int64_t>(pending_ranges_.size()));
+      env_->trace->Record(env_->clock->Now(), TraceKind::kCalcDone, id(), kInvalidNode,
+                          static_cast<int64_t>(core_.pending_ranges().size()));
     }
-    MaybeScheduleRecalc();  // re-run if dirtied during the calculation
+    core_.FinishCalc();
   };
 
   Job job("ring.recalc");
   switch (env_->config->calc_placement) {
     case CalcPlacement::kInlineGossipStage:
-      job.Run([prepare, state, this] {
-        prepare();
-        state->input.ring = &ring_;
-      });
+      job.Run(prepare);
       break;
     case CalcPlacement::kSeparateThreadCoarseLock:
       // The C5456 bug: the whole calculation (or its PIL sleep) happens with
       // the ring lock held.
       job.Lock(&ring_lock_);
-      job.Run([prepare, state, this] {
-        prepare();
-        state->input.ring = &ring_;
-      });
+      job.Run(prepare);
       break;
     case CalcPlacement::kSeparateThreadClone:
       // The C5456 fix: clone under the lock, release, then compute.
       job.Lock(&ring_lock_);
-      job.Compute([this] { return static_cast<WorkUnits>(ring_.num_entries()) * 6; });
+      job.Compute([this] { return static_cast<WorkUnits>(core_.ring().num_entries()) * 6; });
       job.Run([prepare, state, this] {
         prepare();
-        state->ring_copy = ring_.Clone();
+        state->ring_copy = core_.ring().Clone();
         state->input.ring = &state->ring_copy;
       });
       job.Unlock(&ring_lock_);

@@ -1,4 +1,10 @@
-// A simulated Cassandra-like node.
+// The simulated host of a Cassandra-like node.
+//
+// The protocol itself — gossip, failure detection, the ring view, pending
+// changes, the recalculation decision, the KV service — lives in the
+// carrier-neutral ProtocolNode (protocol_node.h), which the real-socket
+// RealNode hosts too. Node keeps only what models a node on a simulated
+// machine, and drives the core through direct calls.
 //
 // Thread structure mirrors the real system (and the paper's observation that
 // each node runs "at most 2 busy cores (e.g., gossiper and gossip-processing
@@ -15,8 +21,12 @@
 //   calc_thread          (C5456-era placements) runs the calculation off the
 //                        stage, synchronizing via the ring-table SimMutex.
 //
+// Each protocol body runs inside a Job on one of those threads, with its
+// modelled CPU cost and, where the placement says so, the ring SimMutex.
 // The pending-range calculation crosses the PIL boundary: depending on the
-// run mode it executes (real/colocated/memoize) or sleeps (replay).
+// run mode it executes (real/colocated/memoize) or sleeps (replay). Also
+// sim-only: MemoryModel charges, payload pools, the replay order enforcer
+// and trace records.
 
 #ifndef SCALECHECK_SRC_CLUSTER_NODE_H_
 #define SCALECHECK_SRC_CLUSTER_NODE_H_
@@ -25,15 +35,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "src/cluster/config.h"
+#include "src/cluster/protocol_node.h"
 #include "src/cluster/workload.h"
-#include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/gossip/failure_detector.h"
 #include "src/gossip/flap_counter.h"
 #include "src/gossip/gossiper.h"
 #include "src/gossip/messages.h"
@@ -111,7 +119,7 @@ class CalcOutputCache {
   mutable std::array<Shard, kShards> shards_;
 };
 
-class Node {
+class Node final : private ProtocolNode::Host {
  public:
   // Shared environment owned by the Cluster.
   struct Env {
@@ -155,7 +163,7 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  NodeId id() const { return id_; }
+  NodeId id() const { return core_.id(); }
 
   // ---- Pre-start configuration -------------------------------------------
 
@@ -170,7 +178,9 @@ class Node {
   // Seed addresses for the gossip-to-unreachable escape hatch: when the live
   // view is empty (islanded after a partition), the round SYNs one of these
   // unconditionally so the node can rejoin. Self is filtered out.
-  void SetSeedContacts(const std::vector<NodeId>& contacts);
+  void SetSeedContacts(const std::vector<NodeId>& contacts) {
+    core_.SetSeedContacts(contacts);
+  }
   // Replay mode: enforce this recorded processing order.
   void EnableOrderEnforcement(std::vector<MessageKey> sequence);
 
@@ -189,22 +199,24 @@ class Node {
   // generation: protocol state is rebuilt from scratch, the ring view is
   // re-learned via `contacts`, and the durable token assignment is kept.
   void Restart(const std::vector<NodeId>& contacts);
-  bool crashed() const { return crashed_; }
+  bool crashed() const { return core_.crashed(); }
   bool started() const { return started_; }
 
   // ---- Introspection -------------------------------------------------------
 
-  const TokenRing& ring() const { return ring_; }
-  const Gossiper& gossiper() const { return gossiper_; }
-  const PendingRanges& pending_ranges() const { return pending_ranges_; }
-  const std::vector<PendingChange>& pending_changes() const { return pending_changes_; }
-  bool recalc_inflight() const { return recalc_inflight_; }
+  const TokenRing& ring() const { return core_.ring(); }
+  const Gossiper& gossiper() const { return core_.gossiper(); }
+  const PendingRanges& pending_ranges() const { return core_.pending_ranges(); }
+  const std::vector<PendingChange>& pending_changes() const {
+    return core_.pending_changes();
+  }
+  bool recalc_inflight() const { return core_.recalc_inflight(); }
   const SimMutex& ring_lock() const { return ring_lock_; }
   uint64_t order_divergences() const;
   uint64_t order_enforced() const;
   // Non-null iff config.enable_kv.
-  KvService* kv() { return kv_.get(); }
-  const KvService* kv() const { return kv_.get(); }
+  KvService* kv() { return core_.kv(); }
+  const KvService* kv() const { return core_.kv(); }
   // Gossip-processing tasks shed for staleness (stage overload signature).
   uint64_t stage_tasks_dropped() const { return gossip_stage_.jobs_dropped(); }
   // Payload-pool recycling stats summed over the SYN/ACK/ACK2 pools.
@@ -216,43 +228,43 @@ class Node {
   }
   // Total SYN digest-section bytes shipped (delta-varint encoded measure);
   // divide by the profiler's digest_builds for bytes/round.
-  uint64_t digest_bytes_sent() const { return digest_bytes_sent_; }
+  uint64_t digest_bytes_sent() const { return core_.digest_bytes_sent(); }
   // Arena footprint of the gossip scratch (what MemoryModel is charged
   // under the "gossip-arena" tag while the node is up).
   uint64_t arena_bytes_reserved() const {
-    return gossiper_.scratch_arena().bytes_reserved();
+    return core_.gossiper().scratch_arena().bytes_reserved();
   }
-  std::vector<Token> my_tokens() const { return my_tokens_; }
+  std::vector<Token> my_tokens() const { return core_.my_tokens(); }
   Machine* machine() const { return machine_; }
-  StatusKind my_status() const { return gossiper_.LocalState().Status(); }
-  bool IsSettledView() const;  // no pending changes, no recalc in flight
+  StatusKind my_status() const { return core_.gossiper().LocalState().Status(); }
+  bool IsSettledView() const { return core_.IsSettledView(); }
 
  private:
-  // ---- Gossip plumbing -----------------------------------------------------
+  // ---- Message delivery: each gossip body runs as a stage Job ---------------
   void OnMessage(const Message& msg);
   void ProcessMessage(const Message& msg);
   void GossipRound();
   void FailureSweep();
-  void SendSyn(NodeId peer);
+  void SendSyn(NodeId peer) { core_.SendSyn(peer, syn_pool_.Acquire()); }
   void HandleSynMessage(const Message& msg);
   void HandleAckMessage(const Message& msg);
   void HandleAck2Message(const Message& msg);
+  // Process-level charges of a (re)starting node: runtime, endpoint table,
+  // gossip arena.
+  void ChargeProcessMemory();
+  void StartGossipTimer();
 
-  // ---- Gossiper callbacks --------------------------------------------------
-  void OnStatusChange(NodeId ep, StatusKind old_status, StatusKind new_status);
-  void OnHeartbeat(NodeId ep);
-  void OnRestart(NodeId ep);
+  // ---- ProtocolNode::Host ------------------------------------------------
+  void OnConviction(NodeId ep, VirtualTime now) override;
+  void OnRescue(NodeId ep, bool restarted) override;
+  void OnStatusTransition(NodeId ep, StatusKind new_status) override;
+  void OnPendingSetChanged() override;
+  // Builds the recalc Job on the calc thread (placement decides the ring
+  // lock discipline) with the PIL boundary around the calculator.
+  void RunCalculator() override;
 
-  // ---- Ring / pending-range machinery ---------------------------------------
-  void AddPendingChange(PendingChange change);
-  void RemovePendingChange(NodeId ep);
-  bool HasPendingChange(NodeId ep) const;
-  void MarkRingDirty();
-  void MaybeScheduleRecalc();
-  void BuildRecalcJob();
   // The PIL compute closure (consults the output cache; real-vs-model).
   PilBoundary::ComputeOutput ComputeCalc(const CalcInput& input, bool bootstrap_path);
-  void UpdatePartitionServiceMemory();
 
   bool UsesRingLock() const {
     return env_->config->calc_placement != CalcPlacement::kInlineGossipStage;
@@ -264,28 +276,17 @@ class Node {
   }
 
   Env* env_;
-  NodeId id_;
   Machine* machine_;
-  Rng rng_;
 
-  Gossiper gossiper_;
-  PhiAccrualFailureDetector fd_;
-  TokenRing ring_;
   SimMutex ring_lock_;
-
   SimThread gossip_task_;
   SimThread gossip_stage_;
   std::unique_ptr<SimThread> calc_thread_;
   std::unique_ptr<SimThread> kv_stage_;
   std::unique_ptr<SimStage> kv_stage_adapter_;  // seam view of kv_stage_
-  std::unique_ptr<KvService> kv_;
+  ProtocolNode core_;
   std::unique_ptr<PeriodicClockTimer> gossip_timer_;
 
-  std::vector<Token> my_tokens_;
-  std::vector<PendingChange> pending_changes_;
-  PendingRanges pending_ranges_;
-  bool ring_dirty_ = false;
-  bool recalc_inflight_ = false;
   bool partition_services_allocated_ = false;
   int64_t partition_services_bytes_ = 0;
 
@@ -294,16 +295,8 @@ class Node {
   PayloadPool<AckPayload> ack_pool_;
   PayloadPool<Ack2Payload> ack2_pool_;
 
-  // Endpoints we do not failure-monitor (ourselves, LEFT nodes). Membership
-  // queries only — never iterated, so unordered is deterministic here.
-  std::unordered_set<NodeId> unmonitored_;
-  std::vector<NodeId> seed_contacts_;  // excludes self
-
   std::unique_ptr<OrderEnforcer> enforcer_;
-  uint64_t digest_bytes_sent_ = 0;
   bool started_ = false;
-  bool crashed_ = false;
-  int64_t generation_ = 1;  // bumped on every restart
 };
 
 }  // namespace scalecheck

@@ -3,6 +3,7 @@
 #include "src/cluster/run_result.h"
 
 #include "src/cluster/config.h"
+#include "src/kv/kv_service.h"
 
 namespace scalecheck {
 
@@ -19,6 +20,23 @@ void WriteStat(JsonWriter* w, const std::string& key, const RunningStat& stat) {
 }
 
 }  // namespace
+
+void RunResult::AddKvNodeStats(const KvStats& stats) {
+  kv_retries += stats.retries;
+  kv_gave_up += stats.gave_up;
+  kv_wal_bytes += stats.wal_bytes;
+  kv_hints_queued += stats.hints_queued;
+  kv_hints_replayed += stats.hints_replayed;
+  kv_hints_expired += stats.hints_expired;
+  kv_read_repairs += stats.read_repairs;
+  kv_ops_one += stats.ops_one;
+  kv_ops_quorum += stats.ops_quorum;
+  kv_ops_all += stats.ops_all;
+  kv_repair_sessions += stats.repair_sessions;
+  kv_repair_bytes_streamed += stats.repair_bytes_streamed;
+  kv_repair_keys_fixed += stats.repair_keys_fixed;
+  kv_repair_aborted += stats.repair_aborted;
+}
 
 std::string RunResult::Summary() const {
   std::string guard_tag = FidelityVerdictName(fidelity.verdict);

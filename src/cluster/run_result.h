@@ -17,6 +17,8 @@
 
 namespace scalecheck {
 
+struct KvStats;
+
 struct RunResult {
   // Configuration echoes.
   RunMode mode = RunMode::kRealScale;
@@ -148,6 +150,11 @@ struct RunResult {
   // stays byte-identical to profiler-less builds.
   bool has_profile = false;
   SimProfiler::Counters profile;
+
+  // Adds one node's replica-side KV counters (retries, WAL, hints, repair,
+  // ops by consistency level) to the run totals; both carriers call it once
+  // per node.
+  void AddKvNodeStats(const KvStats& stats);
 
   std::string Summary() const;
 

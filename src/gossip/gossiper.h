@@ -2,10 +2,10 @@
 //
 // Gossiper is deliberately transport- and thread-free: it consumes digests
 // and states and produces digests and states, so it can be unit-tested
-// exhaustively. The node wiring (cluster::Node over the simulated carrier,
-// net::RealNode over localhost TCP) connects it to the Transport seam and
-// charges the CPU work this class *estimates* (instrumented per-item costs)
-// to the receiving stage thread.
+// exhaustively. ProtocolNode (src/cluster/protocol_node.h) connects it to the
+// Transport seam on both carriers; its simulated host, Node, charges the CPU
+// work this class *estimates* (instrumented per-item costs) to the receiving
+// stage thread.
 //
 // The protocol outputs are incremental: the SYN digest list is a cached
 // vector whose entries are refreshed only for endpoints whose state actually
@@ -20,8 +20,8 @@
 // a std::map — and the digest cache, dirty list, and liveness bitmap are
 // index-aligned with that table, so the SYN merge-walk and the digest
 // refresh are linear scans with no per-endpoint tree walks. The digest
-// scratch is arena-backed (src/common/arena.h); cluster::Node charges the
-// arena's growth to MemoryModel so FidelityGuard sees the real footprint.
+// scratch is arena-backed (src/common/arena.h); the simulated Node charges
+// the arena's growth to MemoryModel so FidelityGuard sees the real footprint.
 
 #ifndef SCALECHECK_SRC_GOSSIP_GOSSIPER_H_
 #define SCALECHECK_SRC_GOSSIP_GOSSIPER_H_

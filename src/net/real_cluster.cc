@@ -15,28 +15,48 @@
 #include "src/ring/token_ring.h"
 
 namespace scalecheck {
+namespace {
+
+// Snapshots taken through RealNode::WithCore (under the node mutex).
+size_t Unreachable(const RealNode& node) {
+  return node.WithCore([](const ProtocolNode& core) {
+    return core.gossiper().UnreachableEndpointsView().size();
+  });
+}
+
+KvStats KvStatsOf(const RealNode& node) {
+  return node.WithCore([](const ProtocolNode& core) {
+    return core.kv() == nullptr ? KvStats{} : core.kv()->stats();
+  });
+}
+
+// The local storage version of `key` (0 = absent or KV off).
+int64_t KvTimestampOf(const RealNode& node, uint64_t key) {
+  return node.WithCore([key](const ProtocolNode& core) {
+    return core.kv() == nullptr ? 0 : core.kv()->storage().TimestampOf(key);
+  });
+}
+
+}  // namespace
 
 RealCluster::RealCluster(const Options& options) : options_(options) {
   std::map<NodeId, std::vector<Token>> seed_members;
-  int seeds = std::min(options_.seeds, options_.num_nodes);
+  std::vector<NodeId> seed_ids;
+  int seeds = std::min(options_.seeds, options_.config.initial_nodes);
   for (NodeId id = 0; id < seeds; ++id) {
     seed_members[id] =
-        GenerateTokens(id, options_.node.vnodes_per_node, options_.node.seed);
+        GenerateTokens(id, options_.config.vnodes_per_node, options_.config.seed);
+    seed_ids.push_back(id);
   }
-  RealNode::Options node_options = options_.node;
-  node_options.seed_contacts.clear();
-  for (NodeId id = 0; id < seeds; ++id) {
-    node_options.seed_contacts.push_back(id);
-  }
-  for (NodeId id = 0; id < options_.num_nodes; ++id) {
+  for (NodeId id = 0; id < options_.config.initial_nodes; ++id) {
     // Same boot-order interning contract as the simulated Cluster: the
     // human-readable address exists only here and in logs; every layer below
     // (gossip, ring, transport) speaks dense EndpointIds == NodeIds.
     EndpointId interned = interner_.Intern("127.0.0.1#" + std::to_string(id));
     CHECK_EQ(interned, id);
-    auto node = std::make_unique<RealNode>(id, node_options, &transport_,
+    auto node = std::make_unique<RealNode>(id, options_.config, &transport_,
                                            &clock_, &flaps_, &flaps_mu_);
-    node->PrimeSeeds(seed_members);
+    node->PrimeSeeds(seed_members, seed_ids);
     nodes_.push_back(std::move(node));
   }
 }
@@ -50,8 +70,24 @@ RealCluster::~RealCluster() {
 }
 
 bool RealCluster::AllConverged() const {
+  // Every node knows all n endpoints, all alive and NORMAL, and its ring
+  // holds all n nodes.
+  const size_t n = static_cast<size_t>(options_.config.initial_nodes);
   for (const auto& node : nodes_) {
-    if (!node->SeesConvergedCluster(options_.num_nodes)) {
+    bool converged = node->WithCore([n](const ProtocolNode& core) {
+      const Gossiper& gossiper = core.gossiper();
+      if (gossiper.endpoints().size() != n || core.ring().num_nodes() != n) {
+        return false;
+      }
+      for (const auto& [ep, state] : gossiper.endpoints()) {
+        if (state.Status() != StatusKind::kNormal ||
+            (ep != core.id() && !gossiper.IsAlive(ep))) {
+          return false;
+        }
+      }
+      return true;
+    });
+    if (!converged) {
       return false;
     }
   }
@@ -77,7 +113,7 @@ RunResult RealCluster::Run() {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   if (!settled) {
-    SC_LOG(Warning) << "real cluster: " << options_.num_nodes
+    SC_LOG(Warning) << "real cluster: " << options_.config.initial_nodes
                     << " nodes did not converge within "
                     << options_.convergence_timeout.ToString();
   }
@@ -92,7 +128,7 @@ RunResult RealCluster::Run() {
   int64_t islanded = 0;
   if (settled && !options_.faults.empty()) {
     const double scale =
-        static_cast<double>(options_.node.gossip_interval.nanos()) / 1e9;
+        static_cast<double>(options_.config.gossip_interval.nanos()) / 1e9;
     auto rescale = [scale](VirtualDuration d) {
       return VirtualDuration::Nanos(
           static_cast<int64_t>(static_cast<double>(d.nanos()) * scale));
@@ -118,7 +154,7 @@ RunResult RealCluster::Run() {
       const VirtualTime quiet_at = armed_at + plan.End();
       const VirtualTime deadline =
           quiet_at +
-          options_.node.gossip_interval * options_.partition_heal_rounds;
+          options_.config.gossip_interval * options_.partition_heal_rounds;
       FaultInjector::Hooks hooks;
       hooks.clock = &clock_;
       hooks.links = &transport_;
@@ -129,7 +165,13 @@ RunResult RealCluster::Run() {
       // partition-heals invariant.
       healed = false;
       while (clock_.Now() < deadline) {
-        if (clock_.Now() >= quiet_at && AllConverged()) {
+        // Quiet means the heals have run on the clock's timer thread, not
+        // just come due: a loaded host fires them late, and a view that never
+        // convicted the islanded node would otherwise pass as healed while
+        // the partition is still up.
+        FaultInjector::Stats faults = injector->stats();
+        if (clock_.Now() >= quiet_at && faults.events_healed >= faults.events_applied &&
+            AllConverged()) {
           healed = true;
           break;
         }
@@ -139,7 +181,7 @@ RunResult RealCluster::Run() {
         healed = AllConverged();  // final check at the deadline itself
       }
       for (const auto& node : nodes_) {
-        islanded += static_cast<int64_t>(node->unreachable_endpoints());
+        islanded += static_cast<int64_t>(Unreachable(*node));
       }
       if (!healed) {
         SC_LOG(Warning) << "real cluster: partition did not heal within "
@@ -153,7 +195,7 @@ RunResult RealCluster::Run() {
   // Optional KV smoke: quorum writes then reads, round-robin coordinators.
   int64_t kv_issued = 0;
   LogHistogram kv_latency{/*base=*/1e5, /*growth=*/1.5, /*num_buckets=*/80};
-  if (settled && healed && options_.node.enable_kv && options_.kv_ops > 0) {
+  if (settled && healed && options_.config.enable_kv && options_.kv_ops > 0) {
     std::mutex done_mu;
     std::condition_variable done_cv;
     int outstanding = 0;
@@ -174,11 +216,13 @@ RunResult RealCluster::Run() {
         --outstanding;
         done_cv.notify_all();
       };
-      if (is_write) {
-        coordinator->KvWrite(key, StrFormat("v%d", i), std::move(done));
-      } else {
-        coordinator->KvRead(key, std::move(done));
-      }
+      coordinator->WithCore([&](ProtocolNode& core) {
+        if (is_write) {
+          core.kv()->Write(key, StrFormat("v%d", i), std::move(done));
+        } else {
+          core.kv()->Read(key, std::move(done));
+        }
+      });
     };
     for (int i = 0; i < options_.kv_ops; ++i) {
       issue(/*is_write=*/true, i);
@@ -197,22 +241,25 @@ RunResult RealCluster::Run() {
   bool repair_phase_ran = false;
   bool repair_converged = true;
   int64_t diverged_replicas = 0;
-  if (settled && healed && options_.node.enable_kv && options_.node.kv_repair &&
+  if (settled && healed && options_.config.enable_kv && options_.config.kv_repair &&
       options_.kv_ops > 0) {
     repair_phase_ran = true;
     auto count_diverged = [&] {
       int64_t diverged = 0;
       for (int i = 0; i < options_.kv_ops; ++i) {
         uint64_t key = static_cast<uint64_t>(i) * 7919;
-        std::vector<NodeId> replicas = nodes_[0]->KvNaturalEndpoints(key);
+        std::vector<NodeId> replicas =
+            nodes_[0]->WithCore([&](const ProtocolNode& core) {
+              return core.ring().NaturalEndpointsForKey(
+                  KvTokenForKey(key), options_.config.replication_factor);
+            });
         int64_t winning = 0;
         for (NodeId r : replicas) {
-          winning = std::max(
-              winning, nodes_[static_cast<size_t>(r)]->KvTimestampOf(key));
+          winning = std::max(winning, KvTimestampOf(*nodes_[static_cast<size_t>(r)], key));
         }
         if (winning == 0) continue;  // never acked anywhere: nothing to repair
         for (NodeId r : replicas) {
-          if (nodes_[static_cast<size_t>(r)]->KvTimestampOf(key) < winning) {
+          if (KvTimestampOf(*nodes_[static_cast<size_t>(r)], key) < winning) {
             ++diverged;
           }
         }
@@ -220,7 +267,7 @@ RunResult RealCluster::Run() {
       return diverged;
     };
     const VirtualTime repair_deadline = clock_.Now() +
-                                        options_.node.kv_repair_interval * 8 +
+                                        options_.config.kv_repair_interval * 8 +
                                         VirtualDuration::Seconds(2);
     // Even when nothing diverged, dwell a few intervals: the scheduler must
     // be observed actually ticking, both so throttled repair demonstrates it
@@ -228,7 +275,7 @@ RunResult RealCluster::Run() {
     // to exceed it. Exiting at first agreement would end the run before the
     // first repair timer ever fired.
     const VirtualTime min_dwell = clock_.Now() +
-                                  options_.node.kv_repair_interval * 4 +
+                                  options_.config.kv_repair_interval * 4 +
                                   VirtualDuration::Seconds(1);
     repair_converged = false;
     while (clock_.Now() < repair_deadline) {
@@ -249,8 +296,10 @@ RunResult RealCluster::Run() {
   int64_t live_sum = 0;
   int64_t unreachable_sum = 0;
   for (const auto& node : nodes_) {
-    live_sum += static_cast<int64_t>(node->live_endpoints());
-    unreachable_sum += static_cast<int64_t>(node->unreachable_endpoints());
+    live_sum += static_cast<int64_t>(node->WithCore([](const ProtocolNode& core) {
+      return core.gossiper().LiveEndpointsView().size();
+    }));
+    unreachable_sum += static_cast<int64_t>(Unreachable(*node));
   }
   for (auto& node : nodes_) {
     node->Stop();
@@ -261,8 +310,8 @@ RunResult RealCluster::Run() {
 
   RunResult result;
   result.mode = RunMode::kRealSockets;
-  result.num_nodes = options_.num_nodes;
-  result.vnodes_per_node = options_.node.vnodes_per_node;
+  result.num_nodes = options_.config.initial_nodes;
+  result.vnodes_per_node = options_.config.vnodes_per_node;
   result.settled = settled;
   result.settle_time = settled ? (settle_time - VirtualTime::Zero()) : VirtualDuration::Zero();
   result.test_duration = end - VirtualTime::Zero();
@@ -321,23 +370,23 @@ RunResult RealCluster::Run() {
   const double elapsed_seconds = static_cast<double>(end.nanos()) / 1e9;
   const double interval_seconds = std::max(
       1e-3,
-      static_cast<double>(options_.node.kv_repair_interval.nanos()) / 1e9);
+      static_cast<double>(options_.config.kv_repair_interval.nanos()) / 1e9);
   const double session_allowance =
-      (elapsed_seconds / interval_seconds) * options_.node.kv_repair_max_sessions *
+      (elapsed_seconds / interval_seconds) * options_.config.kv_repair_max_sessions *
           2.0 +
       4.0;
   const double byte_allowance =
-      static_cast<double>(options_.node.kv_repair_rate_bytes) *
+      static_cast<double>(options_.config.kv_repair_rate_bytes) *
           elapsed_seconds * 2.0 +
       4.0 * 1024.0 * 1024.0;
   for (const auto& node : nodes_) {
-    if (!options_.node.kv_repair) break;
+    if (!options_.config.kv_repair) break;
     bool already_flagged = false;
     for (const InvariantViolation& v : result.invariants.violations) {
       already_flagged = already_flagged || v.invariant == "replica-convergence";
     }
     if (already_flagged) break;
-    KvStats stats = node->KvStatsSnapshot();
+    KvStats stats = KvStatsOf(*node);
     if (static_cast<double>(stats.repair_sessions) > session_allowance ||
         static_cast<double>(stats.repair_bytes_streamed) > byte_allowance) {
       result.invariants.checked = true;
@@ -356,27 +405,11 @@ RunResult RealCluster::Run() {
     }
   }
   for (const auto& node : nodes_) {
-    KvStats stats = node->KvStatsSnapshot();
+    KvStats stats = KvStatsOf(*node);
     result.kv_ok += stats.ok;
     result.kv_unavailable += stats.unavailable;
     result.kv_timeout += stats.timeout;
-    result.kv_retries += stats.retries;
-    result.kv_gave_up += stats.gave_up;
-    // Data-path accounting, same fields the sim carrier exports: with the
-    // WAL on, every OK ack above rode a real-socket group commit, and these
-    // counters are the evidence trail.
-    result.kv_wal_bytes += stats.wal_bytes;
-    result.kv_hints_queued += stats.hints_queued;
-    result.kv_hints_replayed += stats.hints_replayed;
-    result.kv_hints_expired += stats.hints_expired;
-    result.kv_read_repairs += stats.read_repairs;
-    result.kv_ops_one += stats.ops_one;
-    result.kv_ops_quorum += stats.ops_quorum;
-    result.kv_ops_all += stats.ops_all;
-    result.kv_repair_sessions += stats.repair_sessions;
-    result.kv_repair_bytes_streamed += stats.repair_bytes_streamed;
-    result.kv_repair_keys_fixed += stats.repair_keys_fixed;
-    result.kv_repair_aborted += stats.repair_aborted;
+    result.AddKvNodeStats(stats);
   }
   result.kv_inflight_at_stop =
       kv_issued - (result.kv_ok + result.kv_unavailable + result.kv_timeout);

@@ -4,9 +4,9 @@
 // runs land in the same tables.
 //
 // What "converged" means here: every node's view reports all N members
-// NORMAL and alive with a fully populated ring (RealNode::
-// SeesConvergedCluster). Nodes start knowing only the seed subset, so
-// convergence genuinely exercises SYN/ACK/ACK2 dissemination over sockets.
+// NORMAL and alive with a fully populated ring (AllConverged). Nodes start
+// knowing only the seed subset, so convergence genuinely exercises
+// SYN/ACK/ACK2 dissemination over sockets.
 
 #ifndef SCALECHECK_SRC_NET_REAL_CLUSTER_H_
 #define SCALECHECK_SRC_NET_REAL_CLUSTER_H_
@@ -28,17 +28,19 @@ namespace scalecheck {
 class RealCluster {
  public:
   struct Options {
-    int num_nodes = 8;
+    // Every node's configuration, cluster size (initial_nodes) included: the
+    // same struct the simulated Cluster takes, with this carrier's defaults
+    // (RealCarrierConfig()).
+    ClusterConfig config = RealCarrierConfig();
     int seeds = 3;  // first `seeds` nodes are known to everyone at boot
-    RealNode::Options node;
     // Give up if the cluster has not converged after this much wall clock.
     VirtualDuration convergence_timeout = VirtualDuration::Seconds(30);
-    // When node.enable_kv: issue this many quorum writes+reads after
+    // When config.enable_kv: issue this many quorum writes+reads after
     // convergence, round-robin across coordinators.
     int kv_ops = 0;
     // Fault schedule replayed against the real sockets after initial
     // convergence. FaultPlan times are authored against the simulator's 1s
-    // gossip round; this carrier rescales them by node.gossip_interval so a
+    // gossip round; this carrier rescales them by config.gossip_interval so a
     // "32 second partition" means the same ~32 protocol rounds on both
     // carriers. Only link-level kinds (partition, link-degrade) apply here —
     // others are skipped with a warning (no process/machine model).

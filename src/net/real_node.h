@@ -1,17 +1,18 @@
-// One in-process node of the real-socket deployment.
+// One in-process node of the real-socket deployment: a thin host around the
+// same ProtocolNode the simulated Node hosts (src/cluster/protocol_node.h),
+// configured by the same ClusterConfig.
 //
-// This is the real-mode counterpart of src/cluster/node.cc: the same
-// protocol objects (Gossiper, PhiAccrualFailureDetector, TokenRing,
-// PendingRangeCalculator, KvService) driven over the substrate seam instead
-// of the simulator. Where the sim Node spreads work across staged
-// SimThreads to *model* contention, RealNode runs everything under one
-// per-node mutex — real threads (socket readers, the timer thread, the
-// driver) provide the concurrency, and the monitor provides the
-// protocol-code guarantee both carriers share: one event at a time per node.
+// Where the sim Node spreads work across staged SimThreads to *model*
+// contention, RealNode runs everything under one per-node mutex — real
+// threads (socket readers, the timer thread, the driver) provide the
+// concurrency, and the monitor provides the protocol-code guarantee both
+// carriers share: one event at a time per node. All RealNode adds to the
+// core is that monitor, the SerializedClock that routes timer callbacks
+// through it, the inline RealStage the KV service runs on, the gossip timer,
+// and a synchronous calculator run.
 //
-// Deliberately below-seam features of the sim Node have no counterpart
-// here: PIL boundaries, payload pools, memory modelling, fault injection,
-// order enforcement. See DESIGN.md's substrate-seam section.
+// Sim-only features have no counterpart here: PIL boundaries, payload pools,
+// memory modelling, order enforcement, crash/restart. See DESIGN.md §9.
 
 #ifndef SCALECHECK_SRC_NET_REAL_NODE_H_
 #define SCALECHECK_SRC_NET_REAL_NODE_H_
@@ -19,114 +20,74 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
-#include "src/common/rng.h"
-#include "src/gossip/failure_detector.h"
+#include "src/cluster/config.h"
+#include "src/cluster/protocol_node.h"
 #include "src/gossip/flap_counter.h"
-#include "src/gossip/gossiper.h"
-#include "src/gossip/messages.h"
-#include "src/kv/kv_service.h"
 #include "src/net/real_clock.h"
 #include "src/ring/calculators.h"
-#include "src/ring/pending_ranges.h"
-#include "src/ring/token_ring.h"
 #include "src/transport/substrate.h"
 
 namespace scalecheck {
 
-class RealNode {
- public:
-  struct Options {
-    VirtualDuration gossip_interval = VirtualDuration::Millis(100);
-    PhiAccrualFailureDetector::Config fd;
-    int replication_factor = 3;
-    int vnodes_per_node = 8;
-    uint64_t seed = 1;
-    bool enable_kv = false;
-    VirtualDuration kv_timeout = VirtualDuration::Seconds(2);
-    // Ack threshold for KV reads and writes (ONE / QUORUM / ALL).
-    KvConsistency kv_consistency = KvConsistency::kQuorum;
-    // Durable replica path (WAL + group commit + hint replay). Real-mode
-    // crashes are process exits, so the WAL mostly exercises the same code
-    // path as the sim carrier: deferred group-commit acks and hint replay
-    // on peer recovery.
-    bool kv_wal = false;
-    VirtualDuration kv_wal_sync_interval = VirtualDuration::Millis(250);
-    // Anti-entropy repair (src/kv/anti_entropy.h) — same knobs as
-    // ClusterConfig's kv_repair_* family, same defaults scaled to the
-    // real-mode smoke's shorter horizon.
-    bool kv_repair = false;
-    VirtualDuration kv_repair_interval = VirtualDuration::Seconds(2);
-    int64_t kv_repair_rate_bytes = 256 * 1024;
-    int kv_repair_max_sessions = 1;
-    VirtualDuration kv_repair_session_timeout = VirtualDuration::Seconds(5);
-    int kv_repair_max_retries = 2;
-    size_t kv_repair_pressure_max_inflight = 16;
-    bool plant_repair_storm = false;
-    // Seed addresses for the gossip-to-unreachable escape hatch (self is
-    // filtered out). When the live view is empty, the round SYNs one of
-    // these unconditionally so an islanded node rejoins after a partition.
-    std::vector<NodeId> seed_contacts;
-  };
+// The real carrier's configuration defaults: ClusterConfig's values except
+// 8 nodes, a 100 ms gossip interval, 8 vnodes, seed 1, calculator V3,
+// recalculation on STATUS changes only, and a 2 s repair interval with 5 s
+// sessions (the smoke's horizon is seconds, not minutes). Fields that model
+// the simulated deployment (placement, machines, memory, PIL) are ignored
+// by this carrier.
+ClusterConfig RealCarrierConfig();
 
+class RealNode final : private ProtocolNode::Host {
+ public:
   // `transport` and `clock` outlive the node; `flaps` is shared across nodes
   // and internally synchronized by `flaps_mu` (FlapCounter itself is not
-  // thread-safe).
-  RealNode(NodeId id, const Options& options, Transport* transport,
+  // thread-safe). The node seeds its RNG from (config.seed, id).
+  RealNode(NodeId id, const ClusterConfig& config, Transport* transport,
            Clock* clock, FlapCounter* flaps, std::mutex* flaps_mu);
   ~RealNode();
   RealNode(const RealNode&) = delete;
   RealNode& operator=(const RealNode&) = delete;
 
-  NodeId id() const { return id_; }
+  NodeId id() const { return core_.id(); }
 
-  // Pre-start: install a settled member map (self included), as the sim
-  // Node's PrimeSettled does, or just seed contacts.
-  void PrimeSettled(const std::map<NodeId, std::vector<Token>>& members);
-  void PrimeSeeds(const std::map<NodeId, std::vector<Token>>& seed_members);
+  // Pre-start: this node comes up NORMAL with generated tokens and knows
+  // `seed_members`; `contacts` (self dropped) are the islanded fallback.
+  void PrimeSeeds(const std::map<NodeId, std::vector<Token>>& seed_members,
+                  const std::vector<NodeId>& contacts);
 
   // Registers with the transport and starts the periodic gossip round.
   void Start();
   // Stops gossip and leaves the transport. Safe to call twice.
   void Stop();
 
-  // KV client entry points (no-ops calling done(kUnavailable) without KV).
-  void KvWrite(uint64_t key, std::string value, KvService::DoneFn done);
-  void KvRead(uint64_t key, KvService::DoneFn done);
-
-  // ---- Snapshots (taken under the node mutex) ----------------------------
-  // True when this node sees `n` members: knows n endpoints, all alive,
-  // every status NORMAL, and the ring holds n nodes.
-  bool SeesConvergedCluster(int n) const;
-  size_t known_endpoints() const;
-  size_t live_endpoints() const;
-  // Known-but-dead peers that have not departed (the healing target set).
-  size_t unreachable_endpoints() const;
-  std::vector<Token> my_tokens() const { return my_tokens_; }
-  const KvStats KvStatsSnapshot() const;
-  // Replica-convergence audit hooks (real-mode verdict synthesis): the local
-  // storage version of `key` (0 = absent / KV off) and this node's view of
-  // the key's natural replica set.
-  int64_t KvTimestampOf(uint64_t key) const;
-  std::vector<NodeId> KvNaturalEndpoints(uint64_t key) const;
+  // Runs `fn(core)` under the node mutex: the cluster's snapshots and
+  // probes, and KV client calls, enter the same monitor as deliveries.
+  template <typename Fn>
+  auto WithCore(Fn&& fn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fn(core_);
+  }
+  template <typename Fn>
+  auto WithCore(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fn(static_cast<const ProtocolNode&>(core_));
+  }
 
  private:
   void OnMessage(const Message& msg);
-  void GossipRound();
-  void HandleSyn(const Message& msg);
-  void HandleAck(const Message& msg);
-  void HandleAck2(const Message& msg);
 
-  void SendSynTo(NodeId peer);
-  void OnStatusChange(NodeId ep, StatusKind old_status, StatusKind new_status);
-  void OnHeartbeat(NodeId ep);
-  void OnRestart(NodeId ep);
-  void MaybeRecalc();
+  // ---- ProtocolNode::Host (called with mu_ held) --------------------------
+  void OnConviction(NodeId ep, VirtualTime now) override;
+  void OnRescue(NodeId ep, bool restarted) override;
+  void OnStatusTransition(NodeId, StatusKind) override {}
+  void OnPendingSetChanged() override {}
+  // Real mode computes synchronously: the calculation is real CPU on this
+  // thread, which is the point — no modelled cost, just cost.
+  void RunCalculator() override;
 
-  const NodeId id_;
-  const Options options_;
+  const ClusterConfig config_;
   Transport* transport_;
   FlapCounter* flaps_;
   std::mutex* flaps_mu_;
@@ -134,18 +95,8 @@ class RealNode {
   mutable std::mutex mu_;
   SerializedClock clock_;  // wraps the shared RealClock with mu_
   RealStage stage_;
-  Rng rng_;
-  Gossiper gossiper_;
-  PhiAccrualFailureDetector fd_;
-  TokenRing ring_;
   std::unique_ptr<PendingRangeCalculator> calculator_;
-  std::vector<PendingChange> pending_changes_;
-  PendingRanges pending_ranges_;
-  bool ring_dirty_ = false;
-  std::unordered_set<NodeId> unmonitored_;
-  std::vector<NodeId> seed_contacts_;  // Options::seed_contacts minus self
-  std::vector<Token> my_tokens_;
-  std::unique_ptr<KvService> kv_;
+  ProtocolNode core_;
   std::unique_ptr<PeriodicClockTimer> gossip_timer_;
   bool started_ = false;
   bool stopped_ = false;

@@ -76,8 +76,6 @@ Result<RunMode> SimModeFromFlag(const std::string& flag) {
 Result<ModeSelection> ParseCliMode(const std::string& mode,
                                    const std::string& sim_modes_csv) {
   ModeSelection sel;
-
-  // Canonical spellings first.
   if (mode == "suite") {
     sel.kind = CliModeKind::kSuite;
     if (sim_modes_csv.empty()) {
@@ -106,34 +104,8 @@ Result<ModeSelection> ParseCliMode(const std::string& mode,
                                  : CliModeKind::kReal;
     return sel;
   }
-
-  // Deprecated aliases: their own selection wins; --sim-modes alongside an
-  // alias is a contradiction, not a merge.
-  if (!sim_modes_csv.empty()) {
-    return Status::InvalidArgument("--sim-modes only applies to --mode=suite");
-  }
-  sel.kind = CliModeKind::kSuite;
-  sel.deprecated_alias = true;
-  if (mode == "full") {
-    sel.sim_modes = FullGrid();
-    sel.canonical = "--mode=suite";
-  } else if (mode == "colo") {
-    sel.sim_modes = {RunMode::kColocated};
-    sel.canonical = "--mode=suite --sim-modes=colo";
-  } else if (mode == "memoize") {
-    sel.sim_modes = {RunMode::kMemoize};
-    sel.canonical = "--mode=suite --sim-modes=memoize";
-  } else if (mode == "replay") {
-    sel.sim_modes = {RunMode::kPilReplay};
-    sel.canonical = "--mode=suite --sim-modes=replay";
-  } else if (mode == "real-scale" || mode == "sim-real") {
-    sel.sim_modes = {RunMode::kRealScale};
-    sel.canonical = "--mode=suite --sim-modes=real";
-  } else {
-    return Status::InvalidArgument(
-        "unknown mode '" + mode + "' (want suite|search|repro|real)");
-  }
-  return sel;
+  return Status::InvalidArgument(
+      "unknown mode '" + mode + "' (want suite|search|repro|real)");
 }
 
 }  // namespace scalecheck

@@ -11,12 +11,9 @@
 //   --mode=real    REAL deployment: N in-process nodes on localhost TCP
 //                  sockets and wall-clock timers (src/net/)
 //
-// Old spellings parse as deprecated aliases for one release (a stderr
-// warning names the canonical form):  full -> suite;  colo / memoize /
-// replay -> suite with a single --sim-modes entry;  real-scale / sim-real ->
-// suite with the simulated real-scale deployment. NOTE: bare --mode=real
-// changed meaning — it used to be the *simulated* real-scale deployment and
-// now boots real sockets; the simulated one is --sim-modes=real.
+// Any other spelling — including the retired ones (full, colo, memoize,
+// replay, real-scale, sim-real) — is rejected. NOTE: bare --mode=real boots
+// real sockets; the simulated real-scale deployment is --sim-modes=real.
 //
 // Kept in a library (not the CLI .cpp) so the mapping is unit-testable.
 
@@ -44,10 +41,6 @@ struct ModeSelection {
   CliModeKind kind = CliModeKind::kSuite;
   // kSuite only: the simulated deployments to run, in request order.
   std::vector<RunMode> sim_modes;
-  // The spelling was a deprecated alias; `canonical` holds the replacement
-  // to suggest (e.g. "--mode=suite --sim-modes=colo").
-  bool deprecated_alias = false;
-  std::string canonical;
 
   // True when sim_modes is exactly the four-way comparison grid.
   bool IsFullGrid() const;
@@ -56,9 +49,8 @@ struct ModeSelection {
 // One --sim-modes entry: real | real-scale | colo | memoize | replay.
 Result<RunMode> SimModeFromFlag(const std::string& flag);
 
-// Parses --mode (canonical or deprecated) plus the --sim-modes CSV.
-// `sim_modes_csv` empty means the default grid; non-empty is only legal with
-// --mode=suite (or an alias that maps to it, whose own selection wins).
+// Parses --mode plus the --sim-modes CSV. `sim_modes_csv` empty means the
+// default grid; non-empty is only legal with --mode=suite.
 Result<ModeSelection> ParseCliMode(const std::string& mode,
                                    const std::string& sim_modes_csv);
 

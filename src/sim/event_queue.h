@@ -20,8 +20,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/event_fn.h"
 #include "src/common/types.h"
-#include "src/sim/event_fn.h"
 
 namespace scalecheck {
 

@@ -1,8 +1,10 @@
 // Satellite: the CLI mode-flag normalization (src/scalecheck/cli_modes.h).
-// Covers the canonical spellings, every deprecated alias and its suggested
-// replacement, --sim-modes parsing, and the errors.
+// Covers the canonical spellings, rejection of the retired aliases,
+// --sim-modes parsing, and the errors.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "src/scalecheck/cli_modes.h"
 
@@ -13,7 +15,6 @@ TEST(CliModes, SuiteDefaultsToFullGrid) {
   Result<ModeSelection> sel = ParseCliMode("suite", "");
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(sel.value().kind, CliModeKind::kSuite);
-  EXPECT_FALSE(sel.value().deprecated_alias);
   EXPECT_TRUE(sel.value().IsFullGrid());
   EXPECT_EQ(sel.value().sim_modes.size(), 4u);
 }
@@ -50,50 +51,26 @@ TEST(CliModes, CanonicalNonSuiteModes) {
   Result<ModeSelection> real = ParseCliMode("real", "");
   ASSERT_TRUE(real.ok());
   EXPECT_EQ(real.value().kind, CliModeKind::kReal);
-  EXPECT_FALSE(real.value().deprecated_alias);
   EXPECT_TRUE(real.value().sim_modes.empty());
 }
 
-struct AliasCase {
-  const char* spelling;
-  RunMode mapped;
-  const char* canonical;
-};
-
-TEST(CliModes, DeprecatedAliasesMapAndSuggest) {
-  const AliasCase kCases[] = {
-      {"colo", RunMode::kColocated, "--mode=suite --sim-modes=colo"},
-      {"memoize", RunMode::kMemoize, "--mode=suite --sim-modes=memoize"},
-      {"replay", RunMode::kPilReplay, "--mode=suite --sim-modes=replay"},
-      {"real-scale", RunMode::kRealScale, "--mode=suite --sim-modes=real"},
-      {"sim-real", RunMode::kRealScale, "--mode=suite --sim-modes=real"},
-  };
-  for (const AliasCase& c : kCases) {
-    Result<ModeSelection> sel = ParseCliMode(c.spelling, "");
-    ASSERT_TRUE(sel.ok()) << c.spelling;
-    EXPECT_EQ(sel.value().kind, CliModeKind::kSuite) << c.spelling;
-    EXPECT_TRUE(sel.value().deprecated_alias) << c.spelling;
-    EXPECT_EQ(sel.value().canonical, c.canonical) << c.spelling;
-    ASSERT_EQ(sel.value().sim_modes.size(), 1u) << c.spelling;
-    EXPECT_EQ(sel.value().sim_modes[0], c.mapped) << c.spelling;
+TEST(CliModes, RetiredAliasesRejected) {
+  // The pre-suite spellings were accepted with a warning for one release;
+  // now every one of them is an unknown mode (the CLI exits 2).
+  for (const char* spelling :
+       {"full", "colo", "memoize", "replay", "real-scale", "sim-real"}) {
+    Result<ModeSelection> sel = ParseCliMode(spelling, "");
+    ASSERT_FALSE(sel.ok()) << spelling;
+    EXPECT_EQ(sel.status().code(), StatusCode::kInvalidArgument) << spelling;
+    EXPECT_NE(sel.status().message().find("unknown mode"), std::string::npos)
+        << spelling;
   }
-}
-
-TEST(CliModes, FullAliasMapsToWholeGrid) {
-  Result<ModeSelection> sel = ParseCliMode("full", "");
-  ASSERT_TRUE(sel.ok());
-  EXPECT_TRUE(sel.value().deprecated_alias);
-  EXPECT_EQ(sel.value().canonical, "--mode=suite");
-  EXPECT_TRUE(sel.value().IsFullGrid());
 }
 
 TEST(CliModes, SimModesOnlyLegalWithSuite) {
   EXPECT_FALSE(ParseCliMode("search", "colo").ok());
   EXPECT_FALSE(ParseCliMode("real", "colo").ok());
   EXPECT_FALSE(ParseCliMode("repro", "colo").ok());
-  // An alias carries its own selection; --sim-modes alongside it is a
-  // contradiction, not a merge.
-  EXPECT_FALSE(ParseCliMode("colo", "replay").ok());
 }
 
 TEST(CliModes, BadInputRejected) {

@@ -13,10 +13,10 @@ namespace {
 
 RealCluster::Options FastOptions(int nodes) {
   RealCluster::Options options;
-  options.num_nodes = nodes;
+  options.config.initial_nodes = nodes;
   options.seeds = 2;
-  options.node.seed = 42;
-  options.node.gossip_interval = VirtualDuration::Millis(20);
+  options.config.seed = 42;
+  options.config.gossip_interval = VirtualDuration::Millis(20);
   options.convergence_timeout = VirtualDuration::Seconds(20);
   return options;
 }
@@ -36,7 +36,7 @@ TEST(RealCluster, FourNodesConvergeOnLocalhost) {
 
 TEST(RealCluster, KvQuorumOpsSucceedAfterConvergence) {
   RealCluster::Options options = FastOptions(5);
-  options.node.enable_kv = true;
+  options.config.enable_kv = true;
   options.kv_ops = 16;
   RealCluster cluster(options);
   RunResult result = cluster.Run();
@@ -55,9 +55,9 @@ TEST(RealCluster, KvWalGroupCommitAcksOverTcp) {
   // means the record was durable before the coordinator counted the ack —
   // the same contract the sim-side kv-durability invariant audits.
   RealCluster::Options options = FastOptions(5);
-  options.node.enable_kv = true;
-  options.node.kv_wal = true;
-  options.node.kv_wal_sync_interval = VirtualDuration::Millis(25);
+  options.config.enable_kv = true;
+  options.config.kv_wal = true;
+  options.config.kv_wal_sync_interval = VirtualDuration::Millis(25);
   options.kv_ops = 16;
   RealCluster cluster(options);
   RunResult result = cluster.Run();
@@ -77,7 +77,7 @@ TEST(RealCluster, IslandPartitionHealsOnRealSockets) {
   // in sim gossip rounds (1s); at a 25ms interval the 32-round partition is
   // ~0.8s wall, so the whole fault phase fits inside a ctest budget.
   RealCluster::Options options = FastOptions(5);
-  options.node.gossip_interval = VirtualDuration::Millis(25);
+  options.config.gossip_interval = VirtualDuration::Millis(25);
   options.faults = FaultPlan::IslandPartition(5, /*seed=*/42);
   RealCluster cluster(options);
   RunResult result = cluster.Run();

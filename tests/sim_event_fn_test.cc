@@ -8,7 +8,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/sim/event_fn.h"
+#include "src/common/event_fn.h"
 
 namespace scalecheck {
 namespace {

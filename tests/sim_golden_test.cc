@@ -2,8 +2,8 @@
 //
 // These two JSON blobs were captured from scalecheck_cli:
 //
-//   scalecheck_cli --bug=C3831 --mode=colo --nodes=24 --seed=7 --json
-//   scalecheck_cli --bug=C5456 --mode=colo --nodes=16 --seed=7
+//   scalecheck_cli --bug=C3831 --mode=suite --sim-modes=colo --nodes=24 --seed=7 --json
+//   scalecheck_cli --bug=C5456 --mode=suite --sim-modes=colo --nodes=16 --seed=7
 //                  --faults=standard-chaos --json
 //
 // The seam (SimClock/SimTransport/SimStage forwarding to Simulator +
