@@ -1,0 +1,134 @@
+#!/usr/bin/env bash
+# Same-host A/B of the scale-check benchmark binary: a reference revision
+# against the working tree, interleaved on one seed.
+#
+#   scripts/bench_ab.sh REF WORKLOAD [PAIRS]
+#   scripts/bench_ab.sh HEAD~1 kv-durable-n64 7
+#
+# REF is any git revision. It is checked out into a temporary `git worktree`
+# and its `scalebench` built there; the working tree's `scalebench` is built
+# in .bench_build/. Both builds are scalebench/run.py's own. WORKLOAD is a
+# workload of scalebench/run.py, run on its canonical seed from there.
+# PAIRS (default 5, at least 5) pairs of runs alternate which side goes
+# first, so host drift hits both sides alike.
+#
+# Prints each pair's wall and CPU seconds, then the median working/REF ratio
+# of each (and of peak RSS) with the spread of the per-pair ratios (min,
+# quartiles, max), and any scalebench output check that failed.
+# Exit 0 when every run's deterministic `counts` equal REF's, 1 when they
+# differ or a run fails, 2 on bad arguments. Offline: nothing is fetched.
+set -euo pipefail
+
+usage() {
+  echo "usage: $0 REF WORKLOAD [PAIRS]   (PAIRS >= 5, default 5)" >&2
+  exit 2
+}
+[[ $# -ge 2 && $# -le 3 ]] || usage
+REF="$1"
+WORKLOAD="$2"
+PAIRS="${3:-5}"
+[[ "$PAIRS" =~ ^[0-9]+$ && "$PAIRS" -ge 5 ]] || usage
+
+cd "$(dirname "$0")/.."
+ROOT="$(pwd)"
+
+# run_py SCALEBENCH_DIR CODE [ARG...]: runs CODE with that directory's
+# run.py imported as `run`; the ARGs are sys.argv[2:].
+run_py() {
+  python3 -B -c "import sys; sys.path.insert(0, sys.argv[1]); import run; $2" "$1" "${@:3}"
+}
+SEED="$(run_py "$ROOT/scalebench" 'print(run.WORKLOADS[sys.argv[2]]["canonical"])' \
+  "$WORKLOAD" 2>/dev/null)" || {
+  echo "$0: unknown workload '$WORKLOAD'" >&2
+  usage
+}
+REF_SHA="$(git rev-parse --verify --quiet "$REF^{commit}")" || {
+  echo "$0: not a revision: $REF" >&2
+  exit 2
+}
+
+TMP="$(mktemp -d)"
+WORKTREE="$TMP/ref"
+cleanup() {
+  git -C "$ROOT" worktree remove --force "$WORKTREE" >/dev/null 2>&1 || true
+  git -C "$ROOT" worktree prune >/dev/null 2>&1 || true
+  rm -rf "$TMP"
+}
+trap cleanup EXIT
+
+build() {  # build SOURCE_ROOT: scalebench/run.py's build, into SOURCE_ROOT/.bench_build
+  run_py "$1/scalebench" 'run.build()' 2>"$TMP/build.log" || {
+    tail -n 30 "$TMP/build.log" >&2
+    echo "$0: build of $1 failed" >&2
+    exit 1
+  }
+}
+
+echo "building $REF ($REF_SHA) and the working tree ..." >&2
+git worktree add --detach --quiet "$WORKTREE" "$REF_SHA"
+build "$WORKTREE"
+build "$ROOT"
+REF_BIN="$WORKTREE/.bench_build/scalebench"
+CUR_BIN="$ROOT/.bench_build/scalebench"
+
+ARGS=(--workload "$WORKLOAD" --seed "$SEED")
+
+run() {  # run BINARY OUT_JSON
+  local code=0
+  "$1" "${ARGS[@]}" 2>/dev/null | tail -n 1 >"$2" || code=$?
+  if [[ $code -ne 0 && $code -ne 3 ]]; then
+    echo "$0: $1 exited $code" >&2
+    exit 1
+  fi
+}
+
+for ((i = 1; i <= PAIRS; i++)); do
+  if ((i % 2 == 1)); then
+    run "$REF_BIN" "$TMP/ref_$i.json"
+    run "$CUR_BIN" "$TMP/cur_$i.json"
+  else
+    run "$CUR_BIN" "$TMP/cur_$i.json"
+    run "$REF_BIN" "$TMP/ref_$i.json"
+  fi
+  echo "pair $i/$PAIRS done" >&2
+done
+
+python3 - "$TMP" "$PAIRS" "$REF" "$WORKLOAD" "$SEED" <<'EOF'
+import json
+import statistics
+import sys
+
+tmp, pairs, ref, workload, seed = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
+load = lambda side, i: json.load(open(f"{tmp}/{side}_{i}.json"))
+runs = [(load("ref", i), load("cur", i)) for i in range(1, pairs + 1)]
+
+
+def spread(values):
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return (f"median {statistics.median(values):.3f}  "
+            f"[min {min(values):.3f}, q1 {q[0]:.3f}, q3 {q[2]:.3f}, max {max(values):.3f}]")
+
+
+print(f"workload {workload}  seed {seed}  ref {ref}  pairs {pairs}")
+print(f"{'pair':>4} {'ref wall':>9} {'cur wall':>9} {'ref cpu':>9} {'cur cpu':>9}")
+for i, (r, c) in enumerate(runs, 1):
+    print(f"{i:>4} {r['wall_s']:>9.3f} {c['wall_s']:>9.3f} {r['cpu_s']:>9.3f} {c['cpu_s']:>9.3f}")
+for metric in ("wall_s", "cpu_s", "peak_rss_mb"):
+    print(f"{metric} ratio cur/ref: " + spread([c[metric] / r[metric] for r, c in runs]))
+
+for side, k in (("ref", 0), ("cur", 1)):
+    failed = [i for i, pair in enumerate(runs, 1) if pair[k]["check_failures"]]
+    if failed:
+        print(f"{side}: output checks failed in pairs {failed}: "
+              f"{runs[failed[0] - 1][k]['check_failures'][0]}")
+
+want = runs[0][0]["counts"]
+bad = [(side, i) for i, (r, c) in enumerate(runs, 1)
+       for side, run in (("ref", r), ("cur", c)) if run["counts"] != want]
+if bad:
+    diff = sorted(k for k in set(want) | set(runs[0][1]["counts"])
+                  if want.get(k) != runs[0][1]["counts"].get(k))
+    print(f"deterministic counts DIFFER in {bad}; first keys: {diff[:8]}")
+    sys.exit(1)
+print(f"deterministic counts identical ({len(want)} keys, {2 * pairs} runs)")
+EOF

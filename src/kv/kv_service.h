@@ -55,6 +55,10 @@ class KvHistory;
 // this same mapping.
 Token KvTokenForKey(uint64_t key);
 
+// These share the cluster NetworkModel with the gossip, KV and repair types
+// (src/gossip/messages.h, src/kv/kv_service.h, src/kv/anti_entropy.h), which
+// together may number at most NetworkModel::kLinkTypes (14). List a new type
+// in sim_network_test's EveryClusterMessageTypeFitsOneNetwork.
 enum KvMessageType : int {
   kKvWriteReq = 10,
   kKvWriteResp = 11,

@@ -1,5 +1,7 @@
 #include "src/kv/merkle.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace scalecheck {
@@ -58,33 +60,46 @@ MerkleTree::MerkleTree(int depth) : depth_(depth) {
 void MerkleTree::Apply(uint64_t key, int64_t timestamp) {
   const Token token = Mix64(key);
   const uint64_t leaf = LeafOfToken(token);
+  if (buckets_.empty()) {
+    buckets_.resize(acc_.size());
+  }
   LeafAcc& acc = acc_[leaf];
-  auto it = keys_.find(token);
-  if (it == keys_.end()) {
-    keys_.emplace(token, std::make_pair(key, timestamp));
+  Bucket& bucket = buckets_[leaf];
+  auto it = std::lower_bound(
+      bucket.begin(), bucket.end(), token,
+      [](const KeyVersion& kv, Token t) { return kv.token < t; });
+  if (it == bucket.end() || it->token != token) {
+    bucket.insert(it, KeyVersion{token, key, timestamp});
+    ++num_keys_;
     acc.lo ^= PairLo(key, timestamp);
     acc.hi ^= PairHi(key, timestamp);
     ++acc.count;
     return;
   }
-  if (it->second.second >= timestamp) {
+  if (it->timestamp >= timestamp) {
     return;  // LWW: not newer than what the tree already commits to
   }
   // XOR out the old pair, XOR in the new one; count is unchanged.
-  acc.lo ^= PairLo(key, it->second.second) ^ PairLo(key, timestamp);
-  acc.hi ^= PairHi(key, it->second.second) ^ PairHi(key, timestamp);
-  it->second.second = timestamp;
+  acc.lo ^= PairLo(key, it->timestamp) ^ PairLo(key, timestamp);
+  acc.hi ^= PairHi(key, it->timestamp) ^ PairHi(key, timestamp);
+  it->timestamp = timestamp;
 }
 
 void MerkleTree::Clear() {
-  keys_.clear();
+  buckets_.clear();
+  num_keys_ = 0;
   acc_.assign(acc_.size(), LeafAcc{});
 }
 
 int64_t MerkleTree::ApproxBytes() const {
-  // map node overhead per key + the accumulator array.
-  return static_cast<int64_t>(keys_.size()) * 72 +
+  // Per-key index overhead + the accumulator array.
+  return static_cast<int64_t>(num_keys_) * 72 +
          static_cast<int64_t>(acc_.size()) * 16 + 64;
+}
+
+const MerkleTree::Bucket& MerkleTree::BucketOf(uint64_t leaf) const {
+  static const Bucket kEmpty;
+  return buckets_.empty() ? kEmpty : buckets_[leaf];
 }
 
 DigestValue MerkleTree::LeafHash(uint64_t leaf,
@@ -113,13 +128,12 @@ DigestValue MerkleTree::LeafHash(uint64_t leaf,
     count = acc.count;
   } else {
     // The leaf straddles a mask boundary: fold only the masked keys.
-    for (auto it = keys_.lower_bound(lo); it != keys_.end() && it->first <= hi;
-         ++it) {
-      if (!InMask(mask, it->first)) {
+    for (const KeyVersion& kv : BucketOf(leaf)) {
+      if (!InMask(mask, kv.token)) {
         continue;
       }
-      acc_lo ^= PairLo(it->second.first, it->second.second);
-      acc_hi ^= PairHi(it->second.first, it->second.second);
+      acc_lo ^= PairLo(kv.key, kv.timestamp);
+      acc_hi ^= PairHi(kv.key, kv.timestamp);
       ++count;
     }
   }
@@ -162,14 +176,10 @@ DigestValue MerkleTree::HashOfNode(int level, uint64_t index,
 std::vector<std::pair<uint64_t, int64_t>> MerkleTree::KeysInLeaf(
     uint64_t leaf, const std::vector<KeyRange>& mask) const {
   CHECK_LT(leaf, num_leaves());
-  const int shift = 64 - depth_;
-  const Token lo = static_cast<Token>(leaf) << shift;
-  const Token hi = lo + ((Token{1} << shift) - 1);
   std::vector<std::pair<uint64_t, int64_t>> out;
-  for (auto it = keys_.lower_bound(lo); it != keys_.end() && it->first <= hi;
-       ++it) {
-    if (InMask(mask, it->first)) {
-      out.push_back(it->second);
+  for (const KeyVersion& kv : BucketOf(leaf)) {
+    if (InMask(mask, kv.token)) {
+      out.emplace_back(kv.key, kv.timestamp);
     }
   }
   return out;

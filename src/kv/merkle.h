@@ -20,12 +20,15 @@
 // replicas share), so co-replicas compare only the data both are supposed to
 // hold. Leaves fully covered by a mask range use the O(1) accumulator; only
 // leaves straddling a range boundary re-scan their keys.
+//
+// Keys live in one token-sorted bucket per leaf, so Apply touches a single
+// short contiguous array. The buckets are allocated on the first Apply: a
+// tree that never sees a key costs only its accumulators.
 
 #ifndef SCALECHECK_SRC_KV_MERKLE_H_
 #define SCALECHECK_SRC_KV_MERKLE_H_
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -47,7 +50,7 @@ class MerkleTree {
 
   int depth() const { return depth_; }
   uint64_t num_leaves() const { return uint64_t{1} << depth_; }
-  size_t num_keys() const { return keys_.size(); }
+  size_t num_keys() const { return num_keys_; }
   int64_t ApproxBytes() const;
 
   uint64_t LeafOfToken(Token t) const { return t >> (64 - depth_); }
@@ -64,19 +67,28 @@ class MerkleTree {
       uint64_t leaf, const std::vector<KeyRange>& mask) const;
 
  private:
-  // XOR-folded per-key digests: removal is re-XOR, so updates are O(log n)
-  // map work plus O(1) hash work, and the fold is order-independent.
+  // XOR-folded per-key digests: removal is re-XOR, so updates are a bucket
+  // search plus O(1) hash work, and the fold is order-independent.
   struct LeafAcc {
     uint64_t lo = 0;
     uint64_t hi = 0;
     uint32_t count = 0;
   };
+  struct KeyVersion {
+    Token token = 0;
+    uint64_t key = 0;
+    int64_t timestamp = 0;
+  };
+  using Bucket = std::vector<KeyVersion>;  // sorted by token
 
   DigestValue LeafHash(uint64_t leaf, const std::vector<KeyRange>& mask) const;
+  // The leaf's keys; empty before the first Apply.
+  const Bucket& BucketOf(uint64_t leaf) const;
 
   int depth_;
-  std::vector<LeafAcc> acc_;                           // one per leaf
-  std::map<Token, std::pair<uint64_t, int64_t>> keys_;  // token -> (key, ts)
+  std::vector<LeafAcc> acc_;      // one per leaf
+  std::vector<Bucket> buckets_;   // one per leaf once any key is applied
+  size_t num_keys_ = 0;
 };
 
 }  // namespace scalecheck

@@ -2,7 +2,8 @@
 // into immutable sorted runs. Deliberately simple — the scalability bugs
 // under study live in the control plane — but real enough that the data path
 // examples exercise actual storage state, and that per-node memory
-// accounting has something to charge.
+// accounting has something to charge. The memtable is a hash (entries in
+// arrival order behind an open-addressing index); Flush sorts it into a run.
 //
 // Data-space emulation (§4's Exalt [34], whose insight PIL generalizes):
 // with `emulate_data_space` set, user data is "compressed to zero bytes"
@@ -16,7 +17,6 @@
 #define SCALECHECK_SRC_KV_STORAGE_ENGINE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,6 +44,8 @@ class StorageEngine {
   // deliberately broken engine (KvService::ReplaceStorageForTest) and prove
   // the KV history checker catches real storage bugs.
   //
+  // Last write wins: a write older than the stored version of its key, in
+  // the memtable or in a flushed run, is dropped (its cost is still charged).
   // Returns the CPU work units the operation cost (charged by the caller).
   virtual WorkUnits Put(uint64_t key, std::string value, int64_t timestamp);
   // Latest value by timestamp, searching memtable then runs newest-first.
@@ -69,11 +71,23 @@ class StorageEngine {
   };
   using Run = std::vector<std::pair<uint64_t, Entry>>;  // sorted by key
 
+  // The index slot holding `key`, or the empty slot where it would go.
+  size_t SlotOf(uint64_t key) const;
+  // Keeps the index at most half full for one more entry.
+  void ReserveSlot();
+  // The newest flushed version of `key`, searching runs newest-first; adds
+  // the per-run probe cost to `work` when given. Non-virtual, so Put's LWW
+  // check adds no call to the timed data-path operations.
+  const Entry* FindInRuns(uint64_t key, WorkUnits* work) const;
   void Flush();
   void MaybeCompact();
 
   Config config_;
-  std::map<uint64_t, Entry> memtable_;
+  Run memtable_;  // in arrival order until Flush sorts it
+  // Open addressing with linear probing over a power-of-two table: each slot
+  // is a memtable_ position + 1, 0 when empty. Allocated on the first Put.
+  std::vector<uint32_t> index_;
+  int index_shift_ = 64;  // 64 - log2(index_.size())
   std::vector<Run> runs_;  // newest last
   int64_t total_entries_ = 0;
   int64_t bytes_ = 0;

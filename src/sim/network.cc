@@ -16,10 +16,50 @@ NetworkModel::NetworkModel(Simulator* sim, const Config& config, uint64_t seed)
 
 void NetworkModel::RegisterNode(NodeId node, Handler handler) {
   CHECK(handler != nullptr);
-  handlers_[node] = std::move(handler);
+  CHECK_GE(node, 0);
+  const size_t index = static_cast<size_t>(node);
+  if (index >= handlers_.size()) {
+    handlers_.resize(index + 1);
+    links_.resize(index + 1);
+  }
+  handlers_[index] = std::move(handler);
 }
 
-void NetworkModel::UnregisterNode(NodeId node) { handlers_.erase(node); }
+void NetworkModel::UnregisterNode(NodeId node) {
+  if (node >= 0 && static_cast<size_t>(node) < handlers_.size()) {
+    handlers_[static_cast<size_t>(node)] = nullptr;
+  }
+}
+
+NetworkModel::Link& NetworkModel::LinkOf(NodeId from, NodeId to) {
+  const size_t f = static_cast<size_t>(from);
+  const size_t t = static_cast<size_t>(to);
+  if (f >= links_.size()) {
+    links_.resize(f + 1);  // a sender that never registered
+  }
+  std::vector<Link>& row = links_[f];
+  if (t >= row.size()) {
+    // Exact-size growth: rows are the table's whole footprint.
+    const size_t size = std::max(t + 1, handlers_.size());
+    row.reserve(size);
+    row.resize(size);
+  }
+  return row[t];
+}
+
+int NetworkModel::TypeSlot(int type) {
+  CHECK_GE(type, 0);
+  const size_t index = static_cast<size_t>(type);
+  if (index >= type_slot_.size()) {
+    type_slot_.resize(index + 1, -1);
+  }
+  int8_t& slot = type_slot_[index];
+  if (slot < 0) {
+    CHECK_LT(num_types_, kLinkTypes) << "more message types than Link holds";
+    slot = static_cast<int8_t>(num_types_++);
+  }
+  return slot;
+}
 
 VirtualDuration NetworkModel::SampleLatency(NodeId from, NodeId to) {
   bool local = same_machine_ && same_machine_(from, to);
@@ -52,34 +92,38 @@ uint64_t NetworkModel::Send(NodeId from, NodeId to, int type,
     ++dropped_;
     return 0;
   }
-  uint64_t pair_key = (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
-                      static_cast<uint32_t>(to);
+  if (from < 0 || to < 0) {
+    ++dropped_;  // no such node (kInvalidNode): nothing can receive it
+    return 0;
+  }
+  Link& link = LinkOf(from, to);
+  uint32_t& seq = link.seq[TypeSlot(type)];
+  CHECK_LT(seq, std::numeric_limits<uint32_t>::max());
   Message msg;
   msg.id = next_id_++;
   msg.from = from;
   msg.to = to;
   msg.type = type;
-  msg.pair_seq = ++pair_seq_[pair_key][type];
+  msg.pair_seq = ++seq;
   msg.payload = std::move(payload);
   msg.sent_at = sim_->Now();
 
   VirtualTime deliver_at = sim_->Now() + SampleLatency(from, to) + fault.extra_latency;
   // FIFO per sender->receiver pair: never deliver before an earlier message
   // on the same pair.
-  auto it = last_delivery_.find(pair_key);
-  if (it != last_delivery_.end() && deliver_at <= it->second) {
-    deliver_at = it->second + VirtualDuration::Nanos(1);
+  if (deliver_at <= link.last_delivery) {
+    deliver_at = link.last_delivery + VirtualDuration::Nanos(1);
   }
-  last_delivery_[pair_key] = deliver_at;
+  link.last_delivery = deliver_at;
 
   sim_->ScheduleAt(deliver_at, [this, msg = std::move(msg)] {
-    auto handler_it = handlers_.find(msg.to);
-    if (handler_it == handlers_.end()) {
+    const size_t to_index = static_cast<size_t>(msg.to);
+    if (to_index >= handlers_.size() || !handlers_[to_index]) {
       ++dropped_;  // receiver crashed or decommissioned
       return;
     }
     ++delivered_;
-    handler_it->second(msg);
+    handlers_[to_index](msg);
   });
   return msg.id;
 }

@@ -107,6 +107,69 @@ TEST(MerkleTree, EmptyTreesAgreeAndSingleKeyIsLocalized) {
   EXPECT_EQ(differing, 1);
 }
 
+TEST(MerkleTree, KeysInLeafStayInTokenOrder) {
+  // A shallow tree so every leaf holds many keys.
+  MerkleTree tree(2);
+  Rng rng(0x6c656166ULL);
+  std::map<Token, std::pair<uint64_t, int64_t>> truth;  // token -> (key, ts)
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t key = rng.Next() % 1200;
+    const int64_t ts = rng.UniformInt(1, 500);
+    tree.Apply(key, ts);
+    auto [it, fresh] = truth.emplace(KvTokenForKey(key), std::make_pair(key, ts));
+    if (!fresh && ts > it->second.second) it->second.second = ts;
+  }
+  ASSERT_EQ(tree.num_keys(), truth.size());
+  const std::vector<KeyRange> mask = {KeyRange{Token{1} << 61, Token{5} << 61},
+                                      KeyRange{Token{7} << 61, Token{1} << 60}};
+  for (const std::vector<KeyRange>& m : {std::vector<KeyRange>{}, mask}) {
+    for (uint64_t leaf = 0; leaf < tree.num_leaves(); ++leaf) {
+      std::vector<std::pair<uint64_t, int64_t>> want;
+      for (const auto& [token, kt] : truth) {
+        bool in_mask = m.empty();
+        for (const KeyRange& r : m) in_mask = in_mask || r.Contains(token);
+        if (tree.LeafOfToken(token) == leaf && in_mask) want.push_back(kt);
+      }
+      EXPECT_EQ(tree.KeysInLeaf(leaf, m), want) << "leaf " << leaf;
+    }
+  }
+}
+
+TEST(MerkleTree, ClearEmptiesTheTreeAndItRebuildsIdentically) {
+  MerkleTree fresh;
+  const int64_t empty_bytes = fresh.ApproxBytes();
+  MerkleTree tree;
+  for (uint64_t key = 0; key < 200; ++key) tree.Apply(key, 3);
+  const DigestValue root = tree.Root();
+  tree.Clear();
+  EXPECT_EQ(tree.num_keys(), 0u);
+  EXPECT_EQ(tree.Root(), fresh.Root());
+  EXPECT_EQ(tree.ApproxBytes(), empty_bytes);
+  for (uint64_t leaf = 0; leaf < tree.num_leaves(); ++leaf) {
+    ASSERT_TRUE(tree.KeysInLeaf(leaf, {}).empty());
+  }
+  // An older timestamp is not shadowed by the forgotten version.
+  tree.Apply(5, 1);
+  EXPECT_EQ(tree.KeysInLeaf(tree.LeafOfToken(KvTokenForKey(5)), {}),
+            (std::vector<std::pair<uint64_t, int64_t>>{{5, 1}}));
+  tree.Clear();
+  for (uint64_t key = 200; key-- > 0;) tree.Apply(key, 3);
+  EXPECT_EQ(tree.Root(), root);
+}
+
+TEST(MerkleTree, ApproxBytesChargesKeysAndLeaves) {
+  // The formula MemoryModel is charged with: 72 bytes per key, 16 per leaf,
+  // 64 fixed. Construction charges no keys; an LWW update adds nothing.
+  MerkleTree tree;
+  EXPECT_EQ(tree.ApproxBytes(), 1024 * 16 + 64);
+  EXPECT_EQ(MerkleTree(4).ApproxBytes(), 16 * 16 + 64);
+  for (uint64_t key = 0; key < 100; ++key) tree.Apply(key, 1);
+  EXPECT_EQ(tree.ApproxBytes(), 100 * 72 + 1024 * 16 + 64);
+  tree.Apply(7, 2);
+  tree.Apply(8, 0);
+  EXPECT_EQ(tree.ApproxBytes(), 100 * 72 + 1024 * 16 + 64);
+}
+
 // ---------------------------------------------------------------------------
 // Diff walk vs brute force.
 

@@ -67,6 +67,8 @@ RunResult RunPinned(BugSpec spec, int nodes, uint64_t seed) {
   options.workload = spec.MakeWorkload(nodes);
   options.faults = spec.MakeFaultPlan(nodes, seed);
   options.kv_ops_per_second = spec.kv_ops_per_second;
+  options.kv_key_dist = spec.kv_key_dist;
+  options.kv_zipf_s = spec.kv_zipf_s;
   Cluster cluster(std::move(options));
   return cluster.Run();
 }
@@ -136,6 +138,51 @@ TEST(SimGolden, C5456ColoChaosSeed7ByteIdentical) {
   spec.fault_plan = "standard-chaos";
   RunResult result = RunPinned(spec, 16, 7);
   EXPECT_EQ(result.ToJson(), kGoldenC5456Chaos);
+}
+
+// The KV data path, byte for byte: C3831 overridden to steady state with
+// WAL, anti-entropy repair, one crash-restart and QUORUM client load.
+BugSpec KvDurableSpec() {
+  BugSpec spec = BugCatalog::Get("C3831");
+  spec.workload = WorkloadKind::kSteadyState;
+  spec.horizon = VirtualDuration::Seconds(120);
+  spec.fault_plan = "crash-restart";
+  spec.kv_ops_per_second = 1000;
+  spec.kv_consistency = KvConsistency::kQuorum;
+  spec.kv_wal = true;
+  spec.kv_repair = true;
+  return spec;
+}
+
+constexpr char kGoldenKvDurable[] =
+    "{\"mode\":\"Colo\",\"num_nodes\":16,\"vnodes_per_node\":1,\"flaps\":9,\"flapped_pair"
+    "s\":9,\"live_endpoints\":240,\"unreachable_endpoints\":0,\"test_duration_ns\":120000"
+    "000000,\"settle_time_ns\":0,\"settled\":true,\"max_cpu_utilization\":0.0003942579614"
+    "5833332,\"peak_memory_bytes\":1216385504,\"oom\":false,\"crashed_nodes\":1,\"restart"
+    "ed_nodes\":1,\"fault_events_applied\":1,\"fault_events_healed\":1,\"messages_blocked"
+    "\":0,\"lateness_p99_ns\":10995116,\"lateness_max_ns\":12613740,\"lateness_early_coun"
+    "t\":0,\"fidelity\":{\"verdict\":\"ok\",\"violated_budget\":\"\",\"first_violation_at"
+    "_ns\":0,\"violations\":[]},\"invariants\":{\"checked\":true,\"probes\":13,\"kv_check"
+    "ed\":true,\"ok\":true,\"violations\":[]},\"watchdog_fired\":false,\"replay_drift\":{"
+    "\"misses\":0,\"diverged\":false,\"aborted\":false,\"first_function\":\"\",\"first_di"
+    "gest\":\"\",\"first_at_ns\":0,\"first_call_index\":0,\"order_context\":\"\"},\"calc_"
+    "invocations\":0,\"calc_executed_real\":0,\"calc_duration_seconds\":{\"count\":0,\"me"
+    "an\":0,\"min\":0,\"max\":0,\"sum\":0},\"calc_lock_hold_seconds\":{\"count\":0,\"mean"
+    "\":0,\"min\":0,\"max\":0,\"sum\":0},\"pil\":{\"direct_runs\":0,\"memoized_runs\":0,"
+    "\"replay_hits\":0,\"replay_misses\":0},\"memo\":{\"records\":0,\"duplicate_puts\":0,"
+    "\"determinism_violations\":0,\"lookups\":0,\"hits\":0,\"misses\":0},\"order_divergen"
+    "ces\":0,\"order_enforced\":0,\"kv_issued\":119989,\"kv_ok\":119951,\"kv_unavailable"
+    "\":2,\"kv_timeout\":0,\"kv_inflight_at_stop\":36,\"kv_retries\":6,\"kv_gave_up\":2,"
+    "\"kv_latency_p50_ns\":150000,\"kv_latency_p99_ns\":250101768,\"kv_latency_p999_ns\":"
+    "250101768,\"kv_wal_bytes\":17478240,\"kv_hints_queued\":92,\"kv_hints_replayed\":92,"
+    "\"kv_hints_expired\":0,\"kv_read_repairs\":1383,\"kv_ops_one\":0,\"kv_ops_quorum\":1"
+    "19989,\"kv_ops_all\":0,\"kv_repair_sessions\":188,\"kv_repair_bytes_streamed\":22278"
+    "08,\"kv_repair_keys_fixed\":2043,\"kv_repair_aborted\":0,\"messages_sent\":687748,\""
+    "messages_delivered\":680267,\"stage_tasks_dropped\":0,\"events_executed\":1004471}";
+
+TEST(SimGolden, KvDurableN16Seed7ByteIdentical) {
+  RunResult result = RunPinned(KvDurableSpec(), 16, 7);
+  EXPECT_EQ(result.ToJson(), kGoldenKvDurable);
 }
 
 }  // namespace

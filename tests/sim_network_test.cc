@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/gossip/messages.h"
+#include "src/kv/anti_entropy.h"
+#include "src/kv/kv_service.h"
 #include "src/sim/network.h"
 
 namespace scalecheck {
@@ -43,6 +50,54 @@ TEST_F(NetworkFixture, UnregisteredReceiverDrops) {
   sim_.RunUntilIdle();
   EXPECT_EQ(net.messages_delivered(), 0u);
   EXPECT_EQ(net.messages_dropped(), 1u);
+}
+
+TEST_F(NetworkFixture, NegativeIdsDropAtSend) {
+  NetworkModel net = MakeNet();
+  int received = 0;
+  net.RegisterNode(2, [&](const Message&) { ++received; });
+  EXPECT_EQ(net.Send(2, kInvalidNode, 7, std::make_shared<TestPayload>(1)), 0u);
+  EXPECT_EQ(net.Send(kInvalidNode, 2, 7, std::make_shared<TestPayload>(1)), 0u);
+  sim_.RunUntilIdle();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(net.messages_sent(), 2u);
+  EXPECT_EQ(net.messages_dropped(), 2u);
+}
+
+// One cluster network carries gossip, KV and repair traffic, and a network
+// holds at most kLinkTypes distinct message types. Every cluster type is
+// listed here (their enums point at this test), so a new type past the cap
+// fails here rather than aborting a long run.
+TEST_F(NetworkFixture, EveryClusterMessageTypeFitsOneNetwork) {
+  const std::vector<int> types = {
+      kGossipSyn,  kGossipAck,   kGossipAck2,
+      kKvWriteReq, kKvWriteResp, kKvReadReq,  kKvReadResp,
+      kKvRepairHashReq, kKvRepairHashResp, kKvRepairStreamWrite,
+  };
+  ASSERT_LE(types.size(), static_cast<size_t>(NetworkModel::kLinkTypes));
+  NetworkModel net = MakeNet();
+  std::map<int, uint64_t> seq_of_type;
+  net.RegisterNode(1, [&](const Message& msg) { seq_of_type[msg.type] = msg.pair_seq; });
+  for (int round = 0; round < 2; ++round) {
+    for (int type : types) {
+      net.Send(0, 1, type, std::make_shared<TestPayload>(type));
+    }
+  }
+  sim_.RunUntilIdle();
+  ASSERT_EQ(seq_of_type.size(), types.size());
+  for (int type : types) {
+    EXPECT_EQ(seq_of_type[type], 2u) << "type " << type;
+  }
+}
+
+TEST_F(NetworkFixture, MessageTypePastLinkCapacityAborts) {
+  NetworkModel net = MakeNet();
+  for (int type = 0; type < NetworkModel::kLinkTypes; ++type) {
+    net.Send(0, 1, type, std::make_shared<TestPayload>(type));
+  }
+  EXPECT_DEATH(net.Send(0, 1, NetworkModel::kLinkTypes,
+                        std::make_shared<TestPayload>(0)),
+               "more message types than Link holds");
 }
 
 TEST_F(NetworkFixture, UnregisterStopsDelivery) {
@@ -228,6 +283,206 @@ TEST_F(NetworkFixture, SameMachineUsesLoopbackLatency) {
   ASSERT_EQ(arrival.size(), 2u);
   EXPECT_LT(arrival[0], 1e-4);   // ~10us
   EXPECT_GT(arrival[1], 9e-3);   // ~10ms
+}
+
+// ---------------------------------------------------------------------------
+// Per-link state for ids the network learns late or sparsely.
+
+struct Arrival {
+  NodeId from;
+  int type;
+  uint64_t pair_seq;
+  int value;
+};
+
+NetworkModel::Handler RecordInto(std::vector<Arrival>* out) {
+  return [out](const Message& msg) {
+    out->push_back(Arrival{msg.from, msg.type, msg.pair_seq,
+                           std::static_pointer_cast<const TestPayload>(msg.payload)->value});
+  };
+}
+
+TEST_F(NetworkFixture, PairSeqAndFifoHoldForNodesRegisteredLater) {
+  NetworkModel::Config cfg;
+  cfg.jitter_mean = VirtualDuration::Millis(30);
+  NetworkModel net = MakeNet(cfg);
+  std::map<NodeId, std::vector<Arrival>> got;
+  for (NodeId id = 0; id < 4; ++id) {
+    net.RegisterNode(id, RecordInto(&got[id]));
+  }
+  for (int i = 0; i < 5; ++i) {
+    net.Send(1, 2, 7, std::make_shared<TestPayload>(i));
+  }
+  // Scale-out: nodes beyond every id seen so far join mid-run and talk to
+  // old and new peers alike.
+  for (NodeId id = 4; id < 40; ++id) {
+    net.RegisterNode(id, RecordInto(&got[id]));
+  }
+  for (int i = 5; i < 10; ++i) {
+    net.Send(1, 2, 7, std::make_shared<TestPayload>(i));
+    net.Send(39, 2, 7, std::make_shared<TestPayload>(i));
+    net.Send(2, 39, 8, std::make_shared<TestPayload>(i));
+    net.Send(17, 38, 7, std::make_shared<TestPayload>(i));
+  }
+  sim_.RunUntilIdle();
+
+  auto expect_stream = [](const std::vector<Arrival>& arrivals, NodeId from,
+                          int type, int first_value, int count) {
+    std::vector<Arrival> stream;
+    for (const Arrival& a : arrivals) {
+      if (a.from == from && a.type == type) stream.push_back(a);
+    }
+    ASSERT_EQ(stream.size(), static_cast<size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      EXPECT_EQ(stream[static_cast<size_t>(i)].pair_seq, static_cast<uint64_t>(i + 1));
+      EXPECT_EQ(stream[static_cast<size_t>(i)].value, first_value + i);
+    }
+  };
+  expect_stream(got[2], 1, 7, 0, 10);
+  expect_stream(got[2], 39, 7, 5, 5);
+  expect_stream(got[39], 2, 8, 5, 5);
+  expect_stream(got[38], 17, 7, 5, 5);
+}
+
+TEST_F(NetworkFixture, SparseIdsKeepPerPairCountersApart) {
+  NetworkModel::Config cfg;
+  cfg.jitter_mean = VirtualDuration::Millis(30);
+  NetworkModel net = MakeNet(cfg);
+  const std::vector<NodeId> ids = {3, 977, 40, 1500};
+  std::map<std::pair<NodeId, NodeId>, std::vector<uint64_t>> seqs;
+  std::map<std::pair<NodeId, NodeId>, std::vector<int>> values;
+  for (NodeId id : ids) {
+    net.RegisterNode(id, [&, id](const Message& msg) {
+      seqs[{msg.from, id}].push_back(msg.pair_seq);
+      values[{msg.from, id}].push_back(
+          std::static_pointer_cast<const TestPayload>(msg.payload)->value);
+    });
+  }
+  for (int i = 0; i < 6; ++i) {
+    for (NodeId from : ids) {
+      for (NodeId to : ids) {
+        if (from != to) net.Send(from, to, 7, std::make_shared<TestPayload>(i));
+      }
+    }
+  }
+  sim_.RunUntilIdle();
+  ASSERT_EQ(seqs.size(), 12u);
+  for (const auto& [pair, pair_seqs] : seqs) {
+    EXPECT_EQ(pair_seqs, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}))
+        << pair.first << "->" << pair.second;
+    EXPECT_EQ(values[pair], (std::vector<int>{0, 1, 2, 3, 4, 5}))
+        << pair.first << "->" << pair.second;
+  }
+}
+
+TEST_F(NetworkFixture, UnregisterWithMessagesInFlightThenReRegister) {
+  NetworkModel::Config cfg;
+  cfg.jitter_mean = VirtualDuration::Millis(30);
+  NetworkModel net = MakeNet(cfg);
+  std::vector<Arrival> before_crash;
+  std::vector<Arrival> after_restart;
+  net.RegisterNode(5, RecordInto(&before_crash));
+  for (int i = 0; i < 4; ++i) {
+    net.Send(1, 5, 7, std::make_shared<TestPayload>(i));
+  }
+  net.UnregisterNode(5);  // crash with four messages in flight
+  sim_.Run(sim_.Now() + VirtualDuration::Seconds(1));
+  EXPECT_TRUE(before_crash.empty());
+  EXPECT_EQ(net.messages_dropped(), 4u);
+
+  net.RegisterNode(5, RecordInto(&after_restart));  // restart
+  for (int i = 4; i < 8; ++i) {
+    net.Send(1, 5, 7, std::make_shared<TestPayload>(i));
+  }
+  sim_.RunUntilIdle();
+  EXPECT_TRUE(before_crash.empty());
+  ASSERT_EQ(after_restart.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    // The link's counter survives the receiver's restart.
+    EXPECT_EQ(after_restart[i].pair_seq, i + 5);
+    EXPECT_EQ(after_restart[i].value, static_cast<int>(i) + 4);
+  }
+  EXPECT_EQ(net.messages_delivered(), 4u);
+}
+
+// Many pairs, many types, random crashes and restarts, against a hash-map
+// model of (from, to, type) counters and per-pair send order.
+TEST_F(NetworkFixture, ManyPairRandomSweepMatchesHashMapReference) {
+  NetworkModel::Config cfg;
+  cfg.jitter_mean = VirtualDuration::Millis(5);
+  NetworkModel net = MakeNet(cfg);
+  NetworkModel::LinkFault fault;
+  net.set_link_filter([&fault](NodeId, NodeId) { return fault; });
+  Rng rng(0x5eed);
+  const std::vector<int> types = {1, 2, 3, 10, 11, 12, 13, 14, 15, 16};
+  constexpr NodeId kNodes = 48;
+
+  auto pair_key = [](NodeId from, NodeId to) {
+    return (static_cast<uint64_t>(from) << 32) | static_cast<uint32_t>(to);
+  };
+  std::unordered_map<uint64_t, std::unordered_map<int, uint64_t>> want_seq;
+  std::unordered_map<uint64_t, uint64_t> seq_of_id;  // message id -> pair_seq
+  std::unordered_map<uint64_t, std::vector<uint64_t>> sent_ids;  // per pair
+  std::unordered_map<uint64_t, size_t> next_expected;
+  std::unordered_map<uint64_t, VirtualTime> last_arrival;
+  uint64_t delivered = 0;
+  bool ok = true;
+
+  auto handler = [&](NodeId self) {
+    return [&, self](const Message& msg) {
+      const uint64_t key = pair_key(msg.from, self);
+      ++delivered;
+      ok = ok && msg.to == self && seq_of_id.at(msg.id) == msg.pair_seq;
+      // FIFO per pair: every delivered message is later in send order and
+      // later in time than the one before it on the same pair.
+      const std::vector<uint64_t>& order = sent_ids[key];
+      size_t& next = next_expected[key];
+      while (next < order.size() && order[next] != msg.id) ++next;
+      ok = ok && next < order.size();
+      ++next;
+      auto last = last_arrival.find(key);
+      ok = ok && (last == last_arrival.end() || last->second < sim_.Now());
+      last_arrival[key] = sim_.Now();
+    };
+  };
+  std::vector<bool> up(kNodes, false);
+  for (NodeId id = 0; id < kNodes; id += 2) {
+    net.RegisterNode(id, handler(id));
+    up[static_cast<size_t>(id)] = true;
+  }
+  for (int step = 0; step < 20000; ++step) {
+    const int64_t roll = rng.UniformInt(0, 99);
+    const NodeId a = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
+    if (roll == 0) {
+      if (up[static_cast<size_t>(a)]) {
+        net.UnregisterNode(a);
+      } else {
+        net.RegisterNode(a, handler(a));
+      }
+      up[static_cast<size_t>(a)] = !up[static_cast<size_t>(a)];
+      continue;
+    }
+    if (roll == 1) {
+      fault.extra_latency = VirtualDuration::Millis(rng.UniformInt(0, 40));
+    }
+    if (roll < 10) {
+      sim_.Run(sim_.Now() + VirtualDuration::Millis(rng.UniformInt(0, 3)));
+    }
+    const NodeId b = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
+    const int type = types[static_cast<size_t>(rng.UniformInt(0, 9))];
+    const uint64_t id = net.Send(a, b, type, std::make_shared<TestPayload>(step));
+    ASSERT_NE(id, 0u);
+    const uint64_t key = pair_key(a, b);
+    seq_of_id[id] = ++want_seq[key][type];
+    sent_ids[key].push_back(id);
+  }
+  sim_.RunUntilIdle();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(net.messages_sent(), seq_of_id.size());
+  EXPECT_EQ(net.messages_delivered(), delivered);
+  EXPECT_EQ(net.messages_delivered() + net.messages_dropped(), seq_of_id.size());
+  EXPECT_GT(net.messages_dropped(), 0u);
+  EXPECT_GT(delivered, 5000u);
 }
 
 }  // namespace
