@@ -165,10 +165,10 @@ ProbeRow RunProbe(int nodes) {
               spec.horizon.ToString().c_str());
   std::fflush(stdout);
   SimProfiler profiler;
-  RunOptions options;
+  Cluster::Options options = spec.MakeClusterOptions(nodes, RunMode::kColocated, 1234);
   options.profiler = &profiler;
   bench::WallTimer timer;
-  RunResult result = RunSingle(spec, nodes, RunMode::kColocated, 1234, options);
+  RunResult result = Cluster(std::move(options)).Run();
   ProbeRow row;
   row.nodes = nodes;
   row.wall_s = timer.Seconds();
@@ -249,9 +249,9 @@ int RunSmoke() {
   BugSpec spec = ProbeSpec();
   spec.horizon = VirtualDuration::Seconds(60);
   SimProfiler profiler;
-  RunOptions options;
+  Cluster::Options options = spec.MakeClusterOptions(kNodes, RunMode::kColocated, 1234);
   options.profiler = &profiler;
-  RunResult a = RunSingle(spec, kNodes, RunMode::kColocated, 1234, options);
+  RunResult a = Cluster(std::move(options)).Run();
   RunResult b = RunSingle(spec, kNodes, RunMode::kColocated, 1234);
   // The profiler must be a pure observer: the profiled run's JSON minus its
   // opt-in "profile" object is the unprofiled run's JSON.

@@ -14,7 +14,7 @@
 
 #include "src/pil/memo_store.h"
 #include "src/scalecheck/bug_catalog.h"
-#include "src/scalecheck/scale_check.h"
+#include "src/scalecheck/experiment_suite.h"
 
 using namespace scalecheck;
 
@@ -28,12 +28,11 @@ int main(int argc, char** argv) {
               CalcVersionName(bug.calc_version),
               MakeCalculator(bug.calc_version)->complexity());
 
-  ScaleCheckRunner runner(bug);
   std::vector<int> scales = full ? std::vector<int>{32, 64, 128, 256}
                                  : std::vector<int>{16, 32, 64, 96};
   std::printf("%-8s %-12s %-14s %-10s\n", "#nodes", "flaps", "calc max", "verdict");
   for (int n : scales) {
-    RunResult real = runner.RunReal(n);
+    RunResult real = RunSingle(bug, n, RunMode::kRealScale, kDefaultSuiteSeed);
     std::printf("%-8d %-12lld %-14s %s\n", n, static_cast<long long>(real.flaps),
                 VirtualDuration::FromSecondsF(real.calc_duration_seconds.max())
                     .ToString()
@@ -46,31 +45,33 @@ int main(int argc, char** argv) {
 
   // Memoize once (Figure 2-d): colocated, contended, slow — but one-time.
   MemoStore store;
-  RunOptions memoize_options;
+  Cluster::Options memoize_options =
+      bug.MakeClusterOptions(check_scale, RunMode::kMemoize, kDefaultSuiteSeed);
   memoize_options.memo_store = &store;
-  RunResult memoized = RunSingle(bug, check_scale, RunMode::kMemoize,
-                                 0x5ca1ec4ecULL, memoize_options);
+  RunResult memoized = Cluster(std::move(memoize_options)).Run();
   std::printf("  memoization run: %s\n", memoized.Summary().c_str());
 
   // Persist the DB, as the real workflow would between debug sessions.
   const char* path = "/tmp/scalecheck_c3831.memo";
-  if (!store.SaveToFile(path)) {
-    std::printf("  (could not persist memo DB to %s)\n", path);
+  if (Status saved = store.Save(path); !saved.ok()) {
+    std::printf("  (could not persist memo DB: %s)\n", saved.ToString().c_str());
     return 1;
   }
-  MemoStore reloaded;
-  if (!MemoStore::LoadFromFile(path, &reloaded)) {
-    std::printf("  (could not reload memo DB)\n");
+  Result<MemoStore> reloaded = MemoStore::Load(path);
+  if (!reloaded.ok()) {
+    std::printf("  (could not reload memo DB: %s)\n",
+                reloaded.status().ToString().c_str());
     return 1;
   }
   std::printf("  memo DB: %zu records, %lld output bytes -> %s\n",
-              reloaded.size(), static_cast<long long>(reloaded.output_bytes()), path);
+              reloaded.value().size(),
+              static_cast<long long>(reloaded.value().output_bytes()), path);
 
   // Replay (Figure 2-f): fast, accurate, repeatable.
-  RunOptions replay_options;
-  replay_options.memo_store = &reloaded;
-  RunResult replay = RunSingle(bug, check_scale, RunMode::kPilReplay,
-                               0x5ca1ec4ecULL, replay_options);
+  Cluster::Options replay_options =
+      bug.MakeClusterOptions(check_scale, RunMode::kPilReplay, kDefaultSuiteSeed);
+  replay_options.memo_store = &reloaded.value();
+  RunResult replay = Cluster(std::move(replay_options)).Run();
   std::printf("  PIL replay:      %s\n\n", replay.Summary().c_str());
 
   std::printf("The replay reproduces the real-scale symptom on one machine; the\n"

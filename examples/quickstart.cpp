@@ -1,6 +1,7 @@
 // Quickstart: scale-check a known scalability bug on "one machine".
 //
-// This walks the whole Figure 2 pipeline for bug CASSANDRA-3831 at 64 nodes:
+// This walks the whole Figure 2 pipeline for bug CASSANDRA-3831 at 64 nodes,
+// one ExperimentSuite grid of four deployments:
 //   1. real-scale baseline (what an expensive 64-machine test would show)
 //   2. basic colocation (cheap but inaccurate)
 //   3. memoization run (one-time, colocated, records input/output/time)
@@ -13,7 +14,7 @@
 
 #include "src/common/logging.h"
 #include "src/scalecheck/bug_catalog.h"
-#include "src/scalecheck/scale_check.h"
+#include "src/scalecheck/experiment_suite.h"
 
 using namespace scalecheck;
 
@@ -27,18 +28,15 @@ int main() {
   std::printf("Scale-checking %s: %s\n\n", bug.id.c_str(), bug.description.c_str());
 
   const int kNodes = 64;
-  ScaleCheckRunner runner(bug);
+  ScaleCheckResult full = RunComparison(bug, kNodes);
 
   std::printf("[1/3] real-scale baseline at N=%d...\n", kNodes);
-  RunResult real = runner.RunReal(kNodes);
-  std::printf("      %s\n\n", real.Summary().c_str());
+  std::printf("      %s\n\n", full.real.Summary().c_str());
 
   std::printf("[2/3] basic colocation on one 16-core machine...\n");
-  RunResult colo = runner.RunColo(kNodes);
-  std::printf("      %s\n\n", colo.Summary().c_str());
+  std::printf("      %s\n\n", full.colo.Summary().c_str());
 
   std::printf("[3/3] scale check: memoize once, then PIL replay...\n");
-  ScaleCheckResult full = runner.RunFull(kNodes);
   std::printf("      memoize: %s\n", full.memoize.Summary().c_str());
   std::printf("      replay:  %s\n\n", full.replay.Summary().c_str());
 

@@ -21,6 +21,9 @@
 // the link-level events of the plan are replayed against the sockets
 // (rescaled to the real gossip interval) and the run must then pass the
 // partition-heals reconvergence bound, or the CLI exits 4.
+//
+// A flag the selected mode would ignore (a socket knob in a simulated mode, a
+// BugSpec knob with --mode=real) is a usage error, exit 2.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,7 +31,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/cluster/workload.h"
 #include "src/common/logging.h"
@@ -338,18 +343,33 @@ void Usage() {
       bugs.c_str());
 }
 
-// Exit code for a finished run (RunExitCode): 4 flags an invariant violation,
-// 3 an invalid fidelity verdict — so CI gates can reject broken clusters and
-// untrustworthy colocation results without parsing JSON.
-int VerdictExitCode(const RunResult& result) { return RunExitCode(result); }
+// The first argument the selected mode would silently drop, or nullptr.
+// --mode=real boots sockets from its own knobs and runs no BugSpec; the
+// simulated modes run a BugSpec and open no sockets. A flag ending in '='
+// matches any value, the others match exactly (--plant-kv-bug=repair-storm
+// plants its bug on the socket carrier too).
+const char* IgnoredFlag(int argc, char** argv, bool real) {
+  static const std::vector<std::string_view> kSimOnly = {
+      "--bug=", "--workload=", "--kv-rate=", "--kv-key-dist=", "--jobs=",
+      "--guard-lateness-p99-ms=", "--replay-policy=", "--plant-bug",
+      "--plant-kv-bug", "--plant-kv-bug=ack-before-sync", "--trace"};
+  static const std::vector<std::string_view> kRealOnly = {
+      "--real-seconds=", "--gossip-ms=", "--kv-ops="};
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg = argv[i];
+    for (std::string_view flag : real ? kSimOnly : kRealOnly) {
+      if (flag.ends_with('=') ? arg.starts_with(flag) : arg == flag) {
+        return argv[i];
+      }
+    }
+  }
+  return nullptr;
+}
 
 int RunOne(const BugSpec& spec, const CliOptions& cli, RunMode mode) {
   std::string memo_path = "/tmp/scalecheck_" + spec.id + ".memo";
   MemoStore store;
-  MemoStore* store_ptr = nullptr;
-  if (mode == RunMode::kMemoize) {
-    store_ptr = &store;
-  } else if (mode == RunMode::kPilReplay) {
+  if (mode == RunMode::kPilReplay) {
     // The structured loader distinguishes a missing DB from a corrupt,
     // truncated, or version-skewed one — each needs different operator action.
     Result<MemoStore> loaded = MemoStore::Load(memo_path);
@@ -366,18 +386,15 @@ int RunOne(const BugSpec& spec, const CliOptions& cli, RunMode mode) {
     store = std::move(loaded.value());
     std::printf("loaded memo DB: %zu records from %s\n", store.size(),
                 memo_path.c_str());
-    store_ptr = &store;
   }
 
   // Driven through Cluster directly (not RunSingle) because the --trace dump
   // needs the cluster's trace object after the run.
-  Cluster::Options options;
-  options.config = spec.MakeConfig(cli.nodes, mode, cli.seed);
-  options.workload = spec.MakeWorkload(cli.nodes);
-  options.memo_store = store_ptr;
+  Cluster::Options options = spec.MakeClusterOptions(cli.nodes, mode, cli.seed);
+  if (mode == RunMode::kMemoize || mode == RunMode::kPilReplay) {
+    options.memo_store = &store;
+  }
   options.enable_trace = cli.trace;
-  options.faults = spec.MakeFaultPlan(cli.nodes, cli.seed);
-  options.kv_ops_per_second = spec.kv_ops_per_second;
   Cluster cluster(std::move(options));
   RunResult result = cluster.Run();
   if (cli.json) {
@@ -393,15 +410,16 @@ int RunOne(const BugSpec& spec, const CliOptions& cli, RunMode mode) {
                 cluster.trace()->DumpTail(15).c_str());
   }
   if (mode == RunMode::kMemoize) {
-    if (store.SaveToFile(memo_path)) {
-      std::printf("memo DB saved: %zu records -> %s\n", store.size(),
-                  memo_path.c_str());
-    } else {
-      std::fprintf(stderr, "could not save memo DB to %s\n", memo_path.c_str());
+    Status saved = store.Save(memo_path);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "could not save memo DB to %s: %s\n", memo_path.c_str(),
+                   saved.ToString().c_str());
       return 1;
     }
+    std::printf("memo DB saved: %zu records -> %s\n", store.size(),
+                memo_path.c_str());
   }
-  return VerdictExitCode(result);
+  return RunExitCode(result);
 }
 
 // --repro=FILE: re-execute a ChaosSearch artifact. The replayed run must
@@ -438,7 +456,7 @@ int RunRepro(const CliOptions& cli) {
     std::printf("repro OK: reproduced [%s] byte-identically\n",
                 Join(out.expected_violated, ",").c_str());
   }
-  return VerdictExitCode(out.result);
+  return RunExitCode(out.result);
 }
 
 int RunSearch(const BugSpec& spec, const CliOptions& cli) {
@@ -526,7 +544,7 @@ int RunReal(const CliOptions& cli) {
                  cli.real_seconds);
     return 1;
   }
-  return VerdictExitCode(result);
+  return RunExitCode(result);
 }
 
 }  // namespace
@@ -545,6 +563,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   const ModeSelection sel = parsed.value();
+  if (const char* flag = IgnoredFlag(argc, argv, sel.kind == CliModeKind::kReal)) {
+    std::fprintf(stderr, "%s has no effect with --mode=%s\n", flag, cli.mode.c_str());
+    Usage();
+    return 2;
+  }
   // A --repro artifact implies repro mode regardless of --mode (historical
   // behavior); --mode=repro without an artifact is a usage error.
   if (!cli.repro.empty()) {
@@ -623,19 +646,11 @@ int main(int argc, char** argv) {
     return RunSearch(spec, cli);
   }
   if (sel.IsFullGrid()) {
-    ExperimentSpec grid;
-    grid.bugs = {spec};
-    grid.modes = {RunMode::kRealScale, RunMode::kColocated, RunMode::kMemoize,
-                  RunMode::kPilReplay};
-    grid.scales = {cli.nodes};
-    grid.seeds = {cli.seed};
-    grid.jobs = cli.jobs;
-    SuiteReport report = ExperimentSuite(grid).Run();
-    ScaleCheckResult full = report.Assemble(spec.id, cli.nodes, cli.seed);
+    ScaleCheckResult full = RunComparison(spec, cli.nodes, cli.seed, cli.jobs);
     // Any invalid mode taints the whole comparison.
     int exit_code = std::max(
-        std::max(VerdictExitCode(full.real), VerdictExitCode(full.colo)),
-        std::max(VerdictExitCode(full.memoize), VerdictExitCode(full.replay)));
+        std::max(RunExitCode(full.real), RunExitCode(full.colo)),
+        std::max(RunExitCode(full.memoize), RunExitCode(full.replay)));
     if (cli.json) {
       std::printf("%s\n", full.ToJson().c_str());
       return exit_code;

@@ -11,7 +11,9 @@
 #      recorded reference, so ordinary host noise passes),
 #   3. fidelity-guard exit-code contract: scalecheck_cli must exit 3 — and
 #      only 3 — when a run's verdict is invalid, so downstream automation can
-#      reject untrustworthy colocation results without parsing JSON,
+#      reject untrustworthy colocation results without parsing JSON; usage
+#      errors, including a flag the selected mode would ignore, exit 2; a
+#      --sim-modes=colo run equals the full grid's colo cell,
 #   4. ChaosSearch smoke: a pinned-seed bounded search must find the planted
 #      left-join bug, shrink it to a <=3-event reproducer, and the emitted
 #      repro artifact must replay to the identical violation (exit 4),
@@ -82,6 +84,36 @@ code=$?
 set -e
 if [[ "$code" -ne 2 ]]; then
   echo "FAIL: usage error exited $code, expected 2" >&2
+  exit 1
+fi
+
+# A flag the selected mode would ignore is a usage error too (exit 2), not a
+# silent no-op: a BugSpec knob with --mode=real, a socket knob in a sim mode.
+for flags in "--mode=real --kv-rate=100" \
+             "--mode=suite --sim-modes=colo --kv-ops=8"; do
+  set +e
+  "$CLI" $flags --nodes=8 >/dev/null 2>&1
+  code=$?
+  set -e
+  if [[ "$code" -ne 2 ]]; then
+    echo "FAIL: '$flags' exited $code, expected 2 (flag ignored by the mode)" >&2
+    exit 1
+  fi
+done
+
+echo "== one deployment per spec =="
+# Every entry point builds a cell from the same BugSpec mapping, so a
+# --sim-modes=colo run must equal the colo object of the full grid with the
+# same flags — including the KV key distribution.
+DEPLOY_FLAGS=(--bug=C3831 --nodes=16 --seed=7 --workload=steady-state
+              --kv-rate=500 --kv-key-dist=zipf:1.5 --json)
+subset="$("$CLI" --mode=suite --sim-modes=colo "${DEPLOY_FLAGS[@]}")"
+grid="$("$CLI" --mode=suite --jobs=4 "${DEPLOY_FLAGS[@]}")"  # jobs moves no byte
+if ! python3 -c '
+import json, sys
+subset, grid = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+sys.exit(0 if subset == grid["colo"] else 1)' "$subset" "$grid"; then
+  echo "FAIL: --sim-modes=colo differs from the full grid's colo cell" >&2
   exit 1
 fi
 
@@ -319,4 +351,4 @@ if [[ "$code" -ne 2 ]]; then
   exit 1
 fi
 
-echo "OK: build, tier-1 tests, perf smoke, guard exit codes, chaos-search, crash-durability, anti-entropy and real-mode smokes all pass"
+echo "OK: build, tier-1 tests, perf smoke, guard exit codes, one deployment per spec, chaos-search, crash-durability, anti-entropy and real-mode smokes all pass"

@@ -196,23 +196,6 @@ Status MemoStore::Parse(const std::vector<uint8_t>& bytes, MemoStore* out) {
   return Status::Ok();
 }
 
-bool MemoStore::Deserialize(const std::vector<uint8_t>& bytes, MemoStore* out) {
-  return Parse(bytes, out).ok();
-}
-
-bool MemoStore::SaveToFile(const std::string& path) const {
-  return Save(path).ok();
-}
-
-bool MemoStore::LoadFromFile(const std::string& path, MemoStore* out) {
-  Result<MemoStore> loaded = Load(path);
-  if (!loaded.ok()) {
-    return false;
-  }
-  *out = std::move(loaded).value();
-  return true;
-}
-
 Status MemoStore::Save(const std::string& path) const {
   // Crash-safe write: serialize to a sibling temp file, flush it all the way
   // to the device, then atomically rename over the destination. A crash at

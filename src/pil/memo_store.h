@@ -84,17 +84,13 @@ class MemoStore {
   //                  stores must be re-memoized, not guessed at).
   // On error `out` is left empty, never partially filled.
   static Status Parse(const std::vector<uint8_t>& bytes, MemoStore* out);
-  static bool Deserialize(const std::vector<uint8_t>& bytes, MemoStore* out);
-  bool SaveToFile(const std::string& path) const;
-  static bool LoadFromFile(const std::string& path, MemoStore* out);
 
   // Total bytes of memoized outputs (memoization-DB footprint reporting).
   int64_t output_bytes() const { return output_bytes_; }
 
-  // Status-reporting persistence (the bool APIs above remain for callers that
-  // only branch). Save is crash-safe: bytes are written to TempPathFor(path)
-  // and atomically renamed over the destination, so an interrupted Save
-  // leaves the previous DB intact.
+  // File persistence. Save is crash-safe: bytes are written to
+  // TempPathFor(path) and atomically renamed over the destination, so an
+  // interrupted Save leaves the previous DB intact.
   Status Save(const std::string& path) const;
   static Result<MemoStore> Load(const std::string& path);
   static std::string TempPathFor(const std::string& path) { return path + ".tmp"; }

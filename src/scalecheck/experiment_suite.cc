@@ -178,12 +178,12 @@ SuiteReport ExperimentSuite::Run() {
           if (attempt > 1 && pristine != nullptr) {
             *task.store = *pristine;
           }
-          RunOptions options;
+          Cluster::Options options =
+              task.bug->MakeClusterOptions(task.nodes, task.mode, task.seed);
           options.memo_store = task.store;
-          options.output_cache = cache;
+          options.shared_output_cache = cache;
           options.wall_budget_seconds = budget;
-          record.result =
-              RunSingle(*task.bug, task.nodes, task.mode, task.seed, options);
+          record.result = Cluster(std::move(options)).Run();
           record.attempts = attempt;
           if (!record.result.watchdog_fired) {
             break;
@@ -263,12 +263,23 @@ ScaleCheckResult SuiteReport::Assemble(const std::string& bug_id, int nodes,
   result.colo = Get(bug_id, RunMode::kColocated, nodes, seed);
   result.memoize = Get(bug_id, RunMode::kMemoize, nodes, seed);
   result.replay = Get(bug_id, RunMode::kPilReplay, nodes, seed);
-  // The replay run observed the store after memoize + its own lookups — the
-  // same view ScaleCheckRunner::RunFull reports.
+  // The replay run observed the store after memoize + its own lookups.
   result.memo = result.replay.memo;
   result.replay_flap_error = RelativeFlapError(result.replay.flaps, result.real.flaps);
   result.colo_flap_error = RelativeFlapError(result.colo.flaps, result.real.flaps);
   return result;
+}
+
+ScaleCheckResult RunComparison(const BugSpec& bug, int nodes, uint64_t seed,
+                               int jobs) {
+  ExperimentSpec grid;
+  grid.bugs = {bug};
+  grid.modes = {RunMode::kRealScale, RunMode::kColocated, RunMode::kMemoize,
+                RunMode::kPilReplay};
+  grid.scales = {nodes};
+  grid.seeds = {seed};
+  grid.jobs = jobs;
+  return ExperimentSuite(std::move(grid)).Run().Assemble(bug.id, nodes, seed);
 }
 
 double SuiteReport::total_run_wall_seconds() const {

@@ -138,6 +138,11 @@ class ExperimentSuite {
   bool ran_ = false;
 };
 
+// The Figure-3 comparison (Real / Colo / Memoize / SC+PIL replay) of one bug
+// at one scale and seed: a four-mode grid, run and assembled.
+ScaleCheckResult RunComparison(const BugSpec& bug, int nodes,
+                               uint64_t seed = kDefaultSuiteSeed, int jobs = 1);
+
 }  // namespace scalecheck
 
 #endif  // SCALECHECK_SRC_SCALECHECK_EXPERIMENT_SUITE_H_

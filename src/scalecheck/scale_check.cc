@@ -3,9 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/check.h"
-
 namespace scalecheck {
+
+Cluster::Options BugSpec::MakeClusterOptions(int n, RunMode mode,
+                                             uint64_t seed) const {
+  Cluster::Options options;
+  options.config = MakeConfig(n, mode, seed);
+  options.workload = MakeWorkload(n);
+  options.faults = MakeFaultPlan(n, seed);
+  options.kv_ops_per_second = kv_ops_per_second;
+  options.kv_key_dist = kv_key_dist;
+  options.kv_zipf_s = kv_zipf_s;
+  return options;
+}
 
 ClusterConfig BugSpec::MakeConfig(int n, RunMode mode, uint64_t seed) const {
   ClusterConfig cfg;
@@ -91,69 +101,8 @@ double RelativeFlapError(int64_t observed, int64_t reference) {
   return std::abs(static_cast<double>(observed) - static_cast<double>(reference)) / ref;
 }
 
-RunResult RunSingle(const BugSpec& spec, int n, RunMode mode, uint64_t seed,
-                    const RunOptions& run_options) {
-  Cluster::Options options;
-  options.config = spec.MakeConfig(n, mode, seed);
-  options.workload = spec.MakeWorkload(n);
-  options.memo_store = run_options.memo_store;
-  options.record_order_log = run_options.record_order_log;
-  options.replay_order_log = run_options.replay_order_log;
-  options.shared_output_cache = run_options.output_cache;
-  options.enable_trace = run_options.enable_trace;
-  options.profiler = run_options.profiler;
-  options.faults = run_options.faults != nullptr ? *run_options.faults
-                                                 : spec.MakeFaultPlan(n, seed);
-  options.kv_ops_per_second = spec.kv_ops_per_second;
-  options.kv_key_dist = spec.kv_key_dist;
-  options.kv_zipf_s = spec.kv_zipf_s;
-  options.wall_budget_seconds = run_options.wall_budget_seconds;
-  Cluster cluster(std::move(options));
-  return cluster.Run();
-}
-
 RunResult RunSingle(const BugSpec& spec, int n, RunMode mode, uint64_t seed) {
-  return RunSingle(spec, n, mode, seed, RunOptions{});
-}
-
-ScaleCheckRunner::ScaleCheckRunner(BugSpec spec, uint64_t seed)
-    : spec_(std::move(spec)), seed_(seed) {}
-
-RunResult ScaleCheckRunner::RunReal(int n) {
-  RunOptions options;
-  options.output_cache = &cache_;
-  return RunSingle(spec_, n, RunMode::kRealScale, seed_, options);
-}
-
-RunResult ScaleCheckRunner::RunColo(int n) {
-  RunOptions options;
-  options.output_cache = &cache_;
-  return RunSingle(spec_, n, RunMode::kColocated, seed_, options);
-}
-
-ScaleCheckResult ScaleCheckRunner::RunFull(int n) {
-  ScaleCheckResult result;
-  result.real = RunReal(n);
-  result.colo = RunColo(n);
-
-  MemoStore store;
-  OrderLog order_log;
-  RunOptions memoize_options;
-  memoize_options.memo_store = &store;
-  memoize_options.record_order_log = enforce_order_ ? &order_log : nullptr;
-  memoize_options.output_cache = &cache_;
-  result.memoize = RunSingle(spec_, n, RunMode::kMemoize, seed_, memoize_options);
-
-  RunOptions replay_options;
-  replay_options.memo_store = &store;
-  replay_options.replay_order_log = enforce_order_ ? &order_log : nullptr;
-  replay_options.output_cache = &cache_;
-  result.replay = RunSingle(spec_, n, RunMode::kPilReplay, seed_, replay_options);
-
-  result.memo = store.stats();
-  result.replay_flap_error = RelativeFlapError(result.replay.flaps, result.real.flaps);
-  result.colo_flap_error = RelativeFlapError(result.colo.flaps, result.real.flaps);
-  return result;
+  return Cluster(spec.MakeClusterOptions(n, mode, seed)).Run();
 }
 
 std::string ScaleCheckResult::ToJson() const {

@@ -6,16 +6,18 @@
 // protocol workload triggers it. The runnable §2 catalog lives in
 // src/scalecheck/bug_catalog.h (BugCatalog::Get / BugCatalog::All).
 //
-// RunSingle deploys a spec at one scale in one of the paper's modes;
-// ScaleCheckRunner::RunFull runs the whole comparison (Real / Colo / Memoize /
-// PIL replay) that Figure 3 plots. For grids of runs — every figure and table
-// is one — use ExperimentSuite (experiment_suite.h), which fans the
+// BugSpec::MakeClusterOptions is the one mapping from a spec to a deployment
+// of one scale in one of the paper's modes; every entry point builds its
+// Cluster from it. RunSingle runs that deployment as is; callers that attach
+// a memo store, order log, trace or profiler set the field on the options
+// and run Cluster(std::move(options)).Run(). For grids of runs — every
+// figure and table is one, and so is the four-mode comparison Figure 3
+// plots — use ExperimentSuite (experiment_suite.h), which fans the
 // independent simulations out across host threads.
 
 #ifndef SCALECHECK_SRC_SCALECHECK_SCALE_CHECK_H_
 #define SCALECHECK_SRC_SCALECHECK_SCALE_CHECK_H_
 
-#include <memory>
 #include <string>
 
 #include "src/cluster/cluster.h"
@@ -77,7 +79,11 @@ struct BugSpec {
   // ExperimentSpec::cell_wall_budget_seconds.
   double wall_budget_seconds = 0.0;
 
-  // Materializes configuration for a deployment of n initial nodes.
+  // The deployment of n initial nodes in `mode`: configuration, workload,
+  // fault schedule and KV load. Hooks (memo store, order logs, output cache,
+  // trace, profiler, wall budget) are left for the caller to attach.
+  Cluster::Options MakeClusterOptions(int n, RunMode mode, uint64_t seed) const;
+  // The parts MakeClusterOptions assembles.
   ClusterConfig MakeConfig(int n, RunMode mode, uint64_t seed) const;
   WorkloadSpec MakeWorkload(int n) const;
   // The fault schedule for a deployment of n nodes (empty when no plan).
@@ -98,65 +104,8 @@ struct ScaleCheckResult {
   std::string ToJson() const;
 };
 
-// Everything RunSingle needs beyond (spec, n, mode, seed). Replaces the old
-// four-out-pointer tail with one named-options struct.
-struct RunOptions {
-  // kMemoize fills this store; kPilReplay reads it.
-  MemoStore* memo_store = nullptr;
-  // Memoization runs record message-processing order here (§5).
-  OrderLog* record_order_log = nullptr;
-  // Replay runs enforce this recorded order (off by default; see
-  // ScaleCheckRunner::set_enforce_order).
-  const OrderLog* replay_order_log = nullptr;
-  // Optional cross-run calculator output cache (host wall-clock only; an
-  // internally synchronized cache may be shared across concurrent runs).
-  CalcOutputCache* output_cache = nullptr;
-  // Record an execution trace (determinism digests, debugging dumps).
-  bool enable_trace = false;
-  // Optional profiler: deterministic op counters land in RunResult::profile,
-  // host wall timers accumulate on the profiler itself.
-  SimProfiler* profiler = nullptr;
-  // Overrides the spec's own fault plan when non-null (tests injecting a
-  // custom schedule); by default RunSingle materializes spec.fault_plan.
-  const FaultPlan* faults = nullptr;
-  // Host wall-clock watchdog for this run (0 disables); see
-  // Cluster::Options::wall_budget_seconds.
-  double wall_budget_seconds = 0.0;
-};
-
-// Runs one deployment.
-RunResult RunSingle(const BugSpec& spec, int n, RunMode mode, uint64_t seed,
-                    const RunOptions& options);
+// Runs one deployment: Cluster(spec.MakeClusterOptions(n, mode, seed)).Run().
 RunResult RunSingle(const BugSpec& spec, int n, RunMode mode, uint64_t seed);
-
-class ScaleCheckRunner {
- public:
-  explicit ScaleCheckRunner(BugSpec spec, uint64_t seed = 0x5ca1ec4ecULL);
-
-  const BugSpec& spec() const { return spec_; }
-
-  // Enables recording + enforcing message-processing order between the
-  // memoization run and the replay (§5's "order determinism"). Off by
-  // default: our memoization keys are content digests of the ring state, so
-  // replays hit the memo DB without pinning arrival order, and enforcement
-  // buffering distorts gossip timing. Enable to study the trade-off (the
-  // accuracy tests cover both settings).
-  void set_enforce_order(bool enforce) { enforce_order_ = enforce; }
-
-  RunResult RunReal(int n);
-  RunResult RunColo(int n);
-  // Memoize once + replay once; returns everything (Figure 3's three lines
-  // plus the memoization run itself, which §8 reports timing for).
-  ScaleCheckResult RunFull(int n);
-
- private:
-  BugSpec spec_;
-  uint64_t seed_;
-  bool enforce_order_ = false;
-  // Calculator outputs recur across modes and scales; sharing the cache
-  // keeps harness wall-clock down (see DESIGN.md §2).
-  CalcOutputCache cache_;
-};
 
 double RelativeFlapError(int64_t observed, int64_t reference);
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/scalecheck/bug_catalog.h"
-#include "src/scalecheck/scale_check.h"
+#include "src/scalecheck/experiment_suite.h"
 
 namespace scalecheck {
 namespace {
@@ -45,8 +45,7 @@ TEST(ClusterSmoke, DeterministicAcrossRuns) {
 
 TEST(ClusterSmoke, MemoizeThenReplayProducesHits) {
   BugSpec spec = BugCatalog::Get("C3831");
-  ScaleCheckRunner runner(spec, 99);
-  ScaleCheckResult full = runner.RunFull(12);
+  ScaleCheckResult full = RunComparison(spec, 12, 99);
   EXPECT_TRUE(full.replay.settled) << full.replay.Summary();
   EXPECT_GT(full.memo.records, 0u);
   EXPECT_GT(full.replay.pil.replay_hits, 0u) << full.replay.Summary();

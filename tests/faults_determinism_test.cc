@@ -37,11 +37,13 @@ TEST(FaultsDeterminismTest, DifferentSeedDifferentSchedule) {
 }
 
 TEST(FaultsDeterminismTest, ExplicitPlanOverrideMatchesNamedPlan) {
+  // The explicit schedule (how ChaosSearch candidates and repro artifacts
+  // travel) runs exactly like the named plan it was materialized from.
   BugSpec spec = ChaosSpec();
-  FaultPlan plan = spec.MakeFaultPlan(16, 1234);
-  RunOptions run_options;
-  run_options.faults = &plan;
-  RunResult with_override = RunSingle(spec, 16, RunMode::kRealScale, 1234, run_options);
+  BugSpec explicit_spec = spec;
+  explicit_spec.fault_plan = "none";
+  explicit_spec.custom_faults = spec.MakeFaultPlan(16, 1234);
+  RunResult with_override = RunSingle(explicit_spec, 16, RunMode::kRealScale, 1234);
   RunResult with_name = RunSingle(spec, 16, RunMode::kRealScale, 1234);
   EXPECT_EQ(with_override.ToJson(), with_name.ToJson());
 }
@@ -50,8 +52,7 @@ TEST(FaultsDeterminismTest, MemoizeAndReplayApplyTheSameSchedule) {
   // The FaultPlan rides through BugSpec, so memoize and replay see the
   // identical chaos; replay must track the real run's fault counters.
   BugSpec spec = ChaosSpec();
-  ScaleCheckRunner runner(spec, 77);
-  ScaleCheckResult full = runner.RunFull(16);
+  ScaleCheckResult full = RunComparison(spec, 16, 77);
   EXPECT_EQ(full.real.fault_events_applied, full.replay.fault_events_applied);
   EXPECT_EQ(full.real.fault_events_healed, full.replay.fault_events_healed);
   EXPECT_EQ(full.real.crashed_nodes, full.replay.crashed_nodes);

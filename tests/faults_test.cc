@@ -53,11 +53,9 @@ TEST(FaultInjectorTest, PartitionBlocksTrafficAndHeals) {
   // The stock 20s partition sits at the phi-conviction edge (silence must
   // exceed ~18x the mean heartbeat interval); stretch it so conviction is
   // certain and the test asserts behavior, not threshold luck.
-  FaultPlan plan = spec.MakeFaultPlan(16, 42);
-  plan.events.at(0).duration = VirtualDuration::Seconds(60);
-  RunOptions run_options;
-  run_options.faults = &plan;
-  RunResult result = RunSingle(spec, 16, RunMode::kRealScale, 42, run_options);
+  Cluster::Options options = spec.MakeClusterOptions(16, RunMode::kRealScale, 42);
+  options.faults.events.at(0).duration = VirtualDuration::Seconds(60);
+  RunResult result = Cluster(std::move(options)).Run();
   EXPECT_EQ(result.fault_events_applied, 1);
   EXPECT_EQ(result.fault_events_healed, 1);
   EXPECT_GT(result.messages_blocked, 0u);
@@ -68,10 +66,7 @@ TEST(FaultInjectorTest, PartitionBlocksTrafficAndHeals) {
 
 TEST(FaultInjectorTest, CrashRestartBringsTheNodeBack) {
   BugSpec spec = SteadySpec("crash-restart");
-  Cluster::Options options;
-  options.config = spec.MakeConfig(16, RunMode::kRealScale, 42);
-  options.workload = spec.MakeWorkload(16);
-  options.faults = spec.MakeFaultPlan(16, 42);
+  Cluster::Options options = spec.MakeClusterOptions(16, RunMode::kRealScale, 42);
   NodeId victim = options.faults.events.at(0).nodes_a.at(0);
   Cluster cluster(std::move(options));
   RunResult result = cluster.Run();
@@ -87,10 +82,7 @@ TEST(FaultInjectorTest, CrashRestartBringsTheNodeBack) {
 
 TEST(FaultInjectorTest, SlowNodeDegradesAndRecovers) {
   BugSpec spec = SteadySpec("slow-node");
-  Cluster::Options options;
-  options.config = spec.MakeConfig(16, RunMode::kRealScale, 42);
-  options.workload = spec.MakeWorkload(16);
-  options.faults = spec.MakeFaultPlan(16, 42);
+  Cluster::Options options = spec.MakeClusterOptions(16, RunMode::kRealScale, 42);
   NodeId victim = options.faults.events.at(0).nodes_a.at(0);
   Cluster cluster(std::move(options));
   RunResult result = cluster.Run();
@@ -105,11 +97,9 @@ TEST(FaultInjectorTest, MemoryPressureTriggersOom) {
   BugSpec spec = SteadySpec("memory-pressure");
   // The standard ballast (6 GB) is sized to squeeze, not kill; blow past the
   // machine budget to prove the existing OOM -> crash path fires.
-  FaultPlan plan = spec.MakeFaultPlan(16, 42);
-  plan.events.at(0).ballast_bytes = 1LL << 40;
-  RunOptions run_options;
-  run_options.faults = &plan;
-  RunResult result = RunSingle(spec, 16, RunMode::kRealScale, 42, run_options);
+  Cluster::Options options = spec.MakeClusterOptions(16, RunMode::kRealScale, 42);
+  options.faults.events.at(0).ballast_bytes = 1LL << 40;
+  RunResult result = Cluster(std::move(options)).Run();
   EXPECT_EQ(result.crashed_nodes, 1) << result.Summary();
 }
 

@@ -6,14 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "src/scalecheck/bug_catalog.h"
-#include "src/scalecheck/scale_check.h"
+#include "src/scalecheck/experiment_suite.h"
 
 namespace scalecheck {
 namespace {
 
 TEST(Fig3Shape, C3831At128RealQuietColoStormsPilAgrees) {
-  ScaleCheckRunner runner(BugCatalog::Get("C3831"));
-  ScaleCheckResult r = runner.RunFull(128);
+  ScaleCheckResult r = RunComparison(BugCatalog::Get("C3831"), 128);
 
   // Real-scale 128-node testing passes: the bug is latent.
   EXPECT_EQ(r.real.flaps, 0) << r.real.Summary();

@@ -155,9 +155,9 @@ TEST(IncrementalDigest, ClusterRunCostIsBoundedByChanges) {
   constexpr int kNodes = 128;
   BugSpec spec = BugCatalog::Get("C3831");
   SimProfiler profiler;
-  RunOptions options;
+  Cluster::Options options = spec.MakeClusterOptions(kNodes, RunMode::kColocated, 7);
   options.profiler = &profiler;
-  RunResult r = RunSingle(spec, kNodes, RunMode::kColocated, 7, options);
+  RunResult r = Cluster(std::move(options)).Run();
   ASSERT_TRUE(r.has_profile);
   const SimProfiler::Counters& c = r.profile;
   ASSERT_GT(c.digest_builds, 0u);

@@ -76,7 +76,7 @@ TEST(MemoStoreTest, SerializeRoundTrips) {
 
   std::vector<uint8_t> bytes = store.Serialize();
   MemoStore loaded;
-  ASSERT_TRUE(MemoStore::Deserialize(bytes, &loaded));
+  ASSERT_TRUE(MemoStore::Parse(bytes, &loaded).ok());
   EXPECT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded.output_bytes(), store.output_bytes());
   const MemoRecord* rec = loaded.Peek(3, Key(3));
@@ -96,27 +96,27 @@ TEST(MemoStoreTest, DeserializeRejectsCorruptData) {
   MemoStore out;
   std::vector<uint8_t> bad_magic = bytes;
   bad_magic[0] ^= 0xff;
-  EXPECT_FALSE(MemoStore::Deserialize(bad_magic, &out));
+  EXPECT_FALSE(MemoStore::Parse(bad_magic, &out).ok());
 
   std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 1);
-  EXPECT_FALSE(MemoStore::Deserialize(truncated, &out));
+  EXPECT_FALSE(MemoStore::Parse(truncated, &out).ok());
 
   std::vector<uint8_t> trailing = bytes;
   trailing.push_back(0);
-  EXPECT_FALSE(MemoStore::Deserialize(trailing, &out));
+  EXPECT_FALSE(MemoStore::Parse(trailing, &out).ok());
 }
 
 TEST(MemoStoreTest, FileRoundTrip) {
   MemoStore store;
   store.Put(1, Key(1), Record({5, 6}, 50));
   const char* path = "/tmp/scalecheck_memo_test.bin";
-  ASSERT_TRUE(store.SaveToFile(path));
-  MemoStore loaded;
-  ASSERT_TRUE(MemoStore::LoadFromFile(path, &loaded));
-  EXPECT_EQ(loaded.size(), 1u);
-  ASSERT_NE(loaded.Peek(1, Key(1)), nullptr);
+  ASSERT_TRUE(store.Save(path).ok());
+  Result<MemoStore> loaded = MemoStore::Load(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().size(), 1u);
+  ASSERT_NE(loaded.value().Peek(1, Key(1)), nullptr);
   std::remove(path);
-  EXPECT_FALSE(MemoStore::LoadFromFile("/nonexistent/nope.bin", &loaded));
+  EXPECT_FALSE(MemoStore::Load("/nonexistent/nope.bin").ok());
 }
 
 }  // namespace

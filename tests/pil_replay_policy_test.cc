@@ -88,16 +88,16 @@ TEST_F(ReplayPolicyFixture, PolicyNamesRoundTrip) {
   EXPECT_STREQ(ReplayPolicyName(ReplayPolicy::kStrict), "strict");
 }
 
-// ---- End-to-end through Cluster / RunSingle ---------------------------------
+// ---- End-to-end through Cluster ------------------------------------------
 
 RunResult ReplayAgainstEmptyStore(ReplayPolicy policy, uint64_t seed) {
   BugSpec spec = BugCatalog::Get("C3831");
   spec.horizon = VirtualDuration::Seconds(90);
   spec.replay_policy = policy;
   MemoStore empty;  // nothing memoized: the replay diverges immediately
-  RunOptions options;
+  Cluster::Options options = spec.MakeClusterOptions(16, RunMode::kPilReplay, seed);
   options.memo_store = &empty;
-  return RunSingle(spec, 16, RunMode::kPilReplay, seed, options);
+  return Cluster(std::move(options)).Run();
 }
 
 TEST(ReplayPolicyEndToEnd, FallbackDivergesButVerdictStaysOk) {
@@ -148,13 +148,13 @@ TEST(ReplayPolicyEndToEnd, FaithfulReplayReportsNoAbort) {
   spec.replay_policy = ReplayPolicy::kStrict;
 
   MemoStore store;
-  RunOptions memoize_options;
+  Cluster::Options memoize_options = spec.MakeClusterOptions(16, RunMode::kMemoize, 11);
   memoize_options.memo_store = &store;
-  RunSingle(spec, 16, RunMode::kMemoize, 11, memoize_options);
+  Cluster(std::move(memoize_options)).Run();
 
-  RunOptions replay_options;
+  Cluster::Options replay_options = spec.MakeClusterOptions(16, RunMode::kPilReplay, 11);
   replay_options.memo_store = &store;
-  RunResult r = RunSingle(spec, 16, RunMode::kPilReplay, 11, replay_options);
+  RunResult r = Cluster(std::move(replay_options)).Run();
   EXPECT_GT(r.pil.replay_hits, 0u);
   EXPECT_FALSE(r.replay_drift.aborted) << r.ToJson();
   EXPECT_EQ(r.fidelity.verdict, FidelityVerdict::kOk) << r.fidelity.ToJson();

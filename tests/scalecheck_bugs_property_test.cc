@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/scalecheck/bug_catalog.h"
-#include "src/scalecheck/scale_check.h"
+#include "src/scalecheck/experiment_suite.h"
 
 namespace scalecheck {
 namespace {
@@ -29,8 +29,7 @@ TEST(BugCatalogRegistry, LookupMatchesEnumeration) {
 
 TEST_P(BugCatalogTest, FullPipelineAtQuietScale) {
   const BugSpec& spec = SpecFor(GetParam());
-  ScaleCheckRunner runner(spec, 1234);
-  ScaleCheckResult full = runner.RunFull(10);
+  ScaleCheckResult full = RunComparison(spec, 10, 1234);
 
   // At 10 nodes every scenario is quiet and settles in every mode.
   EXPECT_TRUE(full.real.settled) << spec.id << ": " << full.real.Summary();

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/scalecheck/bug_catalog.h"
-#include "src/scalecheck/scale_check.h"
+#include "src/scalecheck/experiment_suite.h"
 
 namespace scalecheck {
 namespace {
@@ -24,6 +24,30 @@ TEST(BugSpecTest, CatalogIsConsistent) {
   EXPECT_EQ(BugCatalog::Get("C3881").MakeWorkload(64).joining_nodes, 16);  // +25%
 }
 
+TEST(BugSpecTest, MakeClusterOptionsCarriesEveryRunInput) {
+  // Every entry point builds its deployment here, so an input this mapping
+  // drops is dropped everywhere (the CLI once lost the key distribution).
+  BugSpec spec = BugCatalog::Get("C3831");
+  spec.workload = WorkloadKind::kSteadyState;
+  spec.horizon = VirtualDuration::Seconds(120);
+  spec.kv_ops_per_second = 500.0;
+  spec.kv_key_dist = KvKeyDist::kZipf;
+  spec.kv_zipf_s = 1.5;
+  spec.fault_plan = "partition";
+  spec.custom_faults = FaultPlan::IslandPartition(16, 3);  // wins over the name
+  Cluster::Options options = spec.MakeClusterOptions(16, RunMode::kColocated, 7);
+  EXPECT_EQ(options.config.initial_nodes, 16);
+  EXPECT_EQ(options.config.run_mode, RunMode::kColocated);
+  EXPECT_EQ(options.config.seed, 7u);
+  EXPECT_TRUE(options.config.enable_kv);
+  EXPECT_EQ(options.workload.kind, WorkloadKind::kSteadyState);
+  EXPECT_EQ(options.workload.horizon, VirtualDuration::Seconds(120));
+  EXPECT_TRUE(options.faults == spec.custom_faults);
+  EXPECT_DOUBLE_EQ(options.kv_ops_per_second, 500.0);
+  EXPECT_EQ(options.kv_key_dist, KvKeyDist::kZipf);
+  EXPECT_DOUBLE_EQ(options.kv_zipf_s, 1.5);
+}
+
 TEST(RelativeFlapErrorTest, Definition) {
   EXPECT_DOUBLE_EQ(RelativeFlapError(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(RelativeFlapError(100, 100), 0.0);
@@ -32,16 +56,28 @@ TEST(RelativeFlapErrorTest, Definition) {
   EXPECT_DOUBLE_EQ(RelativeFlapError(5, 0), 5.0);  // reference clamped to 1
 }
 
+// One deployment with `store` attached: kMemoize fills it, kPilReplay reads it.
+RunResult RunWithStore(const BugSpec& spec, int n, RunMode mode, uint64_t seed,
+                       MemoStore* store) {
+  Cluster::Options options = spec.MakeClusterOptions(n, mode, seed);
+  options.memo_store = store;
+  return Cluster(std::move(options)).Run();
+}
+
+// The four-mode comparison at a quiet scale, shared by the tests that read it.
+const ScaleCheckResult& QuietComparison() {
+  static const ScaleCheckResult kResult =
+      RunComparison(BugCatalog::Get("C3831"), 12, 7);
+  return kResult;
+}
+
 TEST(PipelineTest, MemoizeRunBehavesLikeColo) {
   // Recording must not perturb behaviour: the memoization run IS the basic
   // colocation run plus recording.
   BugSpec spec = BugCatalog::Get("C3831");
-  ScaleCheckRunner runner(spec, 7);
-  RunResult colo = runner.RunColo(12);
+  RunResult colo = RunSingle(spec, 12, RunMode::kColocated, 7);
   MemoStore store;
-  RunOptions options;
-  options.memo_store = &store;
-  RunResult memoize = RunSingle(spec, 12, RunMode::kMemoize, 7, options);
+  RunResult memoize = RunWithStore(spec, 12, RunMode::kMemoize, 7, &store);
   EXPECT_EQ(memoize.flaps, colo.flaps);
   EXPECT_EQ(memoize.messages_sent, colo.messages_sent);
   EXPECT_EQ(memoize.test_duration.nanos(), colo.test_duration.nanos());
@@ -51,9 +87,7 @@ TEST(PipelineTest, MemoizeRunBehavesLikeColo) {
 TEST(PipelineTest, ReplayTimingMatchesRealAtQuietScales) {
   // At scales where nothing flaps, PIL replay must track the real-scale run
   // closely in duration and calc count.
-  BugSpec spec = BugCatalog::Get("C3831");
-  ScaleCheckRunner runner(spec, 7);
-  ScaleCheckResult full = runner.RunFull(12);
+  const ScaleCheckResult& full = QuietComparison();
   EXPECT_EQ(full.real.flaps, 0);
   EXPECT_EQ(full.replay.flaps, 0);
   EXPECT_TRUE(full.replay.settled);
@@ -63,9 +97,7 @@ TEST(PipelineTest, ReplayTimingMatchesRealAtQuietScales) {
 }
 
 TEST(PipelineTest, ReplayUsesZeroCpuForCalcs) {
-  BugSpec spec = BugCatalog::Get("C3831");
-  ScaleCheckRunner runner(spec, 7);
-  ScaleCheckResult full = runner.RunFull(12);
+  const ScaleCheckResult& full = QuietComparison();
   // All pending-range invocations served from the DB or fallback sleeps.
   EXPECT_EQ(full.replay.pil.direct_runs, 0u);
   EXPECT_EQ(full.replay.pil.memoized_runs, 0u);
@@ -78,8 +110,8 @@ TEST(PipelineTest, MemoRecordsAreDeterministicallyKeyed) {
   // Two memoization runs with the same seed produce identical stores.
   BugSpec spec = BugCatalog::Get("C3831");
   MemoStore a, b;
-  RunSingle(spec, 10, RunMode::kMemoize, 5, RunOptions{.memo_store = &a});
-  RunSingle(spec, 10, RunMode::kMemoize, 5, RunOptions{.memo_store = &b});
+  RunWithStore(spec, 10, RunMode::kMemoize, 5, &a);
+  RunWithStore(spec, 10, RunMode::kMemoize, 5, &b);
   EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(a.Serialize().size(), b.Serialize().size());
   EXPECT_EQ(a.stats().determinism_violations, 0u);
@@ -89,35 +121,41 @@ TEST(PipelineTest, MemoRecordsAreDeterministicallyKeyed) {
 TEST(PipelineTest, ReplayFromPersistedStoreWorks) {
   BugSpec spec = BugCatalog::Get("C3831");
   MemoStore store;
-  RunSingle(spec, 10, RunMode::kMemoize, 5, RunOptions{.memo_store = &store});
+  RunWithStore(spec, 10, RunMode::kMemoize, 5, &store);
   std::vector<uint8_t> bytes = store.Serialize();
   MemoStore reloaded;
-  ASSERT_TRUE(MemoStore::Deserialize(bytes, &reloaded));
-  RunResult replay =
-      RunSingle(spec, 10, RunMode::kPilReplay, 5, RunOptions{.memo_store = &reloaded});
+  ASSERT_TRUE(MemoStore::Parse(bytes, &reloaded).ok());
+  RunResult replay = RunWithStore(spec, 10, RunMode::kPilReplay, 5, &reloaded);
   EXPECT_TRUE(replay.settled);
   EXPECT_GT(replay.pil.replay_hits, 0u);
 }
 
 TEST(PipelineTest, OrderEnforcedReplayStillSettles) {
+  // §5's order determinism: the memoization run records its message-
+  // processing order and the replay enforces it.
   BugSpec spec = BugCatalog::Get("C3831");
-  ScaleCheckRunner runner(spec, 7);
-  runner.set_enforce_order(true);
-  ScaleCheckResult full = runner.RunFull(10);
-  EXPECT_TRUE(full.replay.settled) << full.replay.Summary();
-  EXPECT_GT(full.replay.order_enforced, 0u);
+  MemoStore store;
+  OrderLog order_log;
+  Cluster::Options memoize = spec.MakeClusterOptions(10, RunMode::kMemoize, 7);
+  memoize.memo_store = &store;
+  memoize.record_order_log = &order_log;
+  Cluster(std::move(memoize)).Run();
+  Cluster::Options replay = spec.MakeClusterOptions(10, RunMode::kPilReplay, 7);
+  replay.memo_store = &store;
+  replay.replay_order_log = &order_log;
+  RunResult replayed = Cluster(std::move(replay)).Run();
+  EXPECT_TRUE(replayed.settled) << replayed.Summary();
+  EXPECT_GT(replayed.order_enforced, 0u);
 }
 
 TEST(PipelineTest, FixedSpecsProduceNoSymptom) {
   // Ablation: the patched configurations stay quiet where the buggy ones
   // would flap (here both are quiet at 12 nodes; the bench shows 256).
-  ScaleCheckRunner fixed_runner(BugCatalog::Get("C5456-fixed"), 7);
-  RunResult fixed = fixed_runner.RunReal(12);
+  RunResult fixed = RunSingle(BugCatalog::Get("C5456-fixed"), 12, RunMode::kRealScale, 7);
   EXPECT_EQ(fixed.flaps, 0);
   EXPECT_TRUE(fixed.settled);
   // The clone placement holds the lock far shorter than the coarse one.
-  ScaleCheckRunner coarse_runner(BugCatalog::Get("C5456"), 7);
-  RunResult coarse = coarse_runner.RunReal(12);
+  RunResult coarse = RunSingle(BugCatalog::Get("C5456"), 12, RunMode::kRealScale, 7);
   EXPECT_LT(fixed.calc_lock_hold_seconds.max(),
             coarse.calc_lock_hold_seconds.max());
 }

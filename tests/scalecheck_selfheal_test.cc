@@ -151,9 +151,9 @@ TEST(SelfHealTest, SuccessfulCellsOmitAttemptCounts) {
 
 TEST(SelfHealTest, RunSingleSurfacesWatchdogInResultAndVerdict) {
   BugSpec spec = HealthySpec("h1");
-  RunOptions options;
+  Cluster::Options options = spec.MakeClusterOptions(16, RunMode::kColocated, 7);
   options.wall_budget_seconds = 1e-9;
-  RunResult r = RunSingle(spec, 16, RunMode::kColocated, 7, options);
+  RunResult r = Cluster(std::move(options)).Run();
   EXPECT_TRUE(r.watchdog_fired);
   EXPECT_EQ(r.fidelity.verdict, FidelityVerdict::kInvalid);
   EXPECT_EQ(r.fidelity.violated_budget, "watchdog");

@@ -44,19 +44,32 @@ TEST(ExperimentSuiteTest, SharedCacheDoesNotChangeResults) {
             ExperimentSuite(uncached).Run().ToJson());
 }
 
-TEST(ExperimentSuiteTest, MatchesScaleCheckRunner) {
-  // The declarative path and the classic imperative runner agree run for run.
+TEST(ExperimentSuiteTest, MatchesRunSingle) {
+  // A suite cell is the deployment every other entry point builds: Real and
+  // Colo equal RunSingle byte for byte; memoize and replay equal a Cluster
+  // pair sharing one MemoStore.
   const BugSpec& bug = BugCatalog::Get("C3831");
+  const uint64_t seed = kDefaultSuiteSeed;
   SuiteReport report = ExperimentSuite(SmallGrid(4)).Run();
-  ScaleCheckResult suite = report.Assemble(bug.id, 12, kDefaultSuiteSeed);
-  ScaleCheckRunner runner(bug);
-  ScaleCheckResult classic = runner.RunFull(12);
-  EXPECT_EQ(suite.real.flaps, classic.real.flaps);
-  EXPECT_EQ(suite.real.events_executed, classic.real.events_executed);
-  EXPECT_EQ(suite.colo.test_duration.nanos(), classic.colo.test_duration.nanos());
-  EXPECT_EQ(suite.memoize.events_executed, classic.memoize.events_executed);
-  EXPECT_EQ(suite.replay.flaps, classic.replay.flaps);
-  EXPECT_EQ(suite.memo.records, classic.memo.records);
+  for (RunMode mode : {RunMode::kRealScale, RunMode::kColocated}) {
+    const RunRecord* cell = report.Find(bug.id, mode, 12, seed);
+    ASSERT_NE(cell, nullptr);
+    RunRecord standalone = *cell;
+    standalone.result = RunSingle(bug, 12, mode, seed);
+    EXPECT_EQ(SuiteReport::RecordJson(*cell), SuiteReport::RecordJson(standalone))
+        << RunModeName(mode);
+  }
+
+  MemoStore store;
+  Cluster::Options memoize = bug.MakeClusterOptions(12, RunMode::kMemoize, seed);
+  memoize.memo_store = &store;
+  RunResult memoized = Cluster(std::move(memoize)).Run();
+  Cluster::Options replay = bug.MakeClusterOptions(12, RunMode::kPilReplay, seed);
+  replay.memo_store = &store;
+  RunResult replayed = Cluster(std::move(replay)).Run();
+  EXPECT_EQ(report.Get(bug.id, RunMode::kMemoize, 12, seed).ToJson(), memoized.ToJson());
+  EXPECT_EQ(report.Get(bug.id, RunMode::kPilReplay, 12, seed).ToJson(), replayed.ToJson());
+  EXPECT_EQ(report.Assemble(bug.id, 12, seed).memo.records, store.stats().records);
 }
 
 TEST(ExperimentSuiteTest, RecordsFollowCanonicalGridOrder) {

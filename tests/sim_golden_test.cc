@@ -50,8 +50,6 @@
 
 #include <gtest/gtest.h>
 
-#include <utility>
-
 #include "src/cluster/cluster.h"
 #include "src/scalecheck/bug_catalog.h"
 #include "src/scalecheck/scale_check.h"
@@ -59,18 +57,10 @@
 namespace scalecheck {
 namespace {
 
-// Mirrors RunOne in examples/scalecheck_cli.cpp: Cluster driven directly,
-// no memo store, no trace.
-RunResult RunPinned(BugSpec spec, int nodes, uint64_t seed) {
-  Cluster::Options options;
-  options.config = spec.MakeConfig(nodes, RunMode::kColocated, seed);
-  options.workload = spec.MakeWorkload(nodes);
-  options.faults = spec.MakeFaultPlan(nodes, seed);
-  options.kv_ops_per_second = spec.kv_ops_per_second;
-  options.kv_key_dist = spec.kv_key_dist;
-  options.kv_zipf_s = spec.kv_zipf_s;
-  Cluster cluster(std::move(options));
-  return cluster.Run();
+// The Colo deployment every entry point builds from a spec (no memo store,
+// no trace).
+RunResult RunPinned(const BugSpec& spec, int nodes, uint64_t seed) {
+  return Cluster(spec.MakeClusterOptions(nodes, RunMode::kColocated, seed)).Run();
 }
 
 constexpr char kGoldenC3831[] =

@@ -78,10 +78,7 @@ TEST(SimMutexCrashTest, UsableAgainAfterReset) {
 // Returns whether the victim's ring lock was held at the instant of death.
 bool KillDuringRecalc(const BugSpec& spec) {
   const NodeId victim = 5;  // not a contact (0..2), not the workload target
-  Cluster::Options options;
-  options.config = spec.MakeConfig(16, RunMode::kRealScale, 42);
-  options.workload = spec.MakeWorkload(16);
-  Cluster cluster(std::move(options));
+  Cluster cluster(spec.MakeClusterOptions(16, RunMode::kRealScale, 42));
   Node* node = cluster.node(victim);
 
   bool killed = false;

@@ -68,9 +68,7 @@ TEST(TraceRecorderTest, ClearResets) {
 TEST(ClusterTraceDeterminism, SameSeedSameTraceDigest) {
   auto run_digest = [] {
     BugSpec spec = BugCatalog::Get("C3831");
-    Cluster::Options options;
-    options.config = spec.MakeConfig(12, RunMode::kRealScale, 77);
-    options.workload = spec.MakeWorkload(12);
+    Cluster::Options options = spec.MakeClusterOptions(12, RunMode::kRealScale, 77);
     options.enable_trace = true;
     Cluster cluster(std::move(options));
     cluster.Run();
@@ -84,9 +82,7 @@ TEST(ClusterTraceDeterminism, SameSeedSameTraceDigest) {
 TEST(ClusterTraceDeterminism, DifferentSeedDifferentTrace) {
   auto run_digest = [](uint64_t seed) {
     BugSpec spec = BugCatalog::Get("C3831");
-    Cluster::Options options;
-    options.config = spec.MakeConfig(12, RunMode::kRealScale, seed);
-    options.workload = spec.MakeWorkload(12);
+    Cluster::Options options = spec.MakeClusterOptions(12, RunMode::kRealScale, seed);
     options.enable_trace = true;
     Cluster cluster(std::move(options));
     cluster.Run();
