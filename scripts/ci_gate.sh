@@ -12,11 +12,14 @@
 #   3. fidelity-guard exit-code contract: scalecheck_cli must exit 3 — and
 #      only 3 — when a run's verdict is invalid, so downstream automation can
 #      reject untrustworthy colocation results without parsing JSON; usage
-#      errors, including a flag the selected mode would ignore, exit 2; a
-#      --sim-modes=colo run equals the full grid's colo cell,
+#      errors exit 2: a flag the selected mode would ignore, a value that
+#      does not parse whole or lies outside its range, and a search below
+#      ChaosSearch's minimum cluster size; a --sim-modes=colo run equals the
+#      full grid's colo cell,
 #   4. ChaosSearch smoke: a pinned-seed bounded search must find the planted
 #      left-join bug, shrink it to a <=3-event reproducer, and the emitted
-#      repro artifact must replay to the identical violation (exit 4),
+#      repro artifact must replay to the identical violation (exit 4); a flag
+#      the artifact pins (--nodes) next to --repro is a usage error (exit 2),
 #   5. crash-durability smoke: a pinned-seed crash-restart FaultPlan under
 #      QUORUM KV load with the WAL on must lose zero acked writes (exit 0);
 #      then a pinned-seed search against the planted ack-before-sync bug
@@ -88,15 +91,22 @@ if [[ "$code" -ne 2 ]]; then
 fi
 
 # A flag the selected mode would ignore is a usage error too (exit 2), not a
-# silent no-op: a BugSpec knob with --mode=real, a socket knob in a sim mode.
-for flags in "--mode=real --kv-rate=100" \
-             "--mode=suite --sim-modes=colo --kv-ops=8"; do
+# silent no-op: a BugSpec knob with --mode=real, a socket knob in a sim mode,
+# a search knob outside search. So is a value that does not parse whole or
+# lies outside its range, and a search below ChaosSearch's minimum N (the
+# searcher would abort on its internal CHECK instead).
+for flags in "--mode=real --kv-rate=100 --nodes=8" \
+             "--mode=suite --sim-modes=colo --kv-ops=8 --nodes=8" \
+             "--seed=abc" \
+             "--kv-repair-rate=1e6" \
+             "--mode=suite --search-budget=3" \
+             "--mode=search --nodes=4"; do
   set +e
-  "$CLI" $flags --nodes=8 >/dev/null 2>&1
+  "$CLI" $flags >/dev/null 2>&1
   code=$?
   set -e
   if [[ "$code" -ne 2 ]]; then
-    echo "FAIL: '$flags' exited $code, expected 2 (flag ignored by the mode)" >&2
+    echo "FAIL: '$flags' exited $code, expected 2 (usage error)" >&2
     exit 1
   fi
 done
@@ -146,6 +156,16 @@ code=$?
 set -e
 if [[ "$code" -ne 4 ]]; then
   echo "FAIL: repro replay exited $code, expected 4" >&2
+  exit 1
+fi
+
+# The artifact pins the scenario: a flag it would override is a usage error.
+set +e
+"$CLI" --repro="$REPRO" --nodes=64 >/dev/null 2>&1
+code=$?
+set -e
+if [[ "$code" -ne 2 ]]; then
+  echo "FAIL: '--repro=\$REPRO --nodes=64' exited $code, expected 2 (flag pinned by the artifact)" >&2
   exit 1
 fi
 

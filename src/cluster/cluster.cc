@@ -67,20 +67,6 @@ const char* WorkloadKindName(WorkloadKind kind) {
   return "?";
 }
 
-Result<WorkloadKind> WorkloadKindFromName(const std::string& name) {
-  static constexpr WorkloadKind kKinds[] = {
-      WorkloadKind::kSteadyState,    WorkloadKind::kDecommission,
-      WorkloadKind::kScaleOut,       WorkloadKind::kBootstrapFresh,
-      WorkloadKind::kFailover,       WorkloadKind::kRebalance,
-  };
-  for (WorkloadKind kind : kKinds) {
-    if (name == WorkloadKindName(kind)) {
-      return kind;
-    }
-  }
-  return Status::InvalidArgument("unknown workload '" + name + "'");
-}
-
 std::string WorkloadSpec::Describe() const {
   return StrFormat("%s(join=%d target=%d start=%s transition=%s horizon=%s)",
                    WorkloadKindName(kind), joining_nodes, target,

@@ -6,7 +6,6 @@
 
 #include <string>
 
-#include "src/common/result.h"
 #include "src/common/types.h"
 
 namespace scalecheck {
@@ -28,11 +27,6 @@ enum class WorkloadKind : int {
 };
 
 const char* WorkloadKindName(WorkloadKind kind);
-
-// Inverse of WorkloadKindName; InvalidArgument on an unknown spelling. Used
-// by the CLI's --workload= override and the repro artifact, which must pin
-// the workload because invariant checkability depends on it.
-Result<WorkloadKind> WorkloadKindFromName(const std::string& name);
 
 struct WorkloadSpec {
   WorkloadKind kind = WorkloadKind::kDecommission;

@@ -220,6 +220,12 @@ JsonWriter& JsonWriter::Bool(bool value) {
   return *this;
 }
 
+JsonWriter& JsonWriter::Raw(const std::string& scalar) {
+  BeforeValue();
+  out_ += scalar;
+  return *this;
+}
+
 JsonWriter& JsonWriter::Field(const std::string& key, const std::string& value) {
   return Key(key).String(value);
 }

@@ -47,6 +47,8 @@ class JsonWriter {
   JsonWriter& UInt(uint64_t value);
   JsonWriter& Double(double value);
   JsonWriter& Bool(bool value);
+  // A pre-rendered number or true/false, spliced verbatim.
+  JsonWriter& Raw(const std::string& scalar);
 
   // Shorthand for Key(key).<value>(...).
   JsonWriter& Field(const std::string& key, const std::string& value);

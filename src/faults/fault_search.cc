@@ -5,14 +5,13 @@
 #include <numeric>
 #include <utility>
 
-#include "src/cluster/workload.h"
 #include "src/common/check.h"
 #include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
-#include "src/scalecheck/bug_catalog.h"
 #include "src/scalecheck/experiment_suite.h"
+#include "src/scalecheck/knob_table.h"
 
 namespace scalecheck {
 
@@ -30,10 +29,13 @@ Result<RunMode> RunModeFromName(const std::string& name) {
 
 namespace {
 
+constexpr char kReproFormat[] = "scalecheck-repro-v1";
+
 // Mirrors fault_plan.cc's PickVictim: never the seed/contact nodes (0..2) and
 // never the workload's membership target (n/2).
 NodeId SearchVictim(Rng* rng, int n) {
-  CHECK_GE(n, 5) << "fault search needs at least 5 nodes";
+  CHECK_GE(n, kMinFaultSearchNodes) << "fault search needs at least "
+                                     << kMinFaultSearchNodes << " nodes";
   NodeId v = static_cast<NodeId>(rng->UniformInt(0, n - 1));
   while (v < 3 || v == n / 2) {
     v = (v + 1) % n;
@@ -177,7 +179,7 @@ FaultSearch::FaultSearch(FaultSearchConfig config) : config_(std::move(config)) 
   config_.spec.fault_plan = "none";
   config_.spec.custom_faults = FaultPlan{};
   config_.spec.check.enabled = true;
-  CHECK_GE(config_.nodes, 5);
+  CHECK_GE(config_.nodes, kMinFaultSearchNodes);
   CHECK_GE(config_.budget, 1);
   CHECK_GE(config_.generation_size, 1);
   CHECK_GE(config_.max_events, 1);
@@ -400,32 +402,15 @@ MinimizeResult MinimizeFaultPlan(const BugSpec& base_spec, int nodes,
 std::string MakeReproArtifact(const BugSpec& spec, int nodes, RunMode mode,
                               uint64_t seed, const FaultPlan& plan,
                               const RunResult& result) {
+  RunSettings settings;
+  settings.run.spec = spec;
+  settings.run.nodes = nodes;
+  settings.run.mode = mode;
+  settings.run.seed = seed;
   JsonWriter w;
   w.BeginObject();
-  w.Field("format", "scalecheck-repro-v1");
-  w.Field("bug", spec.id);
-  w.Field("nodes", nodes);
-  w.Field("mode", RunModeName(mode));
-  w.Field("seed", seed);
-  w.Field("plant_left_join_bug", spec.check.plant_left_join_bug);
-  w.Field("plant_kv_ack_before_sync", spec.check.plant_kv_ack_before_sync);
-  // KV invariant checkability depends on the workload, so a CLI --workload=
-  // override must be pinned or the replay could probe a different set.
-  w.Field("workload", WorkloadKindName(spec.workload));
-  w.Field("kv_ops_per_second", spec.kv_ops_per_second);
-  w.Field("kv_consistency", KvConsistencyName(spec.kv_consistency));
-  w.Field("kv_wal", spec.kv_wal);
-  // Anti-entropy knobs: the replica-convergence invariant only arms when
-  // kv_repair is on, and its budget facet scores against the configured
-  // rate, so a replay with different repair settings would probe (and
-  // pass or fail) a different check than the one the search scored.
-  w.Field("kv_repair", spec.kv_repair);
-  w.Field("kv_repair_interval_ns", spec.kv_repair_interval.nanos());
-  w.Field("kv_repair_rate_bytes", spec.kv_repair_rate_bytes);
-  w.Field("kv_repair_max_sessions", spec.kv_repair_max_sessions);
-  w.Field("plant_repair_storm", spec.check.plant_repair_storm);
-  w.Field("kv_key_dist", spec.kv_key_dist == KvKeyDist::kZipf ? "zipf" : "uniform");
-  w.Field("kv_zipf_s", spec.kv_zipf_s);
+  w.Field("format", kReproFormat);
+  WriteArtifactKnobs(settings, &w);
   w.Key("plan");
   plan.WriteJson(&w);
   w.Key("expected_violated").BeginArray();
@@ -448,23 +433,13 @@ Result<ReproReplay> ReplayRepro(const std::string& artifact_json) {
   if (!v.is_object()) {
     return Status(StatusCode::kInvalidArgument, "repro artifact: not an object");
   }
-  static const char* const kKeys[] = {
-      "format", "bug",  "nodes",             "mode",
-      "seed",   "plant_left_join_bug",       "plant_kv_ack_before_sync",
-      "plan",   "expected_violated",         "expected_invariants",
-      "kv_ops_per_second", "kv_consistency", "kv_wal", "workload",
-      "kv_repair",         "kv_repair_interval_ns", "kv_repair_rate_bytes",
-      "kv_repair_max_sessions", "plant_repair_storm", "kv_key_dist",
-      "kv_zipf_s"};
+  // Every key is a knob row's or one of the artifact's own.
   for (const auto& [key, value] : v.AsObject()) {
     (void)value;
-    bool known = false;
-    for (const char* k : kKeys) {
-      if (key == k) {
-        known = true;
-        break;
-      }
-    }
+    bool known = key == "format" || key == "plan" || key == "expected_violated" ||
+                 key == "expected_invariants" ||
+                 std::any_of(KnobTable().begin(), KnobTable().end(),
+                             [&key](const Knob& row) { return row.key == key; });
     if (!known) {
       return Status(StatusCode::kInvalidArgument,
                     "repro artifact: unknown key '" + key + "'");
@@ -475,127 +450,20 @@ Result<ReproReplay> ReplayRepro(const std::string& artifact_json) {
   if (!format.ok()) {
     return format.status();
   }
-  if (format.value() != "scalecheck-repro-v1") {
+  if (format.value() != kReproFormat) {
     return Status(StatusCode::kVersionSkew,
                   "unsupported repro format '" + format.value() + "'");
   }
-  Result<std::string> bug = v.GetString("bug", "repro artifact");
-  if (!bug.ok()) {
-    return bug.status();
+  RunSettings settings;
+  Status knobs = ReadArtifactKnobs(v, &settings);
+  if (!knobs.ok()) {
+    return knobs;
   }
-  const BugSpec* catalog = BugCatalog::TryGet(bug.value());
-  if (catalog == nullptr) {
-    return Status(StatusCode::kNotFound,
-                  "repro artifact: unknown bug id '" + bug.value() + "'");
-  }
-  Result<int64_t> nodes = v.GetInt("nodes", "repro artifact");
-  if (!nodes.ok()) {
-    return nodes.status();
-  }
-  if (nodes.value() < 5 || nodes.value() > 100000) {
+  FaultSearchConfig& run = settings.run;
+  if (run.nodes < kMinFaultSearchNodes) {
     return Status(StatusCode::kInvalidArgument,
-                  "repro artifact: nodes out of range");
-  }
-  Result<std::string> mode_name = v.GetString("mode", "repro artifact");
-  if (!mode_name.ok()) {
-    return mode_name.status();
-  }
-  Result<RunMode> mode = RunModeFromName(mode_name.value());
-  if (!mode.ok()) {
-    return mode.status();
-  }
-  Result<int64_t> seed = v.GetInt("seed", "repro artifact");
-  if (!seed.ok()) {
-    return seed.status();
-  }
-  if (seed.value() < 0) {
-    return Status(StatusCode::kInvalidArgument, "repro artifact: negative seed");
-  }
-  Result<bool> plant = v.GetBool("plant_left_join_bug", "repro artifact");
-  if (!plant.ok()) {
-    return plant.status();
-  }
-  Result<bool> plant_kv =
-      v.GetBool("plant_kv_ack_before_sync", "repro artifact");
-  if (!plant_kv.ok()) {
-    return plant_kv.status();
-  }
-  Result<double> kv_ops = v.GetDouble("kv_ops_per_second", "repro artifact");
-  if (!kv_ops.ok()) {
-    return kv_ops.status();
-  }
-  Result<std::string> kv_level_name =
-      v.GetString("kv_consistency", "repro artifact");
-  if (!kv_level_name.ok()) {
-    return kv_level_name.status();
-  }
-  Result<KvConsistency> kv_level = KvConsistencyFromName(kv_level_name.value());
-  if (!kv_level.ok()) {
-    return kv_level.status();
-  }
-  Result<bool> kv_wal = v.GetBool("kv_wal", "repro artifact");
-  if (!kv_wal.ok()) {
-    return kv_wal.status();
-  }
-  Result<bool> kv_repair = v.GetBool("kv_repair", "repro artifact");
-  if (!kv_repair.ok()) {
-    return kv_repair.status();
-  }
-  Result<int64_t> repair_interval =
-      v.GetInt("kv_repair_interval_ns", "repro artifact");
-  if (!repair_interval.ok()) {
-    return repair_interval.status();
-  }
-  if (repair_interval.value() <= 0) {
-    return Status(StatusCode::kInvalidArgument,
-                  "repro artifact: kv_repair_interval_ns must be positive");
-  }
-  Result<int64_t> repair_rate =
-      v.GetInt("kv_repair_rate_bytes", "repro artifact");
-  if (!repair_rate.ok()) {
-    return repair_rate.status();
-  }
-  if (repair_rate.value() <= 0) {
-    return Status(StatusCode::kInvalidArgument,
-                  "repro artifact: kv_repair_rate_bytes must be positive");
-  }
-  Result<int64_t> repair_sessions =
-      v.GetInt("kv_repair_max_sessions", "repro artifact");
-  if (!repair_sessions.ok()) {
-    return repair_sessions.status();
-  }
-  if (repair_sessions.value() <= 0) {
-    return Status(StatusCode::kInvalidArgument,
-                  "repro artifact: kv_repair_max_sessions must be positive");
-  }
-  Result<bool> plant_storm = v.GetBool("plant_repair_storm", "repro artifact");
-  if (!plant_storm.ok()) {
-    return plant_storm.status();
-  }
-  Result<std::string> key_dist_name =
-      v.GetString("kv_key_dist", "repro artifact");
-  if (!key_dist_name.ok()) {
-    return key_dist_name.status();
-  }
-  if (key_dist_name.value() != "uniform" && key_dist_name.value() != "zipf") {
-    return Status(StatusCode::kInvalidArgument,
-                  "repro artifact: kv_key_dist must be uniform or zipf");
-  }
-  Result<double> zipf_s = v.GetDouble("kv_zipf_s", "repro artifact");
-  if (!zipf_s.ok()) {
-    return zipf_s.status();
-  }
-  if (!(zipf_s.value() > 0)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "repro artifact: kv_zipf_s must be positive");
-  }
-  Result<std::string> workload_name = v.GetString("workload", "repro artifact");
-  if (!workload_name.ok()) {
-    return workload_name.status();
-  }
-  Result<WorkloadKind> workload = WorkloadKindFromName(workload_name.value());
-  if (!workload.ok()) {
-    return workload.status();
+                  StrFormat("repro artifact: nodes below the search minimum %d",
+                            kMinFaultSearchNodes));
   }
   const JsonValue* plan_value = v.Find("plan");
   if (plan_value == nullptr) {
@@ -624,30 +492,14 @@ Result<ReproReplay> ReplayRepro(const std::string& artifact_json) {
     return expected_invariants.status();
   }
 
-  BugSpec spec = *catalog;
-  spec.fault_plan = "none";
-  spec.custom_faults = plan.value();
-  spec.check.enabled = true;
-  spec.check.plant_left_join_bug = plant.value();
-  spec.check.plant_kv_ack_before_sync = plant_kv.value();
-  spec.kv_ops_per_second = kv_ops.value();
-  spec.kv_consistency = kv_level.value();
-  spec.kv_wal = kv_wal.value();
-  spec.kv_repair = kv_repair.value();
-  spec.kv_repair_interval = VirtualDuration::Nanos(repair_interval.value());
-  spec.kv_repair_rate_bytes = repair_rate.value();
-  spec.kv_repair_max_sessions = static_cast<int>(repair_sessions.value());
-  spec.check.plant_repair_storm = plant_storm.value();
-  spec.kv_key_dist = key_dist_name.value() == "zipf" ? KvKeyDist::kZipf
-                                                     : KvKeyDist::kUniform;
-  spec.kv_zipf_s = zipf_s.value();
-  spec.workload = workload.value();
+  run.spec.fault_plan = "none";
+  run.spec.custom_faults = plan.value();
+  run.spec.check.enabled = true;
 
   ReproReplay replay;
-  replay.bug_id = bug.value();
+  replay.bug_id = run.spec.id;
   replay.expected_violated = std::move(expected_violated);
-  replay.result = RunSingle(spec, static_cast<int>(nodes.value()), mode.value(),
-                            static_cast<uint64_t>(seed.value()));
+  replay.result = RunSingle(run.spec, run.nodes, run.mode, run.seed);
   replay.invariants_match =
       replay.result.invariants.ToJson() == expected_invariants.value();
   return replay;

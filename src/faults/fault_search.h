@@ -33,6 +33,11 @@ namespace scalecheck {
 // unknown names are kInvalidArgument (repro artifacts must not guess).
 Result<RunMode> RunModeFromName(const std::string& name);
 
+// The smallest cluster ChaosSearch explores and a repro artifact replays:
+// fault victims spare the seed/contact nodes 0..2 and the workload's
+// membership target n/2.
+inline constexpr int kMinFaultSearchNodes = 5;
+
 struct FaultSearchConfig {
   // Base scenario; candidates clone it with spec.custom_faults replaced.
   // The searcher clears spec.fault_plan so only the candidate plan runs.
@@ -112,8 +117,8 @@ MinimizeResult MinimizeFaultPlan(const BugSpec& spec, int nodes, RunMode mode,
                                  const std::vector<std::string>& expected);
 
 // The self-contained repro artifact (see file comment). `spec` must carry the
-// catalog id the replaying binary will resolve; overrides that matter for the
-// replay (planted bug, kv load) are embedded explicitly.
+// catalog id the replaying binary will resolve; every knob the artifact pins
+// (a row of src/scalecheck/knob_table.h with an artifact key) is embedded.
 std::string MakeReproArtifact(const BugSpec& spec, int nodes, RunMode mode,
                               uint64_t seed, const FaultPlan& plan,
                               const RunResult& result);
@@ -128,7 +133,8 @@ struct ReproReplay {
 };
 
 // Parses and re-executes an artifact produced by MakeReproArtifact. Strict:
-// unknown format/bug/mode or a malformed plan is an error, not a guess.
+// an unknown format or key, a missing key, a value of the wrong type or out
+// of its row's range, or a malformed plan is an error, not a guess.
 Result<ReproReplay> ReplayRepro(const std::string& artifact_json);
 
 }  // namespace scalecheck

@@ -16,17 +16,6 @@ const char* KvConsistencyName(KvConsistency level) {
   return "unknown";
 }
 
-Result<KvConsistency> KvConsistencyFromName(const std::string& name) {
-  static constexpr KvConsistency kLevels[] = {
-      KvConsistency::kOne, KvConsistency::kQuorum, KvConsistency::kAll};
-  for (KvConsistency level : kLevels) {
-    if (name == KvConsistencyName(level)) {
-      return level;
-    }
-  }
-  return Status::InvalidArgument("unknown consistency level '" + name + "'");
-}
-
 int KvRequiredAcks(KvConsistency level, int replication_factor) {
   switch (level) {
     case KvConsistency::kOne:

@@ -7,10 +7,6 @@
 #ifndef SCALECHECK_SRC_KV_KV_CONSISTENCY_H_
 #define SCALECHECK_SRC_KV_KV_CONSISTENCY_H_
 
-#include <string>
-
-#include "src/common/result.h"
-
 namespace scalecheck {
 
 // How many replica acks a coordinator waits for before acknowledging the
@@ -25,7 +21,6 @@ enum class KvConsistency : int {
 };
 
 const char* KvConsistencyName(KvConsistency level);
-Result<KvConsistency> KvConsistencyFromName(const std::string& name);
 
 // The ack threshold the level demands at the given replication factor.
 int KvRequiredAcks(KvConsistency level, int replication_factor);
