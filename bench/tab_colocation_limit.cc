@@ -22,25 +22,6 @@
 namespace scalecheck {
 namespace {
 
-// The three runtime variants as declarative specs: same calculator, same
-// small scale-out (rebalance allocations are the point of §6), different
-// deployment engineering.
-BugSpec LimitProbeSpec(const char* id, ExecModel exec_model, bool space_oblivious) {
-  BugSpec spec;
-  spec.id = id;
-  spec.description = "colocation-limit probe (§8 Nome machine)";
-  spec.calc_version = CalcVersion::kV3C3881Fix;
-  spec.placement = CalcPlacement::kInlineGossipStage;
-  spec.vnodes_per_node = 1;
-  spec.workload = WorkloadKind::kScaleOut;
-  spec.join_fraction = 1.0 / 32;
-  spec.horizon = VirtualDuration::Seconds(120);
-  spec.transition_override = VirtualDuration::Seconds(20);
-  spec.exec_model = exec_model;
-  spec.space_oblivious_rebalance = space_oblivious;
-  return spec;
-}
-
 // The table cell is now the FidelityGuard's own verdict: instead of the bench
 // re-deriving thresholds, the guard that runs inside every simulation names
 // the first budget it saw violated (§8's CPU / memory / lateness triad).
@@ -72,9 +53,12 @@ int main(int argc, char** argv) {
 
   constexpr uint64_t kProbeSeed = 1234;
   ExperimentSpec grid;
-  grid.bugs = {LimitProbeSpec("probe-process", ExecModel::kProcessPerNode, false),
-               LimitProbeSpec("probe-seda", ExecModel::kSedaSingleProcess, false),
-               LimitProbeSpec("probe-oblivious", ExecModel::kSedaSingleProcess, true)};
+  // The three runtime variants: same calculator, same small scale-out
+  // (rebalance allocations are the point of §6), different deployment
+  // engineering.
+  grid.bugs = {ColocationProbeSpec(ExecModel::kProcessPerNode, false),
+               ColocationProbeSpec(ExecModel::kSedaSingleProcess, false),
+               ColocationProbeSpec(ExecModel::kSedaSingleProcess, true)};
   grid.modes = {RunMode::kColocated};
   grid.scales = {128, 256, 384, 448, 512, 640, 1024, 2048};
   grid.seeds = {kProbeSeed};

@@ -3,7 +3,8 @@
 # subsystem under sanitizers: builds the tree with SCALECHECK_SANITIZE and
 # runs the concurrency tests (the suite grid at jobs=4, the raw ThreadPool,
 # the shared CalcOutputCache hammering) plus the faults tests (crash/restart
-# lifecycle, injector scheduling, jobs>1 determinism under chaos).
+# lifecycle, injector scheduling, jobs>1 determinism under chaos) and a
+# profiled gossip deployment.
 #
 #   scripts/check_thread_safety.sh [build-dir]       # default build-tsan/
 #   SCALECHECK_SANITIZE=address scripts/check_thread_safety.sh build-asan
@@ -30,7 +31,10 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # (concurrent SetLinkFilter/SeverConnsTo against sending threads — the
 # real-carrier fault-injection path); cluster_protocol_node_test drives the
 # shared ProtocolNode's restart reset, which the ASan leg checks leaves
-# nothing dangling.
+# nothing dangling; gossip_incremental_test runs a profiled N=128 deployment
+# and demands byte-identical RunResult JSON from an unprofiled one through
+# the pooled/incremental hot paths, so lifetime bugs in payload recycling or
+# the event-slot slab surface under the sanitizer.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -38,7 +42,7 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_search_test
          transport_conformance_test real_cluster_test
          net_link_filter_test cluster_protocol_node_test
-         kv_merkle_test kv_repair_test)
+         kv_merkle_test kv_repair_test gossip_incremental_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"
@@ -48,13 +52,4 @@ for t in "${TARGETS[@]}"; do
   "$BUILD_DIR/tests/$t"
 done
 
-# Perf bench in smoke mode: no wall-clock thresholds, just the deterministic
-# operation-count assertions (same-seed runs must produce byte-identical
-# RunResult JSON through the pooled/incremental hot paths) — under the
-# sanitizer, which is exactly where lifetime bugs in payload recycling or the
-# event-slot slab would surface.
-cmake --build "$BUILD_DIR" --target perf_simcore -j"$(nproc)"
-echo "== perf_simcore --smoke ($SANITIZER) =="
-"$BUILD_DIR/bench/perf_simcore" --smoke
-
-echo "OK: parallel executor, fault injection, and perf smoke are clean under ${SANITIZER} sanitizer"
+echo "OK: parallel executor, fault injection, and the profiled gossip run are clean under ${SANITIZER} sanitizer"

@@ -3,40 +3,40 @@
 #
 #   scripts/ci_gate.sh [build-dir]        # default build/
 #
-# Four legs:
-#   1. full build + ctest (the tier-1 suite),
-#   2. perf_simcore --smoke (deterministic hot-path assertions, no wall-clock
-#      thresholds, so it cannot flake on loaded CI hosts) plus the N=256
-#      events/s floor (--floor, trips only on a >20% regression vs the
-#      recorded reference, so ordinary host noise passes),
-#   3. fidelity-guard exit-code contract: scalecheck_cli must exit 3 — and
+# Seven legs:
+#   1. full build + ctest (the tier-1 suite). It includes the host-free
+#      scaling gate (tests/scaling_gate_test.cc): deterministic counters
+#      fitted as c*N^k at N=16..128 against pinned exponents, so the perf
+#      regression check has no wall-clock threshold and cannot flake on a
+#      loaded host; constant factors go through scripts/bench_ab.sh,
+#   2. fidelity-guard exit-code contract: scalecheck_cli must exit 3 — and
 #      only 3 — when a run's verdict is invalid, so downstream automation can
 #      reject untrustworthy colocation results without parsing JSON; usage
 #      errors exit 2: a flag the selected mode would ignore, a value that
 #      does not parse whole or lies outside its range, and a search below
 #      ChaosSearch's minimum cluster size; a --sim-modes=colo run equals the
 #      full grid's colo cell,
-#   4. ChaosSearch smoke: a pinned-seed bounded search must find the planted
+#   3. ChaosSearch smoke: a pinned-seed bounded search must find the planted
 #      left-join bug, shrink it to a <=3-event reproducer, and the emitted
 #      repro artifact must replay to the identical violation (exit 4); a flag
 #      the artifact pins (--nodes) next to --repro is a usage error (exit 2),
-#   5. crash-durability smoke: a pinned-seed crash-restart FaultPlan under
+#   4. crash-durability smoke: a pinned-seed crash-restart FaultPlan under
 #      QUORUM KV load with the WAL on must lose zero acked writes (exit 0);
 #      then a pinned-seed search against the planted ack-before-sync bug
 #      must find kv-durability, shrink to <=3 events, and the repro artifact
 #      must replay to the identical violation (exit 4),
-#   6. anti-entropy smoke: a pinned-seed crash-restart plan with repair on
+#   5. anti-entropy smoke: a pinned-seed crash-restart plan with repair on
 #      must converge the diverged replicas (replica-convergence armed, exit
 #      0, repair sessions actually opened); then a pinned-seed search
 #      against the planted repair-storm bug must find replica-convergence,
 #      shrink to <=3 events, and the repro artifact must replay to the
 #      identical violation (exit 4); finally the same planted storm on the
 #      REAL socket carrier must trip the session-rate budget facet (exit 4),
-#   7. real-mode smoke: the same protocol code on REAL localhost TCP sockets
+#   6. real-mode smoke: the same protocol code on REAL localhost TCP sockets
 #      (--mode=real) must gossip an 8-node cluster to convergence under a
 #      wall-clock timeout, complete a WAL-backed quorum KV smoke (group
 #      commit over real sockets), and exit 0,
-#   8. real-mode chaos smoke: replay the islanding FaultPlan against the
+#   7. real-mode chaos smoke: replay the islanding FaultPlan against the
 #      socket carrier (--mode=real --faults=island) — the link filter must
 #      actually drop frames, and after the heal the gossip-to-unreachable
 #      escape hatch must reconverge the cluster (0 islanded endpoints)
@@ -52,12 +52,6 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
-
-echo "== perf smoke =="
-"$BUILD_DIR/bench/perf_simcore" --smoke
-
-echo "== perf floor (N=256 events/s) =="
-"$BUILD_DIR/bench/perf_simcore" --floor
 
 echo "== fidelity-guard exit codes =="
 CLI="$BUILD_DIR/examples/scalecheck_cli"
@@ -371,4 +365,4 @@ if [[ "$code" -ne 2 ]]; then
   exit 1
 fi
 
-echo "OK: build, tier-1 tests, perf smoke, guard exit codes, one deployment per spec, chaos-search, crash-durability, anti-entropy and real-mode smokes all pass"
+echo "OK: build, tier-1 tests (with the scaling gate), guard exit codes, one deployment per spec, chaos-search, crash-durability, anti-entropy and real-mode smokes all pass"

@@ -100,4 +100,23 @@ std::vector<std::string> BugCatalog::Ids() {
   return ids;
 }
 
+BugSpec ColocationProbeSpec(ExecModel exec_model, bool space_oblivious) {
+  BugSpec spec;
+  spec.id = exec_model == ExecModel::kProcessPerNode ? "probe-process" : "probe-seda";
+  if (space_oblivious) {
+    spec.id = "probe-oblivious";
+  }
+  spec.description = "colocation-limit probe (§8 Nome machine)";
+  spec.calc_version = CalcVersion::kV3C3881Fix;
+  spec.placement = CalcPlacement::kInlineGossipStage;
+  spec.vnodes_per_node = 1;
+  spec.workload = WorkloadKind::kScaleOut;
+  spec.join_fraction = 1.0 / 32;
+  spec.horizon = VirtualDuration::Seconds(120);
+  spec.transition_override = VirtualDuration::Seconds(20);
+  spec.exec_model = exec_model;
+  spec.space_oblivious_rebalance = space_oblivious;
+  return spec;
+}
+
 }  // namespace scalecheck

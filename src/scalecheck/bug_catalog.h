@@ -36,6 +36,13 @@ class BugCatalog {
   static std::vector<std::string> Ids();
 };
 
+// The §8 colocation-limit probe: a small scale-out (+N/32 nodes, 20 s
+// transitions, 120 s horizon) with the fast vnode-aware calculator, varied
+// only in deployment engineering. Not a catalog entry: it probes the
+// harness's colocation limit, not a studied bug. The id names the variant
+// ("probe-process", "probe-seda", "probe-oblivious").
+BugSpec ColocationProbeSpec(ExecModel exec_model, bool space_oblivious);
+
 }  // namespace scalecheck
 
 #endif  // SCALECHECK_SRC_SCALECHECK_BUG_CATALOG_H_

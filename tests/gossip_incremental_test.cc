@@ -146,7 +146,8 @@ TEST(IncrementalDigest, LiveViewMatchesBruteForceAcrossFlips) {
 // End-to-end: in a real deployment the per-node digest maintenance cost must
 // be bounded by the updates actually applied (plus membership rebuilds and
 // one self-bump per build), and far below the naive builds × N cost the old
-// full-recompute design paid.
+// full-recompute design paid. The profiler that counts it must be a pure
+// observer.
 TEST(IncrementalDigest, ClusterRunCostIsBoundedByChanges) {
   // Large enough that gossip staleness (not cluster size) bounds what each
   // exchange ships; at toy scales every endpoint changes every round and the
@@ -162,6 +163,15 @@ TEST(IncrementalDigest, ClusterRunCostIsBoundedByChanges) {
   const SimProfiler::Counters& c = r.profile;
   ASSERT_GT(c.digest_builds, 0u);
   ASSERT_GT(c.gossip_updates_applied, 0u);
+  EXPECT_GT(r.events_executed, 0u);
+  EXPECT_GT(r.messages_delivered, 0u);
+  EXPECT_GT(c.payload_reuses, 0u) << "payload pool never recycled a buffer";
+
+  // The profiled run's JSON minus its opt-in "profile" object is, byte for
+  // byte, the unprofiled run's.
+  RunResult unprofiled = r;
+  unprofiled.has_profile = false;
+  EXPECT_EQ(unprofiled.ToJson(), RunSingle(spec, kNodes, RunMode::kColocated, 7).ToJson());
 
   // Each full rebuild touches at most N entries (the endpoint map never
   // exceeds cluster size); each incremental refresh is accounted against an
