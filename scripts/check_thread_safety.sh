@@ -34,7 +34,10 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # nothing dangling; gossip_incremental_test runs a profiled N=128 deployment
 # and demands byte-identical RunResult JSON from an unprofiled one through
 # the pooled/incremental hot paths, so lifetime bugs in payload recycling or
-# the event-slot slab surface under the sanitizer.
+# the event-slot slab surface under the sanitizer; sim_thread_expiry_test and
+# sim_golden_test cover SimThread releasing an expired queued job's closures
+# at enqueue (its shedding golden drops ~11k gossip jobs), so the ASan leg
+# shows that no step of a released job is ever called.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -42,7 +45,8 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_search_test
          transport_conformance_test real_cluster_test
          net_link_filter_test cluster_protocol_node_test
-         kv_merkle_test kv_repair_test gossip_incremental_test)
+         kv_merkle_test kv_repair_test gossip_incremental_test
+         sim_thread_expiry_test sim_golden_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"

@@ -81,6 +81,12 @@ void SimThread::Enqueue(Job job) {
     job.has_intended_ = true;
   }
   queue_.push_back(std::move(job));
+  // Now() never moves back, so a queued job past its expiry can only be shed:
+  // release its closures (and the payloads they pin) now, not at the front.
+  // The job stays queued as a tombstone and is shed and counted on time.
+  while (released_ < queue_.size() && Expired(queue_[released_])) {
+    ReleaseSteps(queue_[released_++]);
+  }
   if (!busy_) {
     StartNextJob();
   }
@@ -89,6 +95,7 @@ void SimThread::Enqueue(Job job) {
 void SimThread::Kill() {
   dead_ = true;
   queue_.clear();
+  released_ = 0;
   ++step_gen_;  // invalidate stale async completions
   if (active_cpu_task_ != 0) {
     machine_->cpu().CancelTask(active_cpu_task_);
@@ -107,13 +114,28 @@ void SimThread::Revive() {
   dead_ = false;
 }
 
+bool SimThread::Expired(const Job& job) const {
+  return job.has_expiry_ && sim_->Now() > job.intended_ + job.expiry_;
+}
+
+void SimThread::ReleaseSteps(Job& job) {
+  // Swapped out first, so a closure's destructor never sees a half-torn job.
+  std::vector<Job::Step> steps;
+  steps.swap(job.steps_);
+}
+
 void SimThread::StartNextJob() {
   CHECK(!busy_);
   while (!queue_.empty()) {
-    current_ = std::move(queue_.front());
+    bool expired = Expired(queue_.front());
+    if (!expired) {
+      current_ = std::move(queue_.front());
+    }
     queue_.pop_front();
-    if (current_.has_expiry_ &&
-        sim_->Now() > current_.intended_ + current_.expiry_) {
+    if (released_ > 0) {
+      --released_;
+    }
+    if (expired) {
       // Shed the task, Cassandra-stage style: it is too stale to be useful.
       ++jobs_dropped_;
       continue;
@@ -133,11 +155,13 @@ void SimThread::RunSteps() {
   while (true) {
     if (dead_) {
       busy_ = false;
+      ReleaseSteps(current_);
       return;
     }
     if (step_index_ >= current_.steps_.size()) {
       ++jobs_completed_;
       busy_ = false;
+      ReleaseSteps(current_);
       // Let the caller (StartNextJob loop or OnStepComplete) pick the next
       // job; avoid recursing here.
       return;

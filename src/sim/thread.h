@@ -136,6 +136,9 @@ class SimThread {
 
  private:
   void StartNextJob();
+  bool Expired(const Job& job) const;
+  // Destroys the job's steps, keeping its label, intended time and expiry.
+  static void ReleaseSteps(Job& job);
   // Executes steps of the current job until an async boundary or completion.
   void RunSteps();
   // Completion callback for async steps; `gen` guards against stale wakeups.
@@ -146,6 +149,8 @@ class SimThread {
   std::string name_;
 
   std::deque<Job> queue_;
+  // queue_[0, released_) are expired jobs whose steps are already released.
+  size_t released_ = 0;
   Job current_{""};
   size_t step_index_ = 0;
   bool busy_ = false;

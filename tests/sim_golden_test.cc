@@ -1,10 +1,11 @@
 // Golden byte-identity test for the substrate seam.
 //
-// These two JSON blobs were captured from scalecheck_cli:
+// These JSON blobs were captured from scalecheck_cli:
 //
 //   scalecheck_cli --bug=C3831 --mode=suite --sim-modes=colo --nodes=24 --seed=7 --json
 //   scalecheck_cli --bug=C5456 --mode=suite --sim-modes=colo --nodes=16 --seed=7
 //                  --faults=standard-chaos --json
+//   scalecheck_cli --bug=C3831 --mode=suite --sim-modes=colo --nodes=128 --seed=7 --json
 //
 // The seam (SimClock/SimTransport/SimStage forwarding to Simulator +
 // NetworkModel) must not perturb one byte of the result: same event order,
@@ -173,6 +174,51 @@ constexpr char kGoldenKvDurable[] =
 TEST(SimGolden, KvDurableN16Seed7ByteIdentical) {
   RunResult result = RunPinned(KvDurableSpec(), 16, 7);
   EXPECT_EQ(result.ToJson(), kGoldenKvDurable);
+}
+
+// A run that sheds: the C3831 Colo cell at N=128 saturates its gossip stages
+// behind the inline calculation, so SYN/ACK/ACK2 jobs outlive the stage
+// timeout and are dropped unrun (stage_tasks_dropped). Captured before
+// SimThread began releasing an expired queued job's closures at enqueue;
+// that release must not move one byte of it.
+constexpr char kGoldenC3831ShedsN128[] =
+    "{\"mode\":\"Colo\",\"num_nodes\":128,\"vnodes_per_node\":1,\"flaps\":1966,\"flapped_p"
+    "airs\":1961,\"live_endpoints\":16129,\"unreachable_endpoints\":0,\"test_duration_ns\""
+    ":170000000000,\"settle_time_ns\":130000000000,\"settled\":true,\"max_cpu_utilization"
+    "\":0.60187205436139701,\"peak_memory_bytes\":9586122752,\"oom\":false,\"crashed_nodes"
+    "\":0,\"restarted_nodes\":0,\"fault_events_applied\":0,\"fault_events_healed\":0,\"mes"
+    "sages_blocked\":0,\"lateness_p99_ns\":3999913840,\"lateness_max_ns\":3999913840,\"lat"
+    "eness_early_count\":0,\"fidelity\":{\"verdict\":\"invalid\",\"violated_budget\":\"lat"
+    "eness_p99\",\"first_violation_at_ns\":40000000000,\"violations\":[{\"budget\":\"laten"
+    "ess_p99\",\"severity\":\"invalid\",\"first_at_ns\":40000000000,\"observed\":3.0948500"
+    "980000002,\"limit\":2},{\"budget\":\"lateness_p99\",\"severity\":\"degraded\",\"first"
+    "_at_ns\":40000000000,\"observed\":3.0948500980000002,\"limit\":0.5}]},\"invariants\":"
+    "{\"checked\":true,\"probes\":18,\"kv_checked\":false,\"ok\":false,\"violations\":[{\""
+    "invariant\":\"gossip-convergence\",\"first_at_ns\":50000000000,\"count\":1258,\"detai"
+    "l\":\"node 4 still considers live node 11 dead 50s after fault quiescence\"},{\"invar"
+    "iant\":\"partition-heals\",\"first_at_ns\":50000000000,\"count\":1258,\"detail\":\"no"
+    "de 11 is still islanded from node 4 50 gossip rounds after fault quiescence — the unr"
+    "eachable escape hatch never re-established contact\"}]},\"watchdog_fired\":false,\"re"
+    "play_drift\":{\"misses\":0,\"diverged\":false,\"aborted\":false,\"first_function\":\""
+    "\",\"first_digest\":\"\",\"first_at_ns\":0,\"first_call_index\":0,\"order_context\":"
+    "\"\"},\"calc_invocations\":920,\"calc_executed_real\":27,\"calc_duration_seconds\":{"
+    "\"count\":920,\"mean\":1.5221284783043474,\"min\":0,\"max\":1.56815028,\"sum\":1400.3"
+    "582000400299},\"calc_lock_hold_seconds\":{\"count\":0,\"mean\":0,\"min\":0,\"max\":0,"
+    "\"sum\":0},\"pil\":{\"direct_runs\":920,\"memoized_runs\":0,\"replay_hits\":0,\"repla"
+    "y_misses\":0},\"memo\":{\"records\":0,\"duplicate_puts\":0,\"determinism_violations\""
+    ":0,\"lookups\":0,\"hits\":0,\"misses\":0},\"order_divergences\":0,\"order_enforced\":"
+    "0,\"kv_issued\":0,\"kv_ok\":0,\"kv_unavailable\":0,\"kv_timeout\":0,\"kv_inflight_at_"
+    "stop\":0,\"kv_retries\":0,\"kv_gave_up\":0,\"kv_latency_p50_ns\":0,\"kv_latency_p99_n"
+    "s\":0,\"kv_latency_p999_ns\":0,\"kv_wal_bytes\":0,\"kv_hints_queued\":0,\"kv_hints_re"
+    "played\":0,\"kv_hints_expired\":0,\"kv_read_repairs\":0,\"kv_ops_one\":0,\"kv_ops_quo"
+    "rum\":0,\"kv_ops_all\":0,\"kv_repair_sessions\":0,\"kv_repair_bytes_streamed\":0,\"kv"
+    "_repair_keys_fixed\":0,\"kv_repair_aborted\":0,\"messages_sent\":47919,\"messages_del"
+    "ivered\":47919,\"stage_tasks_dropped\":11132,\"events_executed\":151032}";
+
+TEST(SimGolden, C3831ColoShedsN128Seed7ByteIdentical) {
+  RunResult result = RunPinned(BugCatalog::Get("C3831"), 128, 7);
+  EXPECT_GT(result.stage_tasks_dropped, 0u);
+  EXPECT_EQ(result.ToJson(), kGoldenC3831ShedsN128);
 }
 
 }  // namespace
