@@ -24,7 +24,7 @@ RunResult RunWithLoad(WorkloadKind kind) {
       BugCatalog::Get("C3831").MakeClusterOptions(192, RunMode::kColocated, 1717);
   // Load set here rather than through BugSpec::kv_ops_per_second: the spec's
   // KV path adds client retries, which would hide the failures counted below.
-  options.config.enable_kv = true;
+  options.config.kv.enabled = true;
   options.workload.kind = kind;
   options.workload.horizon = VirtualDuration::Seconds(240);
   options.kv_ops_per_second = 150.0;

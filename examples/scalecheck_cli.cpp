@@ -198,7 +198,7 @@ int RunReal(const RunSettings& s) {
   RealCluster::Options options = s.real;
   options.config.initial_nodes = s.run.nodes;
   options.config.seed = s.run.seed;
-  options.config.enable_kv = options.kv_ops > 0;
+  options.config.kv.enabled = options.kv_ops > 0;
   // Same named plans as sim mode; RealCluster rescales the schedule to its
   // gossip interval and reports a partition-heals verdict (exit code 4 on
   // a cluster that fails to reconverge).

@@ -37,7 +37,11 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # the event-slot slab surface under the sanitizer; sim_thread_expiry_test and
 # sim_golden_test cover SimThread releasing an expired queued job's closures
 # at enqueue (its shedding golden drops ~11k gossip jobs), so the ASan leg
-# shows that no step of a released job is ever called.
+# shows that no step of a released job is ever called; kv_durability_test
+# crashes and restarts replicas with the WAL on and kv_cluster_test crashes
+# one under quorum load, so the ASan leg covers KvService's OnCrash/OnRestart
+# path reading the KvConfig its Deps now carry (AntiEntropy reads the same
+# Deps by reference, which must outlive every timer it arms).
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -46,7 +50,8 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          transport_conformance_test real_cluster_test
          net_link_filter_test cluster_protocol_node_test
          kv_merkle_test kv_repair_test gossip_incremental_test
-         sim_thread_expiry_test sim_golden_test)
+         sim_thread_expiry_test sim_golden_test
+         kv_durability_test kv_cluster_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"

@@ -13,9 +13,9 @@
 #      only 3 — when a run's verdict is invalid, so downstream automation can
 #      reject untrustworthy colocation results without parsing JSON; usage
 #      errors exit 2: a flag the selected mode would ignore, a value that
-#      does not parse whole or lies outside its range, and a search below
-#      ChaosSearch's minimum cluster size; a --sim-modes=colo run equals the
-#      full grid's colo cell,
+#      does not parse whole or lies outside its range, a search below
+#      ChaosSearch's minimum cluster size, and a KV flag that would act on
+#      nothing; a --sim-modes=colo run equals the full grid's colo cell,
 #   3. ChaosSearch smoke: a pinned-seed bounded search must find the planted
 #      left-join bug, shrink it to a <=3-event reproducer, and the emitted
 #      repro artifact must replay to the identical violation (exit 4); a flag
@@ -87,14 +87,17 @@ fi
 # A flag the selected mode would ignore is a usage error too (exit 2), not a
 # silent no-op: a BugSpec knob with --mode=real, a socket knob in a sim mode,
 # a search knob outside search. So is a value that does not parse whole or
-# lies outside its range, and a search below ChaosSearch's minimum N (the
-# searcher would abort on its internal CHECK instead).
+# lies outside its range, a search below ChaosSearch's minimum N (the
+# searcher would abort on its internal CHECK instead), and a KV flag that
+# would act on nothing: no KV load, or a WAL/repair flag with that path off.
 for flags in "--mode=real --kv-rate=100 --nodes=8" \
              "--mode=suite --sim-modes=colo --kv-ops=8 --nodes=8" \
              "--seed=abc" \
              "--kv-repair-rate=1e6" \
              "--mode=suite --search-budget=3" \
-             "--mode=search --nodes=4"; do
+             "--mode=search --nodes=4" \
+             "--mode=suite --sim-modes=colo --nodes=8 --kv-wal --plant-kv-bug" \
+             "--mode=real --nodes=4 --kv-ops=8 --plant-kv-bug=repair-storm"; do
   set +e
   "$CLI" $flags >/dev/null 2>&1
   code=$?

@@ -54,7 +54,7 @@ struct CheckOptions {
   // inside the sync window then silently loses acknowledged writes, which
   // the kv-durability invariant reports when the restarted replica's
   // recovered storage is missing a version it acked. Only meaningful with
-  // the WAL enabled (ClusterConfig::kv_wal).
+  // the WAL enabled (ClusterConfig::kv.wal).
   bool plant_kv_ack_before_sync = false;
 
   // Test-only planted bug (the repair-storm ChaosSearch target): the
@@ -63,7 +63,7 @@ struct CheckOptions {
   // peer on every tick. The replica-convergence invariant's repair-budget
   // facet flags any node whose streamed repair bytes exceed what the
   // configured token bucket could have issued. Only meaningful with
-  // ClusterConfig::kv_repair on.
+  // ClusterConfig::kv.repair on.
   bool plant_repair_storm = false;
 };
 

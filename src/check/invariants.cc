@@ -134,7 +134,7 @@ class PartitionHealsInvariant : public Invariant {
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
     const VirtualDuration bound =
-        ctx.gossip_interval * sink->options().partition_heal_rounds;
+        ctx.config->gossip_interval * sink->options().partition_heal_rounds;
     if (ctx.now < ctx.fault_quiet_at + bound) return;
     // Same stable-participant filter as gossip-convergence, with the heal
     // bound as the stability window: a node that crashed and came back (or
@@ -161,7 +161,7 @@ class PartitionHealsInvariant : public Invariant {
                         static_cast<long long>(viewer->id()),
                         static_cast<long long>(
                             (ctx.now - ctx.fault_quiet_at).nanos() /
-                            std::max<int64_t>(1, ctx.gossip_interval.nanos()))));
+                            std::max<int64_t>(1, ctx.config->gossip_interval.nanos()))));
         }
       }
     }
@@ -384,7 +384,7 @@ class KvHistoryInvariant : public Invariant {
 // caught. Crashed/never-restarted ackers are skipped (nothing to inspect);
 // restart recovery is synchronous, so a running restarted node has already
 // replayed its durable WAL prefix by the time any probe sees it. Gated on
-// kv_wal because the default in-memory store survives crashes by construction
+// kv.wal because the default in-memory store survives crashes by construction
 // (the check would be vacuous) — with the WAL on, an ack must imply a synced
 // record, which is exactly what the plant_kv_ack_before_sync bug breaks.
 class KvDurabilityInvariant : public Invariant {
@@ -392,7 +392,7 @@ class KvDurabilityInvariant : public Invariant {
   const char* name() const override { return "kv-durability"; }
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
-    if (!ctx.kv_checkable || !ctx.kv_wal || ctx.history == nullptr) return;
+    if (!ctx.kv_checkable || !ctx.config->kv.wal || ctx.history == nullptr) return;
     const KvHistory& h = *ctx.history;
     const auto& ops = h.ops();
     const auto& order = h.conclusion_order();
@@ -437,7 +437,7 @@ class KvDurabilityInvariant : public Invariant {
 
 // ---- replica-convergence ----------------------------------------------------
 
-// Anti-entropy health, gated on kv_repair (without repair, divergence that
+// Anti-entropy health, gated on kv.repair (without repair, divergence that
 // hinted handoff missed is EXPECTED to persist, so the check would flag
 // healthy runs). Two facets:
 //
@@ -461,7 +461,7 @@ class ReplicaConvergenceInvariant : public Invariant {
   const char* name() const override { return "replica-convergence"; }
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
-    if (!ctx.kv_repair) return;
+    if (!ctx.config->kv.repair) return;
     ProbeBudget(ctx, sink);
     if (!ctx.kv_checkable || ctx.history == nullptr) return;
     IndexNewConclusions(*ctx.history);
@@ -494,7 +494,7 @@ class ReplicaConvergenceInvariant : public Invariant {
         int64_t expected = WinningTimestampBefore(key, cutoff);
         if (expected <= 0) continue;
         std::vector<NodeId> replicas = node->ring().NaturalEndpointsForKey(
-            KvTokenForKey(key), ctx.replication_factor);
+            KvTokenForKey(key), ctx.config->replication_factor);
         if (std::find(replicas.begin(), replicas.end(), node->id()) ==
             replicas.end()) {
           continue;
@@ -530,11 +530,11 @@ class ReplicaConvergenceInvariant : public Invariant {
   };
 
   void ProbeBudget(const InvariantContext& ctx, InvariantRegistry* sink) {
-    if (ctx.kv_repair_rate_bytes <= 0) return;
+    if (ctx.config->kv.repair_rate_bytes <= 0) return;
     const double elapsed_seconds =
         static_cast<double>(ctx.now.nanos()) / 1e9;
     const double allowance =
-        static_cast<double>(ctx.kv_repair_rate_bytes) * elapsed_seconds * 2.0 +
+        static_cast<double>(ctx.config->kv.repair_rate_bytes) * elapsed_seconds * 2.0 +
         4.0 * 1024.0 * 1024.0;
     for (const Node* node : *ctx.nodes) {
       if (!Running(node) || node->kv() == nullptr) continue;
@@ -546,7 +546,7 @@ class ReplicaConvergenceInvariant : public Invariant {
                       "2x its %lld B/s budget — repair storm",
                       static_cast<long long>(node->id()),
                       static_cast<long long>(streamed), elapsed_seconds,
-                      static_cast<long long>(ctx.kv_repair_rate_bytes)));
+                      static_cast<long long>(ctx.config->kv.repair_rate_bytes)));
       }
     }
   }

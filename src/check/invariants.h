@@ -35,7 +35,7 @@
 //                        restart. Auditing the CONCRETE ackers (not the
 //                        current natural endpoints) makes the check immune to
 //                        ring movement; only meaningful with the WAL enabled
-//                        (kv_wal), since without it replica storage is
+//                        (kv.wal), since without it replica storage is
 //                        unrealistically crash-durable by construction
 //   replica-convergence  two facets of anti-entropy health. Data: after fault
 //                        quiescence plus a grace period, every stable NORMAL
@@ -44,7 +44,7 @@
 //                        winning acked timestamp — divergence that hinted
 //                        handoff missed must be repaired by anti-entropy
 //                        within the grace window. Budget: with repair on
-//                        (kv_repair), no node may stream repair bytes beyond
+//                        (kv.repair), no node may stream repair bytes beyond
 //                        2x its configured rate over the run (plus a fixed
 //                        slack) — the signature of a repair storm that
 //                        ignores its throttle (plant_repair_storm)
@@ -67,6 +67,7 @@ namespace scalecheck {
 class JsonWriter;
 class KvHistory;
 class Node;
+struct ClusterConfig;
 
 // Aggregated sighting of one invariant: the virtual time and detail of the
 // first violation plus how many sightings followed (a persistent zombie is
@@ -114,23 +115,14 @@ struct InvariantContext {
   VirtualTime now;
   // All cluster nodes in id order (crashed ones included; checkers filter).
   const std::vector<const Node*>* nodes = nullptr;
-  int replication_factor = 3;
+  // The run's configuration: the replication factor, the gossip round
+  // period (scales partition_heal_rounds) and the KV settings, whose kv.wal
+  // and kv.repair arm the invariants above.
+  const ClusterConfig* config = nullptr;
   // Virtual instant the last scheduled fault heals (Zero when no faults).
   VirtualTime fault_quiet_at;
-  // The deployment's gossip round period (scales partition_heal_rounds).
-  VirtualDuration gossip_interval = VirtualDuration::Seconds(1);
   // True when the run's workload preserves key ownership (see kv-history).
   bool kv_checkable = false;
-  // True when the durable replica path is on (ClusterConfig::kv_wal); gates
-  // kv-durability, which is vacuous against the crash-durable default store.
-  bool kv_wal = false;
-  // True when anti-entropy repair is on (ClusterConfig::kv_repair); gates the
-  // replica-convergence data facet's repair expectation and the budget facet.
-  bool kv_repair = false;
-  // Per-node repair stream budget in bytes/sec (ClusterConfig's
-  // kv_repair_rate_bytes); the budget facet allows 2x this rate integrated
-  // over the run plus a fixed slack before calling storm.
-  int64_t kv_repair_rate_bytes = 0;
   const KvHistory* history = nullptr;
 };
 

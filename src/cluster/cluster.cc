@@ -10,6 +10,14 @@
 #include "src/common/strings.h"
 
 namespace scalecheck {
+namespace {
+
+// The run stops this long after the workload settles (flap recovery tail).
+constexpr VirtualDuration kCooldown = VirtualDuration::Seconds(40);
+// KV load driver writes are padded to this many bytes.
+constexpr size_t kKvValueBytes = 128;
+
+}  // namespace
 
 const char* RunModeName(RunMode mode) {
   switch (mode) {
@@ -175,7 +183,7 @@ void Cluster::BuildDeployment() {
   if (cfg.check.enabled) {
     invariants_ = std::make_unique<InvariantRegistry>(cfg.check);
     invariants_->AddBuiltins();
-    if (cfg.enable_kv) {
+    if (cfg.kv.enabled) {
       kv_history_ = std::make_unique<KvHistory>();
     }
   }
@@ -479,7 +487,7 @@ RunResult Cluster::Run() {
   // KV client load: ops against random coordinators (70% reads).
   std::unique_ptr<PeriodicTimer> kv_driver;
   if (options_.kv_ops_per_second > 0.0) {
-    CHECK(options_.config.enable_kv) << "kv load needs config.enable_kv";
+    CHECK(options_.config.kv.enabled) << "kv load needs config.kv.enabled";
     kv_rng_ = std::make_unique<Rng>(Mix64(options_.config.seed ^ 0x4b56ULL));
     if (options_.kv_key_dist == KvKeyDist::kZipf && kv_zipf_cdf_.empty()) {
       // Normalized cumulative weights 1/(k+1)^s; sampling is one uniform
@@ -522,13 +530,13 @@ RunResult Cluster::Run() {
           }
         };
         if (kv_rng_->Bernoulli(0.3)) {
-          // Unique per-write values (padded to the configured size) so the
+          // Unique per-write values (padded to kKvValueBytes) so the
           // KV history checker can attribute any read result to exactly one
           // write.
           std::string value =
               StrFormat("v%lld.", static_cast<long long>(kv_issued_));
-          if (value.size() < static_cast<size_t>(options_.kv_value_bytes)) {
-            value.resize(static_cast<size_t>(options_.kv_value_bytes), 'v');
+          if (value.size() < kKvValueBytes) {
+            value.resize(kKvValueBytes, 'v');
           }
           coordinator->kv()->Write(key, std::move(value), done);
         } else {
@@ -551,7 +559,7 @@ RunResult Cluster::Run() {
         if (!settled_ && sim_->Now() >= fault_quiet_at && WorkloadSettled()) {
           settled_ = true;
           settle_time_ = sim_->Now();
-          stop_at = std::min(horizon, sim_->Now() + options_.cooldown);
+          stop_at = std::min(horizon, sim_->Now() + kCooldown);
         }
         if (settled_ && sim_->Now() >= stop_at) {
           sim_->RequestStop();
@@ -623,9 +631,8 @@ void Cluster::ProbeInvariants() {
   InvariantContext ctx;
   ctx.now = sim_->Now();
   ctx.nodes = &node_view_;
-  ctx.replication_factor = options_.config.replication_factor;
+  ctx.config = &options_.config;
   ctx.fault_quiet_at = VirtualTime::Zero() + options_.faults.End();
-  ctx.gossip_interval = options_.config.gossip_interval;
   // The KV history checker is only sound on workloads that preserve key
   // ownership: the simulator has no data-streaming model, so a membership
   // change legitimately strands acknowledged data on the old replicas. It
@@ -633,10 +640,7 @@ void Cluster::ProbeInvariants() {
   // not provide (a ONE read legitimately misses a ONE write).
   ctx.kv_checkable = (wl.kind == WorkloadKind::kSteadyState ||
                       wl.kind == WorkloadKind::kFailover) &&
-                     options_.config.kv_consistency != KvConsistency::kOne;
-  ctx.kv_wal = options_.config.kv_wal;
-  ctx.kv_repair = options_.config.kv_repair;
-  ctx.kv_repair_rate_bytes = options_.config.kv_repair_rate_bytes;
+                     options_.config.kv.consistency != KvConsistency::kOne;
   ctx.history = kv_history_.get();
   invariants_->Probe(ctx);
 }

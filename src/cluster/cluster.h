@@ -49,11 +49,8 @@ class Cluster {
     // sfind profiling hook: (function, executed ops, ring entries).
     std::function<void(PilFunctionId, int64_t, size_t)> profile_hook;
     NetworkModel::Config network;
-    // Stop this long after the workload settles (flap recovery tail).
-    VirtualDuration cooldown = VirtualDuration::Seconds(40);
-    // Client load on the KV data path (requires config.enable_kv).
+    // Client load on the KV data path (requires config.kv.enabled).
     double kv_ops_per_second = 0.0;
-    int kv_value_bytes = 128;
     uint64_t kv_key_space = 100000;
     // Key distribution for the driver. Zipf sampling draws from the same RNG
     // stream as uniform (one draw per op), so switching distributions changes
@@ -99,7 +96,7 @@ class Cluster {
   const PendingRangeCalculator* bootstrap_calc() const { return bootstrap_calc_.get(); }
   // Non-null iff config.check.enabled.
   const InvariantRegistry* invariants() const { return invariants_.get(); }
-  // Non-null iff config.check.enabled && config.enable_kv.
+  // Non-null iff config.check.enabled && config.kv.enabled.
   const KvHistory* kv_history() const { return kv_history_.get(); }
   // Deployment name->id authority; interning order == NodeId (checked).
   const EndpointInterner& interner() const { return interner_; }

@@ -9,7 +9,7 @@
 #include "src/common/types.h"
 #include "src/gossip/failure_detector.h"
 #include "src/gossip/gossiper.h"
-#include "src/kv/kv_consistency.h"
+#include "src/kv/kv_config.h"
 #include "src/pil/boundary.h"
 #include "src/ring/calculators.h"
 #include "src/sim/fidelity_guard.h"
@@ -104,45 +104,8 @@ struct ClusterConfig {
   bool space_oblivious_rebalance = false;
 
   // ---- Data path -------------------------------------------------------------
-  // Enables the quorum KV service on every node (examples, user-impact
-  // metrics). The control-plane experiments leave it off.
-  bool enable_kv = false;
-  // Per-attempt quorum timeout and the client-request retry policy (see
-  // KvService::Deps). The default is non-retrying so the control-plane
-  // experiments observe raw unavailability; fault-injection runs opt in.
-  VirtualDuration kv_timeout = VirtualDuration::Seconds(2);
-  int kv_max_attempts = 1;
-  VirtualDuration kv_retry_base_backoff = VirtualDuration::Millis(50);
-  VirtualDuration kv_request_deadline = VirtualDuration::Seconds(8);
-  // Ack threshold for reads and writes (ONE / QUORUM / ALL).
-  KvConsistency kv_consistency = KvConsistency::kQuorum;
-  // Durable replica path: per-node WAL with group commit; a crash loses the
-  // unsynced tail plus the in-memory engine, restart replays the durable
-  // prefix. Off by default so the control-plane experiments keep their
-  // calibrated (unrealistically crash-durable) storage behaviour.
-  bool kv_wal = false;
-  VirtualDuration kv_wal_sync_interval = VirtualDuration::Millis(250);
-  // Hinted handoff bounds (total hints per coordinator; zero disables) and
-  // per-hint TTL.
-  size_t kv_hint_limit = 1024;
-  VirtualDuration kv_hint_ttl = VirtualDuration::Seconds(120);
-  // Background read-repair probability on mismatch-free reads (observed
-  // mismatches always repair).
-  double kv_read_repair_chance = 0.1;
-  // Anti-entropy repair (src/kv/anti_entropy.h): periodic Merkle-tree
-  // sessions against co-replica peers, streaming only differing leaf ranges.
-  // Off by default — when off no AntiEntropy instance exists and the
-  // pre-anti-entropy RNG/golden behaviour is untouched.
-  bool kv_repair = false;
-  VirtualDuration kv_repair_interval = VirtualDuration::Seconds(10);
-  // Overload-safety knobs: token-bucket byte rate, concurrent session cap,
-  // per-session timeout/retries, and the in-flight-op threshold above which
-  // the scheduler yields to foreground traffic.
-  int64_t kv_repair_rate_bytes = 256 * 1024;
-  int kv_repair_max_sessions = 1;
-  VirtualDuration kv_repair_session_timeout = VirtualDuration::Seconds(10);
-  int kv_repair_max_retries = 2;
-  size_t kv_repair_pressure_max_inflight = 16;
+  // The quorum KV service on every node (kv_config.h); off by default.
+  KvConfig kv;
 
   // ---- Fidelity guardrails (§8) ---------------------------------------------
   // Budgets for the FidelityGuard that classifies each run ok/degraded/

@@ -58,7 +58,7 @@ Node::Node(Env* env, NodeId self, Machine* machine, uint64_t seed)
                        ? nullptr
                        : std::make_unique<SimThread>(env->sim, machine,
                                                      StrFormat("n%d/calc", self))),
-      kv_stage_(env->config->enable_kv
+      kv_stage_(env->config->kv.enabled
                     ? std::make_unique<SimThread>(env->sim, machine,
                                                   StrFormat("n%d/kv-stage", self))
                     : nullptr),

@@ -214,7 +214,7 @@ class Node final : private ProtocolNode::Host {
   const SimMutex& ring_lock() const { return ring_lock_; }
   uint64_t order_divergences() const;
   uint64_t order_enforced() const;
-  // Non-null iff config.enable_kv.
+  // Non-null iff config.kv.enabled.
   KvService* kv() { return core_.kv(); }
   const KvService* kv() const { return core_.kv(); }
   // Gossip-processing tasks shed for staleness (stage overload signature).

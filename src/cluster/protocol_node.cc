@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/kv/anti_entropy.h"
 
@@ -27,45 +26,23 @@ ProtocolNode::ProtocolNode(NodeId id, uint64_t seed, Deps wiring)
   CHECK_NOTNULL(clock_);
   CHECK_NOTNULL(host_);
   unmonitored_.insert(id_);
-  if (config_->enable_kv) {
-    const ClusterConfig& c = *config_;
-    KvService::Deps deps;
-    deps.clock = clock_;
-    deps.transport = transport_;
+  if (config_->kv.enabled) {
     CHECK_NOTNULL(wiring.kv_stage);
-    deps.stage = wiring.kv_stage;
-    deps.ring = &ring_;
-    deps.gossiper = &gossiper_;
-    deps.self = id_;
-    deps.replication_factor = c.replication_factor;
-    deps.timeout = c.kv_timeout;
-    deps.max_attempts = c.kv_max_attempts;
-    deps.retry_base_backoff = c.kv_retry_base_backoff;
-    deps.request_deadline = c.kv_request_deadline;
-    deps.consistency = c.kv_consistency;
-    deps.wal_enabled = c.kv_wal;
-    deps.wal_sync_interval = c.kv_wal_sync_interval;
-    deps.plant_ack_before_sync = c.check.plant_kv_ack_before_sync;
-    deps.hint_limit = c.kv_hint_limit;
-    deps.hint_ttl = c.kv_hint_ttl;
-    deps.read_repair_chance = c.kv_read_repair_chance;
-    // Derived from the node seed without consuming rng_ state, so enabling
-    // retries (or read repair) leaves every other per-node random draw
-    // untouched.
-    deps.retry_seed = HashCombine(seed, 0x4b565254ULL);   // "KVRT"
-    deps.repair_seed = HashCombine(seed, 0x4b565252ULL);  // "KVRR"
-    deps.repair_enabled = c.kv_repair;
-    deps.repair_interval = c.kv_repair_interval;
-    deps.repair_rate_bytes = c.kv_repair_rate_bytes;
-    deps.repair_max_sessions = c.kv_repair_max_sessions;
-    deps.repair_session_timeout = c.kv_repair_session_timeout;
-    deps.repair_max_retries = c.kv_repair_max_retries;
-    deps.repair_pressure_max_inflight = c.kv_repair_pressure_max_inflight;
-    deps.plant_repair_storm = c.check.plant_repair_storm;
-    deps.anti_entropy_seed = HashCombine(seed, 0x4b565245ULL);  // "KVRE"
-    deps.charge = std::move(wiring.kv_charge);
-    deps.history = wiring.kv_history;
-    kv_ = std::make_unique<KvService>(std::move(deps));
+    kv_ = std::make_unique<KvService>(KvService::Deps{
+        .clock = clock_,
+        .transport = transport_,
+        .stage = wiring.kv_stage,
+        .ring = &ring_,
+        .gossiper = &gossiper_,
+        .self = id_,
+        .replication_factor = config_->replication_factor,
+        .config = config_->kv,
+        .seed = seed,
+        .plant_ack_before_sync = config_->check.plant_kv_ack_before_sync,
+        .plant_repair_storm = config_->check.plant_repair_storm,
+        .charge = std::move(wiring.kv_charge),
+        .history = wiring.kv_history,
+    });
   }
 }
 

@@ -68,7 +68,7 @@ class ProtocolNode {
     Transport* transport = nullptr;
     Clock* clock = nullptr;
     Host* host = nullptr;
-    Stage* kv_stage = nullptr;  // required when config->enable_kv
+    Stage* kv_stage = nullptr;  // required when config->kv.enabled
     // Optional KvService::Deps::charge and ::history.
     std::function<void(int64_t delta)> kv_charge;
     KvHistory* kv_history = nullptr;

@@ -10,20 +10,19 @@ namespace {
 // Subtree indices per hash message; bounds both message size and the burst a
 // single response can trigger.
 constexpr size_t kMaxBatchNodes = 32;
+// Hash batches re-sent after a session timeout before the session is
+// abandoned.
+constexpr int kMaxSessionRetries = 2;
+// Yield (re-check a quarter interval later) when the node's in-flight
+// foreground client ops exceed this.
+constexpr size_t kPressureMaxInflight = 16;
 
 }  // namespace
 
-AntiEntropy::AntiEntropy(Config config, Hooks hooks)
-    : config_(std::move(config)),
-      hooks_(std::move(hooks)),
-      rng_(config_.seed) {
-  CHECK(hooks_.clock != nullptr);
-  CHECK(hooks_.transport != nullptr);
-  CHECK(hooks_.ring != nullptr);
-  CHECK(hooks_.gossiper != nullptr);
-  CHECK(hooks_.stats != nullptr);
-  bucket_bytes_ = static_cast<double>(config_.rate_bytes_per_sec);
-  bucket_refilled_ = hooks_.clock->Now();
+AntiEntropy::AntiEntropy(KvService* kv, uint64_t seed)
+    : kv_(*kv), deps_(kv->deps_), rng_(seed) {
+  bucket_bytes_ = static_cast<double>(deps_.config.repair_rate_bytes);
+  bucket_refilled_ = deps_.clock->Now();
 }
 
 AntiEntropy::~AntiEntropy() { Shutdown(); }
@@ -33,13 +32,13 @@ void AntiEntropy::Start() {
     return;
   }
   running_ = true;
-  bucket_bytes_ = static_cast<double>(config_.rate_bytes_per_sec);
-  bucket_refilled_ = hooks_.clock->Now();
-  timer_ = std::make_unique<PeriodicClockTimer>(hooks_.clock, config_.interval,
+  bucket_bytes_ = static_cast<double>(deps_.config.repair_rate_bytes);
+  bucket_refilled_ = deps_.clock->Now();
+  timer_ = std::make_unique<PeriodicClockTimer>(deps_.clock, deps_.config.repair_interval,
                                                [this] { Tick(); });
   // Desynchronized phase, same idea as the gossip timer: every node ticking
   // in lockstep is itself a storm.
-  timer_->Start(config_.interval * rng_.UniformDouble());
+  timer_->Start(deps_.config.repair_interval * rng_.UniformDouble());
 }
 
 void AntiEntropy::Stop() {
@@ -98,20 +97,20 @@ std::map<NodeId, std::vector<KeyRange>> AntiEntropy::CoReplicaRanges(
 // Token bucket
 
 void AntiEntropy::RefillBucket() {
-  const VirtualTime now = hooks_.clock->Now();
+  const VirtualTime now = deps_.clock->Now();
   const VirtualDuration dt = now - bucket_refilled_;
   bucket_refilled_ = now;
   if (dt.IsNegative()) {
     return;
   }
-  const double burst = static_cast<double>(config_.rate_bytes_per_sec);
+  const double burst = static_cast<double>(deps_.config.repair_rate_bytes);
   bucket_bytes_ = std::min(
-      burst, bucket_bytes_ + static_cast<double>(config_.rate_bytes_per_sec) *
+      burst, bucket_bytes_ + static_cast<double>(deps_.config.repair_rate_bytes) *
                                  dt.seconds());
 }
 
 bool AntiEntropy::SpendBytes(int64_t bytes) {
-  if (config_.plant_storm) {
+  if (deps_.plant_repair_storm) {
     return true;  // PLANTED BUG: the rate limiter is ignored outright
   }
   RefillBucket();
@@ -123,7 +122,7 @@ bool AntiEntropy::SpendBytes(int64_t bytes) {
 }
 
 void AntiEntropy::ChargeBytes(int64_t bytes) {
-  if (config_.plant_storm) {
+  if (deps_.plant_repair_storm) {
     return;
   }
   RefillBucket();
@@ -139,7 +138,7 @@ VirtualDuration AntiEntropy::DelayForBytes(int64_t bytes) {
     return VirtualDuration::Millis(1);
   }
   const double secs =
-      deficit / static_cast<double>(std::max<int64_t>(1, config_.rate_bytes_per_sec));
+      deficit / static_cast<double>(std::max<int64_t>(1, deps_.config.repair_rate_bytes));
   return std::max(VirtualDuration::Millis(1),
                   VirtualDuration::FromSecondsF(secs)) +
          VirtualDuration::Millis(1);
@@ -157,7 +156,7 @@ void AntiEntropy::Tick() {
   // original form of the crash-mid-repair bug).
   std::vector<uint64_t> dead;
   for (const auto& [id, s] : sessions_) {
-    if (!hooks_.gossiper->IsAlive(s.peer)) {
+    if (!deps_.gossiper->IsAlive(s.peer)) {
       dead.push_back(id);
     }
   }
@@ -165,23 +164,23 @@ void AntiEntropy::Tick() {
     AbortSession(id);
   }
 
-  if (config_.plant_storm) {
+  if (deps_.plant_repair_storm) {
     StormTick();
     return;
   }
-  if (sessions_.size() >= static_cast<size_t>(config_.max_sessions)) {
+  if (sessions_.size() >= static_cast<size_t>(deps_.config.repair_max_sessions)) {
     return;
   }
-  if (hooks_.pressure && hooks_.pressure() > config_.pressure_max_inflight) {
-    ++hooks_.stats->repair_backoffs;
+  if (kv_.inflight_.size() > kPressureMaxInflight) {
+    ++kv_.stats_.repair_backoffs;
     return;  // foreground traffic wins; try again next interval
   }
 
-  auto shared = CoReplicaRanges(*hooks_.ring, hooks_.replication_factor,
-                                hooks_.self);
+  auto shared = CoReplicaRanges(*deps_.ring, deps_.replication_factor,
+                                deps_.self);
   std::vector<NodeId> candidates;
   for (const auto& [peer, ranges] : shared) {
-    if (!hooks_.gossiper->IsAlive(peer)) {
+    if (!deps_.gossiper->IsAlive(peer)) {
       continue;
     }
     bool busy = false;
@@ -206,10 +205,10 @@ void AntiEntropy::StormTick() {
   // PLANTED BUG (repair-storm): no rate limit, no session cap, no pressure
   // yield — every tick streams the FULL shared range to every live
   // co-replica, simultaneously.
-  auto shared = CoReplicaRanges(*hooks_.ring, hooks_.replication_factor,
-                                hooks_.self);
+  auto shared = CoReplicaRanges(*deps_.ring, deps_.replication_factor,
+                                deps_.self);
   for (auto& [peer, mask] : shared) {
-    if (!hooks_.gossiper->IsAlive(peer)) {
+    if (!deps_.gossiper->IsAlive(peer)) {
       continue;
     }
     std::vector<std::pair<uint64_t, int64_t>> keys;
@@ -220,9 +219,9 @@ void AntiEntropy::StormTick() {
     if (keys.empty()) {
       continue;
     }
-    ++hooks_.stats->repair_sessions;
-    hooks_.stream_keys(peer, std::move(keys), [this](int64_t bytes, int64_t) {
-      hooks_.stats->repair_bytes_streamed += bytes;
+    ++kv_.stats_.repair_sessions;
+    kv_.StreamRepairKeys(peer, std::move(keys), [this](int64_t bytes, int64_t) {
+      kv_.stats_.repair_bytes_streamed += bytes;
     });
   }
 }
@@ -234,7 +233,7 @@ void AntiEntropy::StartSession(NodeId peer, std::vector<KeyRange> mask) {
   s.mask = std::move(mask);
   s.frontier.push_back({0, 0});
   sessions_.emplace(id, std::move(s));
-  ++hooks_.stats->repair_sessions;
+  ++kv_.stats_.repair_sessions;
   SendNextBatch(id);
 }
 
@@ -248,17 +247,17 @@ void AntiEntropy::SendNextBatch(uint64_t id) {
     FinishIfIdle(id);
     return;
   }
-  if (!hooks_.gossiper->IsAlive(s.peer)) {
+  if (!deps_.gossiper->IsAlive(s.peer)) {
     AbortSession(id);
     return;
   }
   // Yield to foreground pressure: re-check shortly instead of pushing more
   // repair traffic into an already-loaded node.
-  if (hooks_.pressure && hooks_.pressure() > config_.pressure_max_inflight) {
-    ++hooks_.stats->repair_backoffs;
+  if (kv_.inflight_.size() > kPressureMaxInflight) {
+    ++kv_.stats_.repair_backoffs;
     if (s.resume_timer == kInvalidTimer) {
-      s.resume_timer = hooks_.clock->ScheduleAfter(
-          config_.interval / 4, [this, id] {
+      s.resume_timer = deps_.clock->ScheduleAfter(
+          deps_.config.repair_interval / 4, [this, id] {
             auto jt = sessions_.find(id);
             if (jt == sessions_.end()) {
               return;
@@ -294,7 +293,7 @@ void AntiEntropy::SendNextBatch(uint64_t id) {
     }
     if (s.resume_timer == kInvalidTimer) {
       s.resume_timer =
-          hooks_.clock->ScheduleAfter(DelayForBytes(bytes), [this, id] {
+          deps_.clock->ScheduleAfter(DelayForBytes(bytes), [this, id] {
             auto jt = sessions_.find(id);
             if (jt == sessions_.end()) {
               return;
@@ -308,11 +307,11 @@ void AntiEntropy::SendNextBatch(uint64_t id) {
 
   s.awaiting_level = level;
   s.awaiting_nodes = std::move(nodes);
-  hooks_.transport->Send(hooks_.self, s.peer, kKvRepairHashReq,
+  deps_.transport->Send(deps_.self, s.peer, kKvRepairHashReq,
                          std::move(payload));
   CancelSessionTimers(&s);
-  s.timeout_timer = hooks_.clock->ScheduleAfter(
-      config_.session_timeout, [this, id] { OnTimeout(id); });
+  s.timeout_timer = deps_.clock->ScheduleAfter(
+      deps_.config.repair_session_timeout, [this, id] { OnTimeout(id); });
 }
 
 void AntiEntropy::HandleMessage(const Message& msg) {
@@ -337,8 +336,8 @@ void AntiEntropy::HandleHashReq(const Message& msg) {
   // each side computes the mask from its own ring. If the views disagree
   // transiently, differing hashes only cause over-streaming, which LWW
   // application makes harmless.
-  auto shared = CoReplicaRanges(*hooks_.ring, hooks_.replication_factor,
-                                hooks_.self);
+  auto shared = CoReplicaRanges(*deps_.ring, deps_.replication_factor,
+                                deps_.self);
   auto mit = shared.find(msg.from);
   auto resp = std::make_shared<KvRepairDiffPayload>();
   resp->session_id = req->session_id;
@@ -360,17 +359,17 @@ void AntiEntropy::HandleHashReq(const Message& msg) {
       if (level == tree_.depth()) {
         auto keys = tree_.KeysInLeaf(index, mask);
         if (!keys.empty()) {
-          hooks_.stream_keys(msg.from, std::move(keys),
-                             [this](int64_t bytes, int64_t) {
-                               hooks_.stats->repair_bytes_streamed += bytes;
-                               ChargeBytes(bytes);
-                             });
+          kv_.StreamRepairKeys(msg.from, std::move(keys),
+                               [this](int64_t bytes, int64_t) {
+                                 kv_.stats_.repair_bytes_streamed += bytes;
+                                 ChargeBytes(bytes);
+                               });
         }
       }
     }
   }
   ChargeBytes(static_cast<int64_t>(resp->SizeBytes()));
-  hooks_.transport->Send(hooks_.self, msg.from, kKvRepairHashResp,
+  deps_.transport->Send(deps_.self, msg.from, kKvRepairHashResp,
                          std::move(resp));
 }
 
@@ -426,17 +425,17 @@ void AntiEntropy::StreamLeaves(uint64_t session_id, NodeId target,
   if (it != sessions_.end()) {
     ++it->second.outstanding_streams;
   }
-  hooks_.stream_keys(target, std::move(keys),
-                     [this, session_id](int64_t bytes, int64_t) {
-                       hooks_.stats->repair_bytes_streamed += bytes;
-                       ChargeBytes(bytes);
-                       auto jt = sessions_.find(session_id);
-                       if (jt == sessions_.end()) {
-                         return;
-                       }
-                       --jt->second.outstanding_streams;
-                       FinishIfIdle(session_id);
-                     });
+  kv_.StreamRepairKeys(target, std::move(keys),
+                       [this, session_id](int64_t bytes, int64_t) {
+                         kv_.stats_.repair_bytes_streamed += bytes;
+                         ChargeBytes(bytes);
+                         auto jt = sessions_.find(session_id);
+                         if (jt == sessions_.end()) {
+                           return;
+                         }
+                         --jt->second.outstanding_streams;
+                         FinishIfIdle(session_id);
+                       });
 }
 
 void AntiEntropy::OnTimeout(uint64_t id) {
@@ -446,12 +445,12 @@ void AntiEntropy::OnTimeout(uint64_t id) {
   }
   Session& s = it->second;
   s.timeout_timer = kInvalidTimer;
-  if (!hooks_.gossiper->IsAlive(s.peer) || s.retries >= config_.max_retries) {
+  if (!deps_.gossiper->IsAlive(s.peer) || s.retries >= kMaxSessionRetries) {
     AbortSession(id);
     return;
   }
   ++s.retries;
-  ++hooks_.stats->repair_retries;
+  ++kv_.stats_.repair_retries;
   // Re-queue the in-flight batch and go through the normal send path (which
   // re-applies the rate limit and pressure checks).
   const int level = s.awaiting_level;
@@ -471,7 +470,7 @@ void AntiEntropy::AbortSession(uint64_t id) {
   }
   CancelSessionTimers(&it->second);
   sessions_.erase(it);
-  ++hooks_.stats->repair_aborted;
+  ++kv_.stats_.repair_aborted;
 }
 
 void AntiEntropy::FinishIfIdle(uint64_t id) {
@@ -490,11 +489,11 @@ void AntiEntropy::FinishIfIdle(uint64_t id) {
 
 void AntiEntropy::CancelSessionTimers(Session* s) {
   if (s->timeout_timer != kInvalidTimer) {
-    hooks_.clock->CancelTimer(s->timeout_timer);
+    deps_.clock->CancelTimer(s->timeout_timer);
     s->timeout_timer = kInvalidTimer;
   }
   if (s->resume_timer != kInvalidTimer) {
-    hooks_.clock->CancelTimer(s->resume_timer);
+    deps_.clock->CancelTimer(s->resume_timer);
     s->resume_timer = kInvalidTimer;
   }
 }

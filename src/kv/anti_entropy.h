@@ -15,7 +15,8 @@
 //  - a per-node token bucket caps repair bytes/sec (hash exchange is
 //    pre-charged, streams are post-charged and may overdraw one round —
 //    the next round waits for the refill);
-//  - at most `max_sessions` concurrent sessions per initiator;
+//  - at most `KvConfig::repair_max_sessions` concurrent sessions per
+//    initiator;
 //  - sessions yield when in-flight foreground client ops exceed a threshold
 //    (graceful degradation: repair slows, client traffic doesn't);
 //  - per-session timeouts with bounded retries; a peer that crashes
@@ -84,41 +85,10 @@ struct KvRepairDiffPayload : public Payload {
 // so the same scheduler runs on the simulator and the real-socket carrier.
 class AntiEntropy {
  public:
-  struct Config {
-    VirtualDuration interval = VirtualDuration::Seconds(10);
-    int64_t rate_bytes_per_sec = 256 * 1024;
-    int max_sessions = 1;
-    VirtualDuration session_timeout = VirtualDuration::Seconds(10);
-    int max_retries = 2;
-    // Yield (re-check a quarter interval later) when the node's in-flight
-    // foreground client ops exceed this.
-    size_t pressure_max_inflight = 16;
-    bool plant_storm = false;
-    uint64_t seed = 0;
-  };
-
-  using StreamDoneFn = std::function<void(int64_t bytes, int64_t keys)>;
-
-  struct Hooks {
-    Clock* clock = nullptr;
-    Transport* transport = nullptr;
-    const TokenRing* ring = nullptr;
-    const Gossiper* gossiper = nullptr;
-    NodeId self = kInvalidNode;
-    int replication_factor = 3;
-    // Streams (key, timestamp) pairs to `target` as kKvRepairStreamWrite
-    // messages, reading current values through the storage stage; `done`
-    // fires once with the bytes/keys actually sent. Owned by KvService.
-    std::function<void(NodeId target,
-                       std::vector<std::pair<uint64_t, int64_t>> keys,
-                       StreamDoneFn done)>
-        stream_keys;
-    // Current in-flight foreground client ops (the pressure signal).
-    std::function<size_t()> pressure;
-    KvStats* stats = nullptr;
-  };
-
-  AntiEntropy(Config config, Hooks hooks);
+  // Runs inside its owner `kv`: reads its Deps, counts into its KvStats,
+  // takes its in-flight client ops as the pressure signal and streams keys
+  // through it. `seed` seeds the scheduler's RNG.
+  AntiEntropy(KvService* kv, uint64_t seed);
   ~AntiEntropy();
   AntiEntropy(const AntiEntropy&) = delete;
   AntiEntropy& operator=(const AntiEntropy&) = delete;
@@ -183,8 +153,8 @@ class AntiEntropy {
   void ChargeBytes(int64_t bytes);     // post-charge; may overdraw
   VirtualDuration DelayForBytes(int64_t bytes);
 
-  Config config_;
-  Hooks hooks_;
+  KvService& kv_;
+  const KvService::Deps& deps_;  // kv_.deps_
   MerkleTree tree_;
   Rng rng_;
   bool running_ = false;

@@ -10,43 +10,37 @@
 
 namespace scalecheck {
 
+namespace {
+
+// Client-request retry policy. A request is attempted up to
+// KvConfig::max_attempts times within kRequestDeadline, each attempt bounded
+// by kAttemptTimeout; failed attempts back off exponentially from
+// kRetryBaseBackoff with deterministic jitter from the retry RNG.
+constexpr VirtualDuration kAttemptTimeout = VirtualDuration::Seconds(2);
+constexpr VirtualDuration kRetryBaseBackoff = VirtualDuration::Millis(50);
+constexpr VirtualDuration kRequestDeadline = VirtualDuration::Seconds(8);
+// Background read repair probability on mismatch-free quorum reads
+// (observed mismatches always repair), drawn from the read-repair RNG.
+constexpr double kReadRepairChance = 0.1;
+
+}  // namespace
+
 Token KvTokenForKey(uint64_t key) { return Mix64(key); }
 
 KvService::KvService(Deps deps)
-    : deps_(deps),
+    : deps_(std::move(deps)),
       storage_(std::make_unique<StorageEngine>()),
-      retry_rng_(deps.retry_seed),
-      repair_rng_(deps.repair_seed) {
+      retry_rng_(HashCombine(deps_.seed, 0x4b565254ULL)),    // "KVRT"
+      repair_rng_(HashCombine(deps_.seed, 0x4b565252ULL)) {  // "KVRR"
   CHECK_NOTNULL(deps_.clock);
   CHECK_NOTNULL(deps_.transport);
   CHECK_NOTNULL(deps_.stage);
   CHECK_NOTNULL(deps_.ring);
   CHECK_NOTNULL(deps_.gossiper);
-  if (deps_.repair_enabled) {
-    AntiEntropy::Config cfg;
-    cfg.interval = deps_.repair_interval;
-    cfg.rate_bytes_per_sec = deps_.repair_rate_bytes;
-    cfg.max_sessions = deps_.repair_max_sessions;
-    cfg.session_timeout = deps_.repair_session_timeout;
-    cfg.max_retries = deps_.repair_max_retries;
-    cfg.pressure_max_inflight = deps_.repair_pressure_max_inflight;
-    cfg.plant_storm = deps_.plant_repair_storm;
-    cfg.seed = deps_.anti_entropy_seed;
-    AntiEntropy::Hooks hooks;
-    hooks.clock = deps_.clock;
-    hooks.transport = deps_.transport;
-    hooks.ring = deps_.ring;
-    hooks.gossiper = deps_.gossiper;
-    hooks.self = deps_.self;
-    hooks.replication_factor = deps_.replication_factor;
-    hooks.stream_keys = [this](NodeId target,
-                               std::vector<std::pair<uint64_t, int64_t>> keys,
-                               AntiEntropy::StreamDoneFn done) {
-      StreamRepairKeys(target, std::move(keys), std::move(done));
-    };
-    hooks.pressure = [this] { return inflight_.size(); };
-    hooks.stats = &stats_;
-    repair_ = std::make_unique<AntiEntropy>(std::move(cfg), std::move(hooks));
+  CHECK_GT(deps_.replication_factor, 0);
+  if (deps_.config.repair) {
+    repair_ = std::make_unique<AntiEntropy>(this,
+                                            HashCombine(deps_.seed, 0x4b565245ULL));  // "KVRE"
   }
 }
 
@@ -79,8 +73,8 @@ void KvService::Submit(bool is_write, uint64_t key, std::string value, DoneFn do
   op->value = std::move(value);
   op->done = std::move(done);
   op->started = deps_.clock->Now();
-  op->deadline_at = op->started + deps_.request_deadline;
-  switch (deps_.consistency) {
+  op->deadline_at = op->started + kRequestDeadline;
+  switch (deps_.config.consistency) {
     case KvConsistency::kOne:
       ++stats_.ops_one;
       break;
@@ -106,7 +100,7 @@ void KvService::Attempt(std::shared_ptr<ClientOp> op) {
   }
   // The per-attempt timeout never extends past the request deadline.
   VirtualDuration budget = op->deadline_at - deps_.clock->Now();
-  VirtualDuration timeout = std::min(deps_.timeout, budget);
+  VirtualDuration timeout = std::min(kAttemptTimeout, budget);
   if (timeout.nanos() < 1) {
     timeout = VirtualDuration::Nanos(1);
   }
@@ -123,7 +117,7 @@ void KvService::OnAttemptDone(const std::shared_ptr<ClientOp>& op, KvOutcome out
     Conclude(op, outcome, std::move(value));
     return;
   }
-  int max_attempts = std::max(1, deps_.max_attempts);
+  int max_attempts = std::max(1, deps_.config.max_attempts);
   if (op->attempt >= max_attempts) {
     Conclude(op, outcome, "");
     return;
@@ -132,7 +126,7 @@ void KvService::OnAttemptDone(const std::shared_ptr<ClientOp>& op, KvOutcome out
   double scale = static_cast<double>(int64_t{1} << (op->attempt - 1));
   double jitter = 0.5 + retry_rng_.UniformDouble();
   auto backoff = VirtualDuration::Nanos(static_cast<int64_t>(
-      static_cast<double>(deps_.retry_base_backoff.nanos()) * scale * jitter));
+      static_cast<double>(kRetryBaseBackoff.nanos()) * scale * jitter));
   if (deps_.clock->Now() + backoff >= op->deadline_at) {
     Conclude(op, outcome, "");
     return;
@@ -261,7 +255,7 @@ void KvService::HandleMessage(const Message& msg) {
           "kv.write-replica",
           [this, req] {
             WorkUnits work = storage_->Put(req->key, req->value, req->timestamp);
-            if (deps_.wal_enabled) {
+            if (deps_.config.wal) {
               // Sequential append: cheap relative to the memtable insert.
               int64_t appended =
                   wal_.Append(req->key, req->timestamp, req->value);
@@ -275,7 +269,7 @@ void KvService::HandleMessage(const Message& msg) {
           },
           [this, req, coordinator] {
             const bool fire_and_forget = req->op_id == 0;
-            if (!deps_.wal_enabled) {
+            if (!deps_.config.wal) {
               if (!fire_and_forget) {
                 SendWriteAck(coordinator, req->op_id);
               }
@@ -349,7 +343,7 @@ void KvService::HandleMessage(const Message& msg) {
               return WorkUnits{50};
             }
             WorkUnits work = storage_->Put(req->key, req->value, req->timestamp);
-            if (deps_.wal_enabled) {
+            if (deps_.config.wal) {
               int64_t appended =
                   wal_.Append(req->key, req->timestamp, req->value);
               ++stats_.wal_appends;
@@ -362,7 +356,7 @@ void KvService::HandleMessage(const Message& msg) {
             return work;
           },
           [this] {
-            if (deps_.wal_enabled) {
+            if (deps_.config.wal) {
               ScheduleWalSync();
             }
             MaybeRecharge();
@@ -448,7 +442,7 @@ void KvService::ScheduleWalSync() {
   if (wal_sync_timer_ != kInvalidTimer) {
     return;
   }
-  wal_sync_timer_ = deps_.clock->ScheduleAfter(deps_.wal_sync_interval, [this] {
+  wal_sync_timer_ = deps_.clock->ScheduleAfter(deps_.config.wal_sync_interval, [this] {
     wal_sync_timer_ = kInvalidTimer;
     SyncWal();
   });
@@ -492,10 +486,10 @@ void KvService::SendReplicaWrite(NodeId target, uint64_t key,
 
 void KvService::QueueHint(NodeId target, uint64_t key, const std::string& value,
                           int64_t timestamp) {
-  if (deps_.hint_limit == 0) {
+  if (deps_.config.hint_limit == 0) {
     return;
   }
-  if (total_hints_ >= static_cast<int64_t>(deps_.hint_limit)) {
+  if (total_hints_ >= static_cast<int64_t>(deps_.config.hint_limit)) {
     // Bounded queue: shedding new hints under sustained replica death is the
     // flood-control the hinted-handoff experiments probe.
     ++stats_.hints_dropped;
@@ -505,7 +499,7 @@ void KvService::QueueHint(NodeId target, uint64_t key, const std::string& value,
   hint.key = key;
   hint.value = value;
   hint.timestamp = timestamp;
-  hint.expires_at = deps_.clock->Now() + deps_.hint_ttl;
+  hint.expires_at = deps_.clock->Now() + deps_.config.hint_ttl;
   hint_bytes_ += 64 + static_cast<int64_t>(value.size());
   hints_[target].push_back(std::move(hint));
   ++total_hints_;
@@ -563,13 +557,10 @@ void KvService::MaybeReadRepair(const InFlight& op) {
     }
     return;
   }
-  if (deps_.read_repair_chance <= 0.0) {
-    return;
-  }
   // Background flavour: every responder agreed, but replicas that never
   // answered may be behind. Probabilistically push the winning version to
   // them (deterministic draw: one per mismatch-free successful read).
-  if (repair_rng_.UniformDouble() >= deps_.read_repair_chance) {
+  if (repair_rng_.UniformDouble() >= kReadRepairChance) {
     return;
   }
   for (NodeId target : op.targets) {
@@ -649,7 +640,7 @@ void KvService::OnCrash() {
   hints_.clear();
   total_hints_ = 0;
   hint_bytes_ = 0;
-  if (deps_.wal_enabled) {
+  if (deps_.config.wal) {
     stats_.wal_lost_records += wal_.DropUnsynced();
     // Process memory is gone; only the durable WAL prefix survives.
     storage_ = std::make_unique<StorageEngine>();
@@ -658,7 +649,7 @@ void KvService::OnCrash() {
     // Active sessions die with the process (counted as aborted); the Merkle
     // tree follows the storage engine's fate.
     repair_->Stop();
-    if (deps_.wal_enabled) {
+    if (deps_.config.wal) {
       repair_->ClearTree();
     }
   }
@@ -668,7 +659,7 @@ void KvService::OnCrash() {
 
 void KvService::OnRestart() {
   down_ = false;
-  if (deps_.wal_enabled) {
+  if (deps_.config.wal) {
     KvWal::RecoverResult recovered = KvWal::Recover(wal_.DurableImage());
     CHECK(recovered.damage.ok())
         << "own durable WAL failed recovery:" << recovered.damage.ToString();
@@ -693,7 +684,7 @@ void KvService::MaybeRecharge() {
     return;
   }
   int64_t total = storage_->ApproxBytes() + hint_bytes_;
-  if (deps_.wal_enabled) {
+  if (deps_.config.wal) {
     total += wal_.total_bytes();
   }
   if (repair_ != nullptr) {

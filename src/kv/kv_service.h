@@ -17,7 +17,7 @@
 //  - quorum reads detect stale replicas by hybrid timestamp and write the
 //    winning version back (blocking on observed mismatch, probabilistic
 //    background repair toward silent replicas otherwise);
-//  - the ack threshold is tunable ONE/QUORUM/ALL (kv_consistency.h).
+//  - the ack threshold is tunable ONE/QUORUM/ALL (kv_config.h).
 
 #ifndef SCALECHECK_SRC_KV_KV_SERVICE_H_
 #define SCALECHECK_SRC_KV_KV_SERVICE_H_
@@ -35,7 +35,7 @@
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/gossip/gossiper.h"
-#include "src/kv/kv_consistency.h"
+#include "src/kv/kv_config.h"
 #include "src/kv/storage_engine.h"
 #include "src/kv/wal.h"
 #include "src/ring/token_ring.h"
@@ -160,53 +160,14 @@ class KvService {
     const TokenRing* ring = nullptr;    // the node's ring view
     const Gossiper* gossiper = nullptr; // liveness view
     NodeId self = kInvalidNode;
-    int replication_factor = 3;
-    // Ack threshold for both reads and writes.
-    KvConsistency consistency = KvConsistency::kQuorum;
-    // Per-attempt quorum timeout.
-    VirtualDuration timeout = VirtualDuration::Seconds(2);
-    // Client-request retry policy. A request is attempted up to
-    // `max_attempts` times within `request_deadline`; failed attempts back
-    // off exponentially from `retry_base_backoff` with deterministic jitter
-    // drawn from an Rng seeded with `retry_seed`.
-    int max_attempts = 1;
-    VirtualDuration retry_base_backoff = VirtualDuration::Millis(50);
-    VirtualDuration request_deadline = VirtualDuration::Seconds(8);
-    uint64_t retry_seed = 0;
-    // Durability: when on, replica writes append to the WAL and the ack is
-    // deferred to the next group-commit sync; OnCrash drops the unsynced
-    // tail AND the volatile storage engine, OnRestart replays the durable
-    // prefix. When off (the default), storage unrealistically survives
-    // crashes — the pre-durability behaviour the control-plane experiments
-    // were calibrated against.
-    bool wal_enabled = false;
-    VirtualDuration wal_sync_interval = VirtualDuration::Millis(50);
-    // Planted bug (the crash-durability ChaosSearch target): the replica
-    // acks at append time, before the group commit — a crash inside the
-    // sync window loses acked writes. See CheckOptions::plant_kv_ack_before_sync.
+    int replication_factor = 0;  // the ring's (ClusterConfig::replication_factor)
+    KvConfig config;
+    // The node's seed. The retry-jitter, read-repair and anti-entropy RNG
+    // streams derive from it without consuming any other per-node stream.
+    uint64_t seed = 0;
+    // The planted ChaosSearch targets (CheckOptions documents both).
     bool plant_ack_before_sync = false;
-    // Hinted handoff: bounded total queue, per-hint TTL. Zero limit disables.
-    size_t hint_limit = 1024;
-    VirtualDuration hint_ttl = VirtualDuration::Seconds(120);
-    // Background read repair probability on mismatch-free quorum reads
-    // (observed mismatches always repair). Drawn from `repair_seed`.
-    double read_repair_chance = 0.1;
-    uint64_t repair_seed = 0;
-    // Anti-entropy repair (anti_entropy.h). Off by default: when off, no
-    // AntiEntropy instance, no Merkle tree, no extra RNG draws — the
-    // pre-anti-entropy behaviour (and goldens) are untouched.
-    bool repair_enabled = false;
-    VirtualDuration repair_interval = VirtualDuration::Seconds(10);
-    int64_t repair_rate_bytes = 256 * 1024;  // bytes/sec token bucket
-    int repair_max_sessions = 1;
-    VirtualDuration repair_session_timeout = VirtualDuration::Seconds(10);
-    int repair_max_retries = 2;
-    size_t repair_pressure_max_inflight = 16;
-    // Planted bug (the repair-storm ChaosSearch target): every throttle —
-    // rate limit, session cap, pressure yield — is ignored and full shared
-    // ranges are streamed each tick. See CheckOptions::plant_repair_storm.
     bool plant_repair_storm = false;
-    uint64_t anti_entropy_seed = 0;
     // Memory charging: called with a byte delta whenever the data path's
     // footprint (WAL + memtable/runs + hint queue) changes; the Node wires
     // this to MachineMemoryModel under tag "kv-storage". Null = off.
@@ -323,7 +284,7 @@ class KvService {
                VirtualDuration timeout);
   void Finish(uint64_t op_id, KvOutcome outcome, std::string value);
   int RequiredAcks() const {
-    return KvRequiredAcks(deps_.consistency, deps_.replication_factor);
+    return KvRequiredAcks(deps_.config.consistency, deps_.replication_factor);
   }
 
   // Replica-side ack transmission (deferred to group commit unless the WAL is
@@ -352,9 +313,11 @@ class KvService {
   // Delta-charges the data path's current footprint to deps_.charge.
   void MaybeRecharge();
 
+  friend class AntiEntropy;  // the repair scheduler runs inside its KvService
+
   Deps deps_;
   std::unique_ptr<StorageEngine> storage_;
-  std::unique_ptr<AntiEntropy> repair_;  // null unless deps_.repair_enabled
+  std::unique_ptr<AntiEntropy> repair_;  // null unless deps_.config.repair
   KvWal wal_;
   KvStats stats_;
   Rng retry_rng_;
@@ -366,7 +329,7 @@ class KvService {
   std::vector<PendingAck> pending_acks_;
   TimerId wal_sync_timer_ = kInvalidTimer;
   // Hinted-handoff queue, per dead target. std::map for deterministic
-  // iteration; bounded by deps_.hint_limit across all targets.
+  // iteration; bounded by deps_.config.hint_limit across all targets.
   std::map<NodeId, std::deque<Hint>> hints_;
   int64_t total_hints_ = 0;
   int64_t hint_bytes_ = 0;

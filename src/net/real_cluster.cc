@@ -195,7 +195,7 @@ RunResult RealCluster::Run() {
   // Optional KV smoke: quorum writes then reads, round-robin coordinators.
   int64_t kv_issued = 0;
   LogHistogram kv_latency{/*base=*/1e5, /*growth=*/1.5, /*num_buckets=*/80};
-  if (settled && healed && options_.config.enable_kv && options_.kv_ops > 0) {
+  if (settled && healed && options_.config.kv.enabled && options_.kv_ops > 0) {
     std::mutex done_mu;
     std::condition_variable done_cv;
     int outstanding = 0;
@@ -241,7 +241,7 @@ RunResult RealCluster::Run() {
   bool repair_phase_ran = false;
   bool repair_converged = true;
   int64_t diverged_replicas = 0;
-  if (settled && healed && options_.config.enable_kv && options_.config.kv_repair &&
+  if (settled && healed && options_.config.kv.enabled && options_.config.kv.repair &&
       options_.kv_ops > 0) {
     repair_phase_ran = true;
     auto count_diverged = [&] {
@@ -267,7 +267,7 @@ RunResult RealCluster::Run() {
       return diverged;
     };
     const VirtualTime repair_deadline = clock_.Now() +
-                                        options_.config.kv_repair_interval * 8 +
+                                        options_.config.kv.repair_interval * 8 +
                                         VirtualDuration::Seconds(2);
     // Even when nothing diverged, dwell a few intervals: the scheduler must
     // be observed actually ticking, both so throttled repair demonstrates it
@@ -275,7 +275,7 @@ RunResult RealCluster::Run() {
     // to exceed it. Exiting at first agreement would end the run before the
     // first repair timer ever fired.
     const VirtualTime min_dwell = clock_.Now() +
-                                  options_.config.kv_repair_interval * 4 +
+                                  options_.config.kv.repair_interval * 4 +
                                   VirtualDuration::Seconds(1);
     repair_converged = false;
     while (clock_.Now() < repair_deadline) {
@@ -370,17 +370,17 @@ RunResult RealCluster::Run() {
   const double elapsed_seconds = static_cast<double>(end.nanos()) / 1e9;
   const double interval_seconds = std::max(
       1e-3,
-      static_cast<double>(options_.config.kv_repair_interval.nanos()) / 1e9);
+      static_cast<double>(options_.config.kv.repair_interval.nanos()) / 1e9);
   const double session_allowance =
-      (elapsed_seconds / interval_seconds) * options_.config.kv_repair_max_sessions *
+      (elapsed_seconds / interval_seconds) * options_.config.kv.repair_max_sessions *
           2.0 +
       4.0;
   const double byte_allowance =
-      static_cast<double>(options_.config.kv_repair_rate_bytes) *
+      static_cast<double>(options_.config.kv.repair_rate_bytes) *
           elapsed_seconds * 2.0 +
       4.0 * 1024.0 * 1024.0;
   for (const auto& node : nodes_) {
-    if (!options_.config.kv_repair) break;
+    if (!options_.config.kv.repair) break;
     bool already_flagged = false;
     for (const InvariantViolation& v : result.invariants.violations) {
       already_flagged = already_flagged || v.invariant == "replica-convergence";

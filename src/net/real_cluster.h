@@ -35,7 +35,7 @@ class RealCluster {
     int seeds = 3;  // first `seeds` nodes are known to everyone at boot
     // Give up if the cluster has not converged after this much wall clock.
     VirtualDuration convergence_timeout = VirtualDuration::Seconds(30);
-    // When config.enable_kv: issue this many quorum writes+reads after
+    // When config.kv.enabled: issue this many quorum writes+reads after
     // convergence, round-robin across coordinators.
     int kv_ops = 0;
     // Fault schedule replayed against the real sockets after initial

@@ -16,8 +16,8 @@ ClusterConfig RealCarrierConfig() {
   config.seed = 1;
   config.calc_version = CalcVersion::kV3C3881Fix;
   config.recalc_trigger = RecalcTrigger::kStatusChangeOnly;
-  config.kv_repair_interval = VirtualDuration::Seconds(2);
-  config.kv_repair_session_timeout = VirtualDuration::Seconds(5);
+  config.kv.repair_interval = VirtualDuration::Seconds(2);
+  config.kv.repair_session_timeout = VirtualDuration::Seconds(5);
   return config;
 }
 

@@ -339,7 +339,7 @@ std::vector<Knob> BuildTable() {
       PlantKvBug(Bind(
           {"--plant-kv-bug", "plant_kv_ack_before_sync", kSim, "[=ack-before-sync]",
            "plant the ack-before-sync KV bug: the crash-durability search smoke target, needs "
-           "--kv-wal"},
+           "--kv-wal", KvNeeds::kWal},
           Switch{}, [](auto& s) -> auto& { return s.run.spec.check.plant_kv_ack_before_sync; })),
       // KV invariant checkability depends on the workload, so a --workload
       // override is pinned or the replay could probe a different set.
@@ -357,44 +357,46 @@ std::vector<Knob> BuildTable() {
             "load driver)"},
            Real{0.0}, [](auto& s) -> auto& { return s.run.spec.kv_ops_per_second; }),
       Bind({"--kv-consistency", "kv_consistency", kSim | kReal, "=L",
-            "one | quorum | all: ack threshold for KV reads and writes (default {})"},
+            "one | quorum | all: ack threshold for KV reads and writes (default {})",
+            KvNeeds::kLoad},
            Choice<KvConsistency>{KvConsistencyName,
                                  {KvConsistency::kOne, KvConsistency::kQuorum, KvConsistency::kAll}},
            [](auto& s) -> auto& { return s.run.spec.kv_consistency; },
-           [](auto& s) -> auto& { return s.real.config.kv_consistency; }),
+           [](auto& s) -> auto& { return s.real.config.kv.consistency; }),
       Bind({"--kv-wal", "kv_wal", kSim | kReal, "",
             "durable replica path: per-node WAL with group commit; crash loses the unsynced tail, "
-            "restart replays the durable prefix; arms the kv-durability invariant"},
+            "restart replays the durable prefix; arms the kv-durability invariant", KvNeeds::kLoad},
            Switch{}, [](auto& s) -> auto& { return s.run.spec.kv_wal; },
-           [](auto& s) -> auto& { return s.real.config.kv_wal; }),
+           [](auto& s) -> auto& { return s.real.config.kv.wal; }),
       // Anti-entropy: the replica-convergence invariant only arms when
       // kv_repair is on, and its budget facet scores against the configured
       // rate, so a replay with different repair settings would probe (and
       // pass or fail) a different check than the one the search scored.
       Bind({"--kv-repair", "kv_repair", kSim | kReal, "",
             "anti-entropy repair: periodic Merkle-tree exchange with co-replicas streams only "
-            "differing key ranges; arms the replica-convergence invariant"},
+            "differing key ranges; arms the replica-convergence invariant", KvNeeds::kLoad},
            Switch{}, [](auto& s) -> auto& { return s.run.spec.kv_repair; },
-           [](auto& s) -> auto& { return s.real.config.kv_repair; }),
+           [](auto& s) -> auto& { return s.real.config.kv.repair; }),
       Bind({"", "kv_repair_interval_ns"}, Duration{{1, kMaxInt64}, VirtualDuration::Nanos(1)},
            [](auto& s) -> auto& { return s.run.spec.kv_repair_interval; }),
       Bind({"--kv-repair-rate", "kv_repair_rate_bytes", kSim | kReal, "=BYTES",
-            "repair stream budget in bytes/second per node (default {})"},
+            "repair stream budget in bytes/second per node (default {})", KvNeeds::kRepair},
            Int<int64_t>{1, kMaxInt64, 0},
            [](auto& s) -> auto& { return s.run.spec.kv_repair_rate_bytes; },
-           [](auto& s) -> auto& { return s.real.config.kv_repair_rate_bytes; }),
+           [](auto& s) -> auto& { return s.real.config.kv.repair_rate_bytes; }),
       Bind({"--kv-repair-max-sessions", "kv_repair_max_sessions", kSim | kReal, "=S",
-            "concurrent repair sessions per node (default {})"},
+            "concurrent repair sessions per node (default {})", KvNeeds::kRepair},
            Int<int>{1, kMaxInt}, [](auto& s) -> auto& { return s.run.spec.kv_repair_max_sessions; },
-           [](auto& s) -> auto& { return s.real.config.kv_repair_max_sessions; }),
+           [](auto& s) -> auto& { return s.real.config.kv.repair_max_sessions; }),
       Bind({"--plant-kv-bug=repair-storm", "plant_repair_storm", kSim | kReal, "",
             "plant the repair-storm KV bug: repair ignores its throttle and floods full-range "
-            "streams; needs --kv-repair (the budget facet of replica-convergence flags it)"},
+            "streams; needs --kv-repair (the budget facet of replica-convergence flags it)",
+            KvNeeds::kRepair},
            Switch{}, [](auto& s) -> auto& { return s.run.spec.check.plant_repair_storm; },
            [](auto& s) -> auto& { return s.real.config.check.plant_repair_storm; }),
       KeyDist(Bind({"--kv-key-dist", "kv_key_dist", kSim, "=D",
                     "uniform | zipf[:s]: KV driver key popularity (default {}; a bare zipf keeps "
-                    "the scenario's exponent s)"},
+                    "the scenario's exponent s)", KvNeeds::kLoad},
                    Choice<KvKeyDist>{KvKeyDistName, {KvKeyDist::kUniform, KvKeyDist::kZipf}},
                    [](auto& s) -> auto& { return s.run.spec.kv_key_dist; })),
       Bind({"", "kv_zipf_s"}, kZipfExponent, [](auto& s) -> auto& { return s.run.spec.kv_zipf_s; }),
@@ -492,10 +494,25 @@ Result<ModeSelection> SelectMode(const CliArgs& args) {
   if (!s.repro.empty() && kind == CliModeKind::kSuite) {
     kind = CliModeKind::kRepro;
   }
+  const bool real = kind == CliModeKind::kReal;
+  const bool load = real ? s.real.kv_ops > 0 : s.run.spec.kv_ops_per_second > 0.0;
+  const bool wal = real ? s.real.config.kv.wal : s.run.spec.kv_wal;
+  const bool repair = real ? s.real.config.kv.repair : s.run.spec.kv_repair;
   for (const Knob* row : args.given) {
+    const std::string flag(row->flag);
     if ((row->modes & ModeBit(kind)) == 0) {
-      return Status::InvalidArgument(std::string(row->flag) + " has no effect with --mode=" +
-                                     CliModeKindName(kind));
+      return Status::InvalidArgument(flag + " has no effect with --mode=" + CliModeKindName(kind));
+    }
+    std::string missing;
+    if (row->needs != KvNeeds::kNothing && !load) {
+      missing = real ? "KV load (--kv-ops)" : "KV load (--kv-rate)";
+    } else if (row->needs == KvNeeds::kWal && !wal) {
+      missing = "--kv-wal";
+    } else if (row->needs == KvNeeds::kRepair && !repair) {
+      missing = "--kv-repair";
+    }
+    if (!missing.empty()) {
+      return Status::InvalidArgument(flag + " has no effect without " + missing);
     }
   }
   if (kind == CliModeKind::kSearch && s.run.nodes < kMinFaultSearchNodes) {

@@ -50,12 +50,22 @@ constexpr unsigned ModeBit(CliModeKind kind) {
   return 1u << static_cast<unsigned>(kind);
 }
 
+// What a KV flag acts through besides its mode. SelectMode rejects the flag
+// when the run lacks it, so a KV flag never silently acts on nothing.
+enum class KvNeeds {
+  kNothing,
+  kLoad,    // KV client load: --kv-rate (or the bug's own), --kv-ops on real
+  kWal,     // load and the WAL (--kv-wal)
+  kRepair,  // load and anti-entropy repair (--kv-repair)
+};
+
 struct Knob {
   std::string_view flag = {};     // "--nodes"; empty: artifact only
   std::string_view key = {};      // artifact key; empty: CLI only
   unsigned modes = 0;             // ModeBit()s of the modes that read the flag
   std::string_view metavar = {};  // "=N" as in the synopsis; empty: a switch
   std::string_view help = {};     // usage text; "{}" shows the default value
+  KvNeeds needs = KvNeeds::kNothing;
   // The value codec. `parse` takes the CLI text after '=' (nullopt for a
   // bare flag); `show` renders the current value as CLI text; `write` and
   // `read` are the artifact's JSON value. Errors name neither the flag nor
@@ -80,8 +90,9 @@ struct CliArgs {
 Result<CliArgs> ParseCliArgs(const std::vector<std::string>& args);
 
 // The mode the arguments select (--repro=FILE implies --mode=repro), checked
-// against what it reads: every given flag must be read by the mode, search
-// needs kMinFaultSearchNodes nodes and repro an artifact.
+// against what it reads: every given flag must be read by the mode and have
+// what its KvNeeds names, search needs kMinFaultSearchNodes nodes and repro
+// an artifact.
 Result<ModeSelection> SelectMode(const CliArgs& args);
 
 // The synopsis and one help entry per flag, each default shown from

@@ -31,18 +31,18 @@ ClusterConfig BugSpec::MakeConfig(int n, RunMode mode, uint64_t seed) const {
   cfg.check = check;
   cfg.seed = seed;
   if (kv_ops_per_second > 0.0) {
-    cfg.enable_kv = true;
+    cfg.kv.enabled = true;
     // Under fault injection a single attempt is the wrong client model:
     // real drivers retry. Bounded retries + deadline keep the accounting
     // conservative (every request ends OK or gave-up).
-    cfg.kv_max_attempts = 4;
+    cfg.kv.max_attempts = 4;
   }
-  cfg.kv_consistency = kv_consistency;
-  cfg.kv_wal = kv_wal;
-  cfg.kv_repair = kv_repair;
-  cfg.kv_repair_interval = kv_repair_interval;
-  cfg.kv_repair_rate_bytes = kv_repair_rate_bytes;
-  cfg.kv_repair_max_sessions = kv_repair_max_sessions;
+  cfg.kv.consistency = kv_consistency;
+  cfg.kv.wal = kv_wal;
+  cfg.kv.repair = kv_repair;
+  cfg.kv.repair_interval = kv_repair_interval;
+  cfg.kv.repair_rate_bytes = kv_repair_rate_bytes;
+  cfg.kv.repair_max_sessions = kv_repair_max_sessions;
   return cfg;
 }
 

@@ -54,19 +54,16 @@ struct BugSpec {
   // Client load on the quorum KV data path; > 0 enables the KV service (with
   // retries, see MakeConfig) and the load driver.
   double kv_ops_per_second = 0.0;
-  // Ack threshold for KV reads and writes (ONE / QUORUM / ALL).
-  KvConsistency kv_consistency = KvConsistency::kQuorum;
-  // Durable replica path: per-node WAL with group commit, hint replay on
-  // recovery, crash-lossy unsynced tail. Arms the kv-durability invariant.
-  bool kv_wal = false;
-  // Anti-entropy repair: periodic Merkle-tree exchange with co-replicas,
-  // throttled by a byte-rate token bucket and a session cap. Arms the
-  // replica-convergence invariant. The planted repair-storm bug rides in
-  // check.plant_repair_storm (only meaningful with kv_repair on).
-  bool kv_repair = false;
-  VirtualDuration kv_repair_interval = VirtualDuration::Seconds(10);
-  int64_t kv_repair_rate_bytes = 256 * 1024;
-  int kv_repair_max_sessions = 1;
+  // The KV settings a spec may vary, by the names the knob table and
+  // scalebench/ set; MakeConfig mirrors them into ClusterConfig::kv. Each
+  // defaults from KvConfig, which documents it. kv_wal and kv_repair arm
+  // their invariants; the planted bugs ride in `check`.
+  KvConsistency kv_consistency = KvConfig{}.consistency;
+  bool kv_wal = KvConfig{}.wal;
+  bool kv_repair = KvConfig{}.repair;
+  VirtualDuration kv_repair_interval = KvConfig{}.repair_interval;
+  int64_t kv_repair_rate_bytes = KvConfig{}.repair_rate_bytes;
+  int kv_repair_max_sessions = KvConfig{}.repair_max_sessions;
   // Key popularity for the KV load driver (uniform or Zipf skew).
   KvKeyDist kv_key_dist = KvKeyDist::kUniform;
   double kv_zipf_s = 1.0;

@@ -165,8 +165,8 @@ TEST_F(ProtocolNodeTest, PendingEndpointHeartbeatDirtiesRingOnlyUnderAnyApply) {
 
 TEST_F(ProtocolNodeTest, ConvictionThenHeartbeatIsOneDownOneUpAndReplaysHints) {
   ClusterConfig config;
-  config.enable_kv = true;
-  config.kv_consistency = KvConsistency::kOne;
+  config.kv.enabled = true;
+  config.kv.consistency = KvConsistency::kOne;
   Build(config);
   Merge(1, /*generation=*/1, /*heartbeat=*/1);
   AdvanceSeconds(30);

@@ -109,7 +109,7 @@ TEST(KnobTable, UsageShowsDefaultsFromTheSettings) {
             std::string::npos);
   EXPECT_EQ(usage.find("{}"), std::string::npos);
   // Every row the real carrier reads starts from RealCarrierConfig().
-  EXPECT_EQ(defaults.real.config.kv_repair_interval, RealCarrierConfig().kv_repair_interval);
+  EXPECT_EQ(defaults.real.config.kv.repair_interval, RealCarrierConfig().kv.repair_interval);
 }
 
 TEST(KnobTable, FlagsLandInTheirFields) {
@@ -122,7 +122,7 @@ TEST(KnobTable, FlagsLandInTheirFields) {
   // --bug applies first, so the knobs after it in argv still override.
   EXPECT_EQ(s.run.spec.id, "C5456");
   EXPECT_EQ(s.run.spec.kv_repair_rate_bytes, 4096);
-  EXPECT_EQ(s.real.config.kv_repair_rate_bytes, 4096);
+  EXPECT_EQ(s.real.config.kv.repair_rate_bytes, 4096);
   EXPECT_EQ(s.run.seed, 8u);  // strtoull's octal, as before
   EXPECT_EQ(s.run.nodes, 10);  // atoi's decimal, as before
   EXPECT_EQ(s.run.spec.kv_key_dist, KvKeyDist::kZipf);
@@ -134,10 +134,10 @@ TEST(KnobTable, FlagsLandInTheirFields) {
   EXPECT_EQ(s.run.spec.guard.lateness_p99_invalid, VirtualDuration::Millis(10));
   EXPECT_EQ(s.run.spec.guard.lateness_p99_degraded, VirtualDuration::Millis(5));
   EXPECT_EQ(s.run.spec.kv_consistency, KvConsistency::kOne);
-  EXPECT_EQ(s.real.config.kv_consistency, KvConsistency::kOne);
+  EXPECT_EQ(s.real.config.kv.consistency, KvConsistency::kOne);
   EXPECT_DOUBLE_EQ(s.run.spec.kv_ops_per_second, 250.0);
   // Knobs nobody set keep the real carrier's own defaults.
-  EXPECT_EQ(s.real.config.kv_repair_interval, RealCarrierConfig().kv_repair_interval);
+  EXPECT_EQ(s.real.config.kv.repair_interval, RealCarrierConfig().kv.repair_interval);
   EXPECT_EQ(s.real.config.vnodes_per_node, RealCarrierConfig().vnodes_per_node);
 }
 
@@ -188,9 +188,51 @@ TEST(KnobTable, ModeMasksComeFromWhatEachModeReads) {
   // Socket knobs in simulated modes, BugSpec knobs on the real carrier.
   EXPECT_FALSE(ModeError({"--mode=real", "--kv-rate=100"}).ok());
   EXPECT_FALSE(ModeError({"--mode=real", "--plant-kv-bug=ack-before-sync"}).ok());
-  EXPECT_TRUE(ModeError({"--mode=real", "--plant-kv-bug=repair-storm", "--kv-ops=8"}).ok());
+  EXPECT_TRUE(
+      ModeError({"--mode=real", "--plant-kv-bug=repair-storm", "--kv-repair", "--kv-ops=8"}).ok());
   EXPECT_FALSE(ModeError({"--mode=suite", "--sim-modes=colo", "--kv-ops=8"}).ok());
   EXPECT_FALSE(ModeError({"--mode=search", "--faults=island"}).ok());
+}
+
+TEST(KnobTable, KvFlagsThatActOnNothingAreErrors) {
+  // Every KV data-path flag needs KV load: --kv-rate in the simulated modes,
+  // --kv-ops on the real carrier.
+  for (const char* flag : {"--kv-consistency=all", "--kv-wal", "--kv-repair",
+                           "--kv-repair-rate=4096", "--kv-repair-max-sessions=2",
+                           "--plant-kv-bug", "--plant-kv-bug=repair-storm",
+                           "--kv-key-dist=zipf:1.5"}) {
+    const std::string arg(flag);
+    Status status = ModeError({"--mode=suite", "--sim-modes=colo", arg});
+    EXPECT_FALSE(status.ok()) << arg;
+    EXPECT_EQ(status.message().rfind(arg.substr(0, arg.find('=')), 0), 0u) << status.message();
+    EXPECT_NE(status.message().find("--kv-rate"), std::string::npos) << status.message();
+  }
+  for (const char* flag : {"--kv-wal", "--kv-repair", "--kv-consistency=one"}) {
+    EXPECT_FALSE(ModeError({"--mode=real", flag}).ok()) << flag;
+    EXPECT_FALSE(ModeError({"--mode=real", "--kv-ops=0", flag}).ok()) << flag;
+    EXPECT_TRUE(ModeError({"--mode=real", "--kv-ops=8", flag}).ok()) << flag;
+    EXPECT_TRUE(ModeError({"--mode=search", "--kv-rate=100", flag}).ok()) << flag;
+  }
+  EXPECT_FALSE(ModeError({"--mode=suite", "--kv-rate=0", "--kv-wal"}).ok());
+  // The ack-before-sync plant needs the WAL; the repair knobs need repair.
+  Status plant = ModeError({"--mode=search", "--kv-rate=100", "--plant-kv-bug"});
+  EXPECT_FALSE(plant.ok());
+  EXPECT_NE(plant.message().find("--kv-wal"), std::string::npos) << plant.message();
+  EXPECT_TRUE(ModeError({"--mode=search", "--kv-rate=100", "--plant-kv-bug", "--kv-wal"}).ok());
+  for (const char* flag :
+       {"--plant-kv-bug=repair-storm", "--kv-repair-rate=4096", "--kv-repair-max-sessions=2"}) {
+    for (const std::vector<std::string>& load :
+         {std::vector<std::string>{"--mode=search", "--kv-rate=100"},
+          std::vector<std::string>{"--mode=real", "--kv-ops=8"}}) {
+      std::vector<std::string> args = load;
+      args.push_back(flag);
+      Status status = ModeError(args);
+      EXPECT_FALSE(status.ok()) << flag;
+      EXPECT_NE(status.message().find("--kv-repair"), std::string::npos) << status.message();
+      args.push_back("--kv-repair");
+      EXPECT_TRUE(ModeError(args).ok()) << flag;
+    }
+  }
 }
 
 TEST(KnobTable, EveryArtifactRowRoundTripsANonDefaultValue) {

@@ -13,7 +13,7 @@ Cluster::Options KvCluster(int n, WorkloadKind kind = WorkloadKind::kSteadyState
   config.initial_nodes = n;
   config.calc_version = CalcVersion::kV3C3881Fix;
   config.run_mode = RunMode::kRealScale;
-  config.enable_kv = true;
+  config.kv.enabled = true;
   config.seed = 31337;
   WorkloadSpec wl;
   wl.kind = kind;

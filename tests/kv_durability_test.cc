@@ -19,8 +19,8 @@ Cluster::Options DurableKvCluster(int n, VirtualDuration horizon) {
   config.initial_nodes = n;
   config.calc_version = CalcVersion::kV3C3881Fix;
   config.run_mode = RunMode::kRealScale;
-  config.enable_kv = true;
-  config.kv_wal = true;
+  config.kv.enabled = true;
+  config.kv.wal = true;
   config.seed = 31337;
   WorkloadSpec wl;
   wl.kind = WorkloadKind::kSteadyState;
@@ -46,7 +46,7 @@ bool Violated(const RunResult& r, const std::string& name) {
 // restarting it must recover the write from the durable prefix.
 TEST(KvDurabilityTest, AckedWriteSurvivesAckerCrashRestart) {
   Cluster::Options options = DurableKvCluster(8, VirtualDuration::Seconds(120));
-  options.config.kv_consistency = KvConsistency::kAll;
+  options.config.kv.consistency = KvConsistency::kAll;
   Cluster cluster(std::move(options));
   KvOutcome outcome = KvOutcome::kTimeout;
   NodeId victim = kInvalidNode;
@@ -79,7 +79,7 @@ TEST(KvDurabilityTest, AckedWriteSurvivesAckerCrashRestart) {
 // must say so.
 TEST(KvDurabilityTest, PlantedAckBeforeSyncViolatesKvDurability) {
   Cluster::Options options = DurableKvCluster(8, VirtualDuration::Seconds(120));
-  options.config.kv_consistency = KvConsistency::kAll;
+  options.config.kv.consistency = KvConsistency::kAll;
   options.config.check.plant_kv_ack_before_sync = true;
   Cluster cluster(std::move(options));
   KvOutcome outcome = KvOutcome::kTimeout;
@@ -159,7 +159,7 @@ TEST(KvDurabilityTest, HintQueuedForDeadReplicaReplaysOnRecovery) {
 // through stale hints.
 TEST(KvDurabilityTest, HintExpiresAfterTtlAndIsNotDelivered) {
   Cluster::Options options = DurableKvCluster(8, VirtualDuration::Seconds(150));
-  options.config.kv_hint_ttl = VirtualDuration::Seconds(10);
+  options.config.kv.hint_ttl = VirtualDuration::Seconds(10);
   Cluster cluster(std::move(options));
   KvOutcome outcome = KvOutcome::kTimeout;
   NodeId victim = kInvalidNode;
@@ -202,7 +202,7 @@ TEST(KvDurabilityTest, HintExpiresAfterTtlAndIsNotDelivered) {
 // request.
 TEST(KvDurabilityTest, ConsistencyLevelAndWalCountersExport) {
   Cluster::Options options = DurableKvCluster(8, VirtualDuration::Seconds(120));
-  options.config.kv_consistency = KvConsistency::kOne;
+  options.config.kv.consistency = KvConsistency::kOne;
   options.kv_ops_per_second = 50;
   Cluster cluster(std::move(options));
   RunResult r = cluster.Run();

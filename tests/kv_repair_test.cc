@@ -21,9 +21,9 @@ Cluster::Options RepairKvCluster(int n, VirtualDuration horizon) {
   config.initial_nodes = n;
   config.calc_version = CalcVersion::kV3C3881Fix;
   config.run_mode = RunMode::kRealScale;
-  config.enable_kv = true;
-  config.kv_wal = true;
-  config.kv_repair = true;
+  config.kv.enabled = true;
+  config.kv.wal = true;
+  config.kv.repair = true;
   config.seed = 31337;
   WorkloadSpec wl;
   wl.kind = WorkloadKind::kSteadyState;
@@ -50,7 +50,7 @@ bool Violated(const RunResult& r, const std::string& name) {
 // armed by kv_repair, must come back clean.
 TEST(KvRepairTest, InjectedDivergenceConvergesViaAntiEntropy) {
   Cluster::Options options = RepairKvCluster(8, VirtualDuration::Seconds(200));
-  options.config.kv_hint_limit = 0;  // hints off: anti-entropy or nothing
+  options.config.kv.hint_limit = 0;  // hints off: anti-entropy or nothing
   Cluster cluster(std::move(options));
   KvOutcome outcome = KvOutcome::kTimeout;
   NodeId victim = kInvalidNode;
@@ -104,8 +104,8 @@ TEST(KvRepairTest, CrashMidRepairAbortsSessionInsteadOfRetryingForever) {
   Cluster::Options options = RepairKvCluster(8, VirtualDuration::Seconds(180));
   // Aggressive scheduling: a tick a second and a short session timeout, so
   // several sessions head for the victim inside the conviction window.
-  options.config.kv_repair_interval = VirtualDuration::Seconds(1);
-  options.config.kv_repair_session_timeout = VirtualDuration::Seconds(5);
+  options.config.kv.repair_interval = VirtualDuration::Seconds(1);
+  options.config.kv.repair_session_timeout = VirtualDuration::Seconds(5);
   options.kv_ops_per_second = 20;  // some data so sessions have work
   Cluster cluster(std::move(options));
   NodeId victim = 3;
@@ -134,7 +134,7 @@ TEST(KvRepairTest, CrashMidRepairAbortsSessionInsteadOfRetryingForever) {
 TEST(KvRepairTest, PlantedRepairStormViolatesReplicaConvergence) {
   Cluster::Options options = RepairKvCluster(8, VirtualDuration::Seconds(150));
   options.config.check.plant_repair_storm = true;
-  options.config.kv_repair_rate_bytes = 4096;  // the budget the storm ignores
+  options.config.kv.repair_rate_bytes = 4096;  // the budget the storm ignores
   options.kv_ops_per_second = 200;
   Cluster cluster(std::move(options));
   RunResult r = cluster.Run();
@@ -149,7 +149,7 @@ TEST(KvRepairTest, PlantedRepairStormViolatesReplicaConvergence) {
 // traffic stays inside the byte budget the invariant enforces.
 TEST(KvRepairTest, ThrottledRepairStaysInsideBudget) {
   Cluster::Options options = RepairKvCluster(8, VirtualDuration::Seconds(150));
-  options.config.kv_repair_rate_bytes = 4096;
+  options.config.kv.repair_rate_bytes = 4096;
   options.kv_ops_per_second = 200;
   Cluster cluster(std::move(options));
   RunResult r = cluster.Run();
@@ -161,7 +161,7 @@ TEST(KvRepairTest, ThrottledRepairStaysInsideBudget) {
 // golden-compatibility contract for pre-repair configurations.
 TEST(KvRepairTest, CountersZeroWithRepairOff) {
   Cluster::Options options = RepairKvCluster(8, VirtualDuration::Seconds(90));
-  options.config.kv_repair = false;
+  options.config.kv.repair = false;
   options.kv_ops_per_second = 50;
   Cluster cluster(std::move(options));
   RunResult r = cluster.Run();
@@ -181,7 +181,7 @@ TEST(KvRepairTest, ZipfKeyDistributionIsDeterministic) {
   auto make = [] {
     Cluster::Options options =
         RepairKvCluster(8, VirtualDuration::Seconds(90));
-    options.config.kv_repair = false;
+    options.config.kv.repair = false;
     options.kv_ops_per_second = 100;
     options.kv_key_space = 1000;
     options.kv_key_dist = KvKeyDist::kZipf;

@@ -36,7 +36,7 @@ TEST(RealCluster, FourNodesConvergeOnLocalhost) {
 
 TEST(RealCluster, KvQuorumOpsSucceedAfterConvergence) {
   RealCluster::Options options = FastOptions(5);
-  options.config.enable_kv = true;
+  options.config.kv.enabled = true;
   options.kv_ops = 16;
   RealCluster cluster(options);
   RunResult result = cluster.Run();
@@ -55,9 +55,9 @@ TEST(RealCluster, KvWalGroupCommitAcksOverTcp) {
   // means the record was durable before the coordinator counted the ack —
   // the same contract the sim-side kv-durability invariant audits.
   RealCluster::Options options = FastOptions(5);
-  options.config.enable_kv = true;
-  options.config.kv_wal = true;
-  options.config.kv_wal_sync_interval = VirtualDuration::Millis(25);
+  options.config.kv.enabled = true;
+  options.config.kv.wal = true;
+  options.config.kv.wal_sync_interval = VirtualDuration::Millis(25);
   options.kv_ops = 16;
   RealCluster cluster(options);
   RunResult result = cluster.Run();

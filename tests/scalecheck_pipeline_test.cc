@@ -39,13 +39,30 @@ TEST(BugSpecTest, MakeClusterOptionsCarriesEveryRunInput) {
   EXPECT_EQ(options.config.initial_nodes, 16);
   EXPECT_EQ(options.config.run_mode, RunMode::kColocated);
   EXPECT_EQ(options.config.seed, 7u);
-  EXPECT_TRUE(options.config.enable_kv);
+  EXPECT_TRUE(options.config.kv.enabled);
   EXPECT_EQ(options.workload.kind, WorkloadKind::kSteadyState);
   EXPECT_EQ(options.workload.horizon, VirtualDuration::Seconds(120));
   EXPECT_TRUE(options.faults == spec.custom_faults);
   EXPECT_DOUBLE_EQ(options.kv_ops_per_second, 500.0);
   EXPECT_EQ(options.kv_key_dist, KvKeyDist::kZipf);
   EXPECT_DOUBLE_EQ(options.kv_zipf_s, 1.5);
+}
+
+TEST(BugSpecTest, KvMirrorFieldsDefaultFromKvConfig) {
+  // Without KV load a spec's KV settings are ClusterConfig's own defaults,
+  // field for field.
+  const BugSpec spec;
+  EXPECT_EQ(spec.MakeConfig(16, RunMode::kColocated, 7).kv, ClusterConfig{}.kv);
+  // KV load turns the service on and retries; nothing else moves.
+  BugSpec loaded;
+  loaded.kv_ops_per_second = 100.0;
+  KvConfig kv = loaded.MakeConfig(16, RunMode::kColocated, 7).kv;
+  EXPECT_TRUE(kv.enabled);
+  EXPECT_EQ(kv.max_attempts, 4);
+  EXPECT_NE(kv, ClusterConfig{}.kv);
+  kv.enabled = ClusterConfig{}.kv.enabled;
+  kv.max_attempts = ClusterConfig{}.kv.max_attempts;
+  EXPECT_EQ(kv, ClusterConfig{}.kv);
 }
 
 TEST(RelativeFlapErrorTest, Definition) {

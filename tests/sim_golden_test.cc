@@ -36,7 +36,7 @@
 // (kv_wal_bytes, hint queue activity, read repairs, per-consistency-level
 // op counts), all zero here because these runs carry no KV load. Every
 // pre-existing field is byte-identical — the durability machinery is
-// schedule- and RNG-silent when enable_kv is off, and that silence is now
+// schedule- and RNG-silent when kv.enabled is off, and that silence is now
 // part of what this golden pins.
 //
 // Re-pinned with anti-entropy repair (Merkle trees + overload-safe
