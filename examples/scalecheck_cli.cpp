@@ -119,7 +119,9 @@ int RunOne(const RunSettings& s, RunMode mode) {
 
 // --repro=FILE: re-execute a ChaosSearch artifact. The replayed run must
 // reach the byte-identical InvariantReport the artifact recorded; any
-// mismatch is a hard error (1), a reproduced violation exits 4.
+// mismatch is a hard error (1), a reproduced violation exits 4. An artifact
+// whose KV keys would act on nothing (CheckArtifactKnobs) exits 2, as the
+// same flags would.
 int RunRepro(const RunSettings& s) {
   std::ifstream in(s.repro);
   if (!in) {
@@ -132,7 +134,8 @@ int RunRepro(const RunSettings& s) {
   if (!replay.ok()) {
     std::fprintf(stderr, "repro artifact rejected: %s\n",
                  replay.status().ToString().c_str());
-    return 1;
+    // A KV setting the replay would not act on breaks the flag rule: usage.
+    return replay.status().code() == StatusCode::kFailedPrecondition ? 2 : 1;
   }
   const ReproReplay& out = replay.value();
   if (s.json) {

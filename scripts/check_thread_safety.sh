@@ -41,7 +41,10 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # crashes and restarts replicas with the WAL on and kv_cluster_test crashes
 # one under quorum load, so the ASan leg covers KvService's OnCrash/OnRestart
 # path reading the KvConfig its Deps now carry (AntiEntropy reads the same
-# Deps by reference, which must outlive every timer it arms).
+# Deps by reference, which must outlive every timer it arms);
+# sim_payload_pool_test releases payloads after their pool is destroyed, as
+# a cluster's teardown does with the payloads still queued in its simulator,
+# so the ASan leg shows the recycler frees them without touching freed state.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -51,7 +54,7 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          net_link_filter_test cluster_protocol_node_test
          kv_merkle_test kv_repair_test gossip_incremental_test
          sim_thread_expiry_test sim_golden_test
-         kv_durability_test kv_cluster_test)
+         kv_durability_test kv_cluster_test sim_payload_pool_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"

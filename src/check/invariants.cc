@@ -6,6 +6,7 @@
 #include "src/cluster/node.h"
 #include "src/common/check.h"
 #include "src/common/strings.h"
+#include "src/kv/kv_config.h"
 #include "src/kv/kv_history.h"
 #include "src/kv/kv_service.h"
 #include "src/kv/storage_engine.h"
@@ -533,9 +534,7 @@ class ReplicaConvergenceInvariant : public Invariant {
     if (ctx.config->kv.repair_rate_bytes <= 0) return;
     const double elapsed_seconds =
         static_cast<double>(ctx.now.nanos()) / 1e9;
-    const double allowance =
-        static_cast<double>(ctx.config->kv.repair_rate_bytes) * elapsed_seconds * 2.0 +
-        4.0 * 1024.0 * 1024.0;
+    const double allowance = RepairByteAllowance(ctx.config->kv, elapsed_seconds);
     for (const Node* node : *ctx.nodes) {
       if (!Running(node) || node->kv() == nullptr) continue;
       int64_t streamed = node->kv()->stats().repair_bytes_streamed;

@@ -223,6 +223,7 @@ void Cluster::BuildDeployment() {
   env_.calc_executed_real = &calc_executed_real_;
   env_.profile_hook = options_.profile_hook;
   env_.kv_history = kv_history_.get();
+  env_.payloads = &payloads_;
 
   // ---- Nodes -------------------------------------------------------------------
   Rng node_seeds(HashCombine(cfg.seed, 0xc1057e70ULL));
@@ -786,12 +787,14 @@ void Cluster::CollectResult(RunResult* result) const {
       run.digest_builds += g.digest_builds();
       run.digest_entries_refreshed += g.digest_entries_refreshed();
       run.digest_full_rebuilds += g.digest_full_rebuilds();
-      run.payload_reuses += node->payload_reuses();
-      run.payload_allocs += node->payload_allocs();
       run.gossip_digest_bytes_sent += node->digest_bytes_sent();
       run.gossip_arena_bytes += node->arena_bytes_reserved();
       run.endpoint_store_bytes += g.endpoint_store_bytes();
     }
+    run.payload_reuses =
+        payloads_.syn.reuses() + payloads_.ack.reuses() + payloads_.ack2.reuses();
+    run.payload_allocs =
+        payloads_.syn.allocs() + payloads_.ack.allocs() + payloads_.ack2.allocs();
     run.intern_table_size = interner_.size();
     run.intern_table_bytes = interner_.ApproxBytes();
     result->profile = run;

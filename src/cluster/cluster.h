@@ -18,12 +18,14 @@
 #include "src/faults/fault_injector.h"
 #include "src/faults/fault_plan.h"
 #include "src/gossip/flap_counter.h"
+#include "src/gossip/messages.h"
 #include "src/pil/boundary.h"
 #include "src/pil/function_registry.h"
 #include "src/pil/memo_store.h"
 #include "src/pil/order_log.h"
 #include "src/sim/machine.h"
 #include "src/sim/network.h"
+#include "src/sim/payload_pool.h"
 #include "src/transport/sim_substrate.h"
 #include "src/sim/profiler.h"
 #include "src/sim/simulator.h"
@@ -34,6 +36,17 @@ namespace scalecheck {
 // Zipf(s) where key k has weight 1/(k+1)^s — a hot-key skew that concentrates
 // both foreground traffic and repair divergence on a few token ranges.
 enum class KvKeyDist { kUniform, kZipf };
+
+// The recycled gossip payloads of one simulated cluster, one pool per message
+// kind. The simulator runs one event at a time on one host thread, so a
+// payload freed by one node can carry the next send of any other: a pool per
+// node would only park idle capacity (an ACK that once carried every
+// endpoint state keeps its ~47 KB at N=256).
+struct GossipPayloadPools {
+  PayloadPool<SynPayload> syn;
+  PayloadPool<AckPayload> ack;
+  PayloadPool<Ack2Payload> ack2;
+};
 
 class Cluster {
  public:
@@ -131,6 +144,7 @@ class Cluster {
   std::vector<const Node*> node_view_;  // lazy id-ordered view for probes
   std::unique_ptr<CalcOutputCache> owned_output_cache_;
   std::unique_ptr<TraceRecorder> trace_;
+  GossipPayloadPools payloads_;
   Node::Env env_;
 
   EndpointInterner interner_;

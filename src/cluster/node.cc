@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/cluster/cluster.h"
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -325,6 +326,8 @@ void Node::FailureSweep() {
   gossip_task_.Enqueue(std::move(sweep));
 }
 
+void Node::SendSyn(NodeId peer) { core_.SendSyn(peer, env_->payloads->syn.Acquire()); }
+
 void Node::HandleSynMessage(const Message& msg) {
   auto syn = std::static_pointer_cast<const SynPayload>(msg.payload);
   NodeId peer = msg.from;
@@ -336,7 +339,7 @@ void Node::HandleSynMessage(const Message& msg) {
        return Gossiper::EstimateSynWork(*syn, env_->config->gossip_costs);
      })
       .Run([this, syn, peer] {
-        core_.AnswerSyn(peer, *syn, ack_pool_.Acquire());
+        core_.AnswerSyn(peer, *syn, env_->payloads->ack.Acquire());
         if (env_->profile_hook) {
           env_->profile_hook(env_->gossip_syn_function,
                              Gossiper::EstimateSynWork(*syn, env_->config->gossip_costs),
@@ -371,7 +374,7 @@ void Node::HandleAckMessage(const Message& msg) {
     job.Unlock(&ring_lock_);
   }
   job.Run([this, ack, peer] {
-    core_.FinishAck(peer, *ack, [this] { return ack2_pool_.Acquire(); });
+    core_.FinishAck(peer, *ack, [this] { return env_->payloads->ack2.Acquire(); });
   });
   gossip_stage_.Enqueue(std::move(job));
 }

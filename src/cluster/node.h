@@ -25,8 +25,9 @@
 // modelled CPU cost and, where the placement says so, the ring SimMutex.
 // The pending-range calculation crosses the PIL boundary: depending on the
 // run mode it executes (real/colocated/memoize) or sleeps (replay). Also
-// sim-only: MemoryModel charges, payload pools, the replay order enforcer
-// and trace records.
+// sim-only: MemoryModel charges, the replay order enforcer and trace
+// records. Gossip payloads come from the cluster's shared pools
+// (Env::payloads), not from pools of the node's own.
 
 #ifndef SCALECHECK_SRC_CLUSTER_NODE_H_
 #define SCALECHECK_SRC_CLUSTER_NODE_H_
@@ -51,7 +52,6 @@
 #include "src/ring/calculators.h"
 #include "src/sim/machine.h"
 #include "src/sim/network.h"
-#include "src/sim/payload_pool.h"
 #include "src/sim/thread.h"
 #include "src/sim/trace.h"
 #include "src/transport/sim_substrate.h"
@@ -60,6 +60,7 @@
 namespace scalecheck {
 
 class KvHistory;
+struct GossipPayloadPools;
 
 // Process-level cache of calculator outputs keyed by input digest. A harness
 // optimization, not a semantic one: the calculators are pure functions, and
@@ -156,6 +157,8 @@ class Node final : private ProtocolNode::Host {
     std::function<void(PilFunctionId, int64_t, size_t)> profile_hook = nullptr;
     // Client-op history sink for the KV invariant checker (null = off).
     KvHistory* kv_history = nullptr;
+    // The cluster's recycled SYN/ACK/ACK2 payloads (cluster.h).
+    GossipPayloadPools* payloads = nullptr;
   };
 
   Node(Env* env, NodeId id, Machine* machine, uint64_t seed);
@@ -219,13 +222,6 @@ class Node final : private ProtocolNode::Host {
   const KvService* kv() const { return core_.kv(); }
   // Gossip-processing tasks shed for staleness (stage overload signature).
   uint64_t stage_tasks_dropped() const { return gossip_stage_.jobs_dropped(); }
-  // Payload-pool recycling stats summed over the SYN/ACK/ACK2 pools.
-  uint64_t payload_reuses() const {
-    return syn_pool_.reuses() + ack_pool_.reuses() + ack2_pool_.reuses();
-  }
-  uint64_t payload_allocs() const {
-    return syn_pool_.allocs() + ack_pool_.allocs() + ack2_pool_.allocs();
-  }
   // Total SYN digest-section bytes shipped (delta-varint encoded measure);
   // divide by the profiler's digest_builds for bytes/round.
   uint64_t digest_bytes_sent() const { return core_.digest_bytes_sent(); }
@@ -245,7 +241,7 @@ class Node final : private ProtocolNode::Host {
   void ProcessMessage(const Message& msg);
   void GossipRound();
   void FailureSweep();
-  void SendSyn(NodeId peer) { core_.SendSyn(peer, syn_pool_.Acquire()); }
+  void SendSyn(NodeId peer);
   void HandleSynMessage(const Message& msg);
   void HandleAckMessage(const Message& msg);
   void HandleAck2Message(const Message& msg);
@@ -289,11 +285,6 @@ class Node final : private ProtocolNode::Host {
 
   bool partition_services_allocated_ = false;
   int64_t partition_services_bytes_ = 0;
-
-  // Recycled payload buffers for the three gossip message kinds.
-  PayloadPool<SynPayload> syn_pool_;
-  PayloadPool<AckPayload> ack_pool_;
-  PayloadPool<Ack2Payload> ack2_pool_;
 
   std::unique_ptr<OrderEnforcer> enforcer_;
   bool started_ = false;

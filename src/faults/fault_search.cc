@@ -456,6 +456,9 @@ Result<ReproReplay> ReplayRepro(const std::string& artifact_json) {
   }
   RunSettings settings;
   Status knobs = ReadArtifactKnobs(v, &settings);
+  if (knobs.ok()) {
+    knobs = CheckArtifactKnobs(settings);
+  }
   if (!knobs.ok()) {
     return knobs;
   }

@@ -134,7 +134,8 @@ struct ReproReplay {
 
 // Parses and re-executes an artifact produced by MakeReproArtifact. Strict:
 // an unknown format or key, a missing key, a value of the wrong type or out
-// of its row's range, or a malformed plan is an error, not a guess.
+// of its row's range, or a malformed plan is an error, not a guess; so is a
+// KV key that would act on nothing (CheckArtifactKnobs, kFailedPrecondition).
 Result<ReproReplay> ReplayRepro(const std::string& artifact_json);
 
 }  // namespace scalecheck

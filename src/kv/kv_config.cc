@@ -28,4 +28,9 @@ int KvRequiredAcks(KvConsistency level, int replication_factor) {
   return replication_factor / 2 + 1;
 }
 
+double RepairByteAllowance(const KvConfig& kv, double elapsed_seconds) {
+  return static_cast<double>(kv.repair_rate_bytes) * elapsed_seconds * 2.0 +
+         4.0 * 1024.0 * 1024.0;
+}
+
 }  // namespace scalecheck

@@ -70,6 +70,12 @@ struct KvConfig {
   bool operator==(const KvConfig&) const = default;
 };
 
+// The most repair bytes a node may stream in its first `elapsed_seconds`
+// before the invariant checker calls it a repair storm: twice the configured
+// rate, plus 4 MiB of slack for the first sessions. Both carriers judge by
+// this one allowance.
+double RepairByteAllowance(const KvConfig& kv, double elapsed_seconds);
+
 }  // namespace scalecheck
 
 #endif  // SCALECHECK_SRC_KV_KV_CONFIG_H_

@@ -12,6 +12,7 @@
 #include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/faults/fault_injector.h"
+#include "src/kv/kv_config.h"
 #include "src/ring/token_ring.h"
 
 namespace scalecheck {
@@ -375,10 +376,7 @@ RunResult RealCluster::Run() {
       (elapsed_seconds / interval_seconds) * options_.config.kv.repair_max_sessions *
           2.0 +
       4.0;
-  const double byte_allowance =
-      static_cast<double>(options_.config.kv.repair_rate_bytes) *
-          elapsed_seconds * 2.0 +
-      4.0 * 1024.0 * 1024.0;
+  const double byte_allowance = RepairByteAllowance(options_.config.kv, elapsed_seconds);
   for (const auto& node : nodes_) {
     if (!options_.config.kv.repair) break;
     bool already_flagged = false;

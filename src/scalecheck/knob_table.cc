@@ -453,6 +453,25 @@ void AppendWrapped(std::string_view head, std::string_view text, size_t indent,
   *out += line + "\n";
 }
 
+// The first thing `row`'s KvNeeds names that the run of `s` lacks, or
+// kNothing; `real` reads the socket carrier's settings instead of the
+// BugSpec's.
+KvNeeds MissingKvNeed(const Knob& row, const RunSettings& s, bool real) {
+  const bool load = real ? s.real.kv_ops > 0 : s.run.spec.kv_ops_per_second > 0.0;
+  const bool wal = real ? s.real.config.kv.wal : s.run.spec.kv_wal;
+  const bool repair = real ? s.real.config.kv.repair : s.run.spec.kv_repair;
+  if (row.needs != KvNeeds::kNothing && !load) {
+    return KvNeeds::kLoad;
+  }
+  if (row.needs == KvNeeds::kWal && !wal) {
+    return KvNeeds::kWal;
+  }
+  if (row.needs == KvNeeds::kRepair && !repair) {
+    return KvNeeds::kRepair;
+  }
+  return KvNeeds::kNothing;
+}
+
 }  // namespace
 
 const std::vector<Knob>& KnobTable() {
@@ -495,24 +514,18 @@ Result<ModeSelection> SelectMode(const CliArgs& args) {
     kind = CliModeKind::kRepro;
   }
   const bool real = kind == CliModeKind::kReal;
-  const bool load = real ? s.real.kv_ops > 0 : s.run.spec.kv_ops_per_second > 0.0;
-  const bool wal = real ? s.real.config.kv.wal : s.run.spec.kv_wal;
-  const bool repair = real ? s.real.config.kv.repair : s.run.spec.kv_repair;
   for (const Knob* row : args.given) {
     const std::string flag(row->flag);
     if ((row->modes & ModeBit(kind)) == 0) {
       return Status::InvalidArgument(flag + " has no effect with --mode=" + CliModeKindName(kind));
     }
-    std::string missing;
-    if (row->needs != KvNeeds::kNothing && !load) {
-      missing = real ? "KV load (--kv-ops)" : "KV load (--kv-rate)";
-    } else if (row->needs == KvNeeds::kWal && !wal) {
-      missing = "--kv-wal";
-    } else if (row->needs == KvNeeds::kRepair && !repair) {
-      missing = "--kv-repair";
-    }
-    if (!missing.empty()) {
-      return Status::InvalidArgument(flag + " has no effect without " + missing);
+    const KvNeeds missing = MissingKvNeed(*row, s, real);
+    if (missing != KvNeeds::kNothing) {
+      return Status::InvalidArgument(flag + " has no effect without " +
+                                     (missing == KvNeeds::kWal      ? "--kv-wal"
+                                      : missing == KvNeeds::kRepair ? "--kv-repair"
+                                      : real                        ? "KV load (--kv-ops)"
+                                                                    : "KV load (--kv-rate)"));
     }
   }
   if (kind == CliModeKind::kSearch && s.run.nodes < kMinFaultSearchNodes) {
@@ -573,6 +586,24 @@ Status ReadArtifactKnobs(const JsonValue& object, RunSettings* settings) {
     if (!read.ok()) {
       return Status(read.code(),
                     "repro artifact: \"" + std::string(row.key) + "\": " + read.message());
+    }
+  }
+  return Status::Ok();
+}
+
+Status CheckArtifactKnobs(const RunSettings& settings) {
+  const RunSettings defaults;
+  for (const Knob& row : KnobTable()) {
+    if (row.key.empty() || row.show(settings) == row.show(defaults)) {
+      continue;
+    }
+    const KvNeeds missing = MissingKvNeed(row, settings, /*real=*/false);
+    if (missing != KvNeeds::kNothing) {
+      return Status::FailedPrecondition(
+          "repro artifact: \"" + std::string(row.key) + "\" has no effect without " +
+          (missing == KvNeeds::kWal      ? "\"kv_wal\": true"
+           : missing == KvNeeds::kRepair ? "\"kv_repair\": true"
+                                         : "KV load (\"kv_ops_per_second\" above 0)"));
     }
   }
   return Status::Ok();

