@@ -35,7 +35,8 @@
 #   6. real-mode smoke: the same protocol code on REAL localhost TCP sockets
 #      (--mode=real) must gossip an 8-node cluster to convergence under a
 #      wall-clock timeout, complete a WAL-backed quorum KV smoke (group
-#      commit over real sockets), and exit 0,
+#      commit over real sockets), pass the shared invariant registry with
+#      the KV checks armed and more than one probe, and exit 0,
 #   7. real-mode chaos smoke: replay the islanding FaultPlan against the
 #      socket carrier (--mode=real --faults=island) — the link filter must
 #      actually drop frames, and after the heal the gossip-to-unreachable
@@ -329,6 +330,17 @@ if [[ "$out" != *'"kv_ok":16,'* ]]; then
 fi
 if [[ "$out" == *'"kv_wal_bytes":0,'* ]]; then
   echo "FAIL: real-mode KV smoke wrote no WAL bytes (WAL not wired?)" >&2
+  exit 1
+fi
+# The shared invariant registry judges the socket run: probed from boot on,
+# with the client history recorded, so the KV checks arm.
+if [[ "$out" != *'"kv_checked":true'* ]]; then
+  echo "FAIL: real-mode KV smoke did not arm the KV checkers" >&2
+  exit 1
+fi
+probes="$(sed -n 's/.*"invariants":{"checked":true,"probes":\([0-9]*\).*/\1/p' <<<"$out")"
+if [[ -z "$probes" || "$probes" -le 1 ]]; then
+  echo "FAIL: real-mode KV smoke probed its invariants ${probes:-0} times, expected > 1" >&2
   exit 1
 fi
 

@@ -1,8 +1,8 @@
 // Configuration for the runtime invariant checker (src/check/invariants.h).
 //
 // Lives in its own header so ClusterConfig can embed it without pulling the
-// checker implementation (and its Node introspection) into every config
-// consumer.
+// checker implementation (and its ProtocolNode introspection) into every
+// config consumer.
 
 #ifndef SCALECHECK_SRC_CHECK_CHECK_OPTIONS_H_
 #define SCALECHECK_SRC_CHECK_CHECK_OPTIONS_H_
@@ -12,13 +12,15 @@
 namespace scalecheck {
 
 struct CheckOptions {
-  // Master switch: when false the cluster creates no registry and RunResult's
-  // invariants block reports checked=false.
+  // Master switch: when false neither carrier creates a registry and
+  // RunResult's invariants block reports checked=false.
   bool enabled = true;
 
-  // Virtual-time probe cadence. Probes are deterministic model inspections
-  // (no messages, no CPU charge), so the cadence only trades detection
-  // latency against event count.
+  // Probe cadence: virtual time in the simulator, wall clock on the real
+  // carrier. Simulated probes are deterministic model inspections (no
+  // messages, no CPU charge), so the cadence only trades detection latency
+  // against event count; a real-carrier probe briefly holds every node's
+  // monitor.
   VirtualDuration probe_period = VirtualDuration::Seconds(10);
 
   // Convergence-style invariants (gossip convergence, zombie endpoints) only

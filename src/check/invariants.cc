@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "src/cluster/node.h"
+#include "src/cluster/config.h"
+#include "src/cluster/protocol_node.h"
 #include "src/common/check.h"
 #include "src/common/strings.h"
 #include "src/kv/kv_config.h"
@@ -45,11 +46,35 @@ std::string InvariantReport::ToJson() const {
   return w.str();
 }
 
+bool KvHistoryCheckable(WorkloadKind workload, const ClusterConfig& config) {
+  return (workload == WorkloadKind::kSteadyState ||
+          workload == WorkloadKind::kFailover) &&
+         config.kv.consistency != KvConsistency::kOne;
+}
+
 namespace {
 
 // Gate shared by every membership-sensitive checker: the node is running and
 // participating.
-bool Running(const Node* node) { return !node->crashed() && node->started(); }
+bool Running(const NodeView& node) { return node.started && !node.core->crashed(); }
+
+// The running NORMAL nodes, in id order, whose current incarnation has been
+// NORMAL for at least `window`: dissemination among them must have
+// completed. A node that crashed and came back, or just turned NORMAL, gets
+// a fresh window.
+std::vector<const ProtocolNode*> StableNormal(const InvariantContext& ctx,
+                                              const InvariantRegistry& sink,
+                                              VirtualDuration window) {
+  std::vector<const ProtocolNode*> stable;
+  for (const NodeView& node : *ctx.nodes) {
+    if (!Running(node) || node.core->my_status() != StatusKind::kNormal) continue;
+    auto it = sink.tracks().find(node.core->id());
+    if (it == sink.tracks().end() || !it->second.has_normal_since) continue;
+    if (ctx.now < it->second.normal_since + window) continue;
+    stable.push_back(node.core);
+  }
+  return stable;
+}
 
 // ---- ring-ownership ---------------------------------------------------------
 
@@ -58,12 +83,12 @@ class RingOwnershipInvariant : public Invariant {
   const char* name() const override { return "ring-ownership"; }
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
-    for (const Node* viewer : *ctx.nodes) {
-      if (!Running(viewer) || !viewer->IsSettledView()) continue;
-      for (const Node* subject : *ctx.nodes) {
-        if (!Running(subject) || subject->my_status() != StatusKind::kNormal) {
-          continue;
-        }
+    for (const NodeView& viewer_view : *ctx.nodes) {
+      if (!Running(viewer_view) || !viewer_view.core->IsSettledView()) continue;
+      const ProtocolNode* viewer = viewer_view.core;
+      for (const NodeView& subject_view : *ctx.nodes) {
+        const ProtocolNode* subject = subject_view.core;
+        if (!Running(subject_view) || subject->my_status() != StatusKind::kNormal) continue;
         if (!viewer->ring().HasNode(subject->id())) continue;
         // TokensOf spans are already sorted (AddNode sorts the slice).
         TokenSpan seen = viewer->ring().TokensOf(subject->id());
@@ -93,18 +118,9 @@ class GossipConvergenceInvariant : public Invariant {
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
     const VirtualDuration grace = sink->options().convergence_grace;
     if (ctx.now < ctx.fault_quiet_at + grace) return;
-    // Participants: NORMAL, running, and stable in this incarnation long
-    // enough that dissemination must have completed.
-    std::vector<const Node*> stable;
-    for (const Node* node : *ctx.nodes) {
-      if (!Running(node) || node->my_status() != StatusKind::kNormal) continue;
-      auto it = sink->tracks().find(node->id());
-      if (it == sink->tracks().end() || !it->second.has_normal_since) continue;
-      if (ctx.now < it->second.normal_since + grace) continue;
-      stable.push_back(node);
-    }
-    for (const Node* viewer : stable) {
-      for (const Node* subject : stable) {
+    const std::vector<const ProtocolNode*> stable = StableNormal(ctx, *sink, grace);
+    for (const ProtocolNode* viewer : stable) {
+      for (const ProtocolNode* subject : stable) {
         if (viewer == subject) continue;
         if (!viewer->gossiper().IsAlive(subject->id())) {
           sink->ReportViolation(
@@ -137,19 +153,11 @@ class PartitionHealsInvariant : public Invariant {
     const VirtualDuration bound =
         ctx.config->gossip_interval * sink->options().partition_heal_rounds;
     if (ctx.now < ctx.fault_quiet_at + bound) return;
-    // Same stable-participant filter as gossip-convergence, with the heal
-    // bound as the stability window: a node that crashed and came back (or
-    // just turned NORMAL) gets a fresh window before it must have healed.
-    std::vector<const Node*> stable;
-    for (const Node* node : *ctx.nodes) {
-      if (!Running(node) || node->my_status() != StatusKind::kNormal) continue;
-      auto it = sink->tracks().find(node->id());
-      if (it == sink->tracks().end() || !it->second.has_normal_since) continue;
-      if (ctx.now < it->second.normal_since + bound) continue;
-      stable.push_back(node);
-    }
-    for (const Node* viewer : stable) {
-      for (const Node* subject : stable) {
+    // Same participants as gossip-convergence, with the heal bound as the
+    // stability window.
+    const std::vector<const ProtocolNode*> stable = StableNormal(ctx, *sink, bound);
+    for (const ProtocolNode* viewer : stable) {
+      for (const ProtocolNode* subject : stable) {
         if (viewer == subject) continue;
         if (!viewer->gossiper().IsAlive(subject->id())) {
           sink->ReportViolation(
@@ -177,8 +185,9 @@ class ZombieEndpointInvariant : public Invariant {
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
     const VirtualDuration grace = sink->options().convergence_grace;
-    for (const Node* target : *ctx.nodes) {
-      if (target->crashed() || !target->started()) continue;
+    for (const NodeView& target_view : *ctx.nodes) {
+      const ProtocolNode* target = target_view.core;
+      if (!Running(target_view)) continue;
       StatusKind status = target->my_status();
       if (status != StatusKind::kLeft && status != StatusKind::kRemoved) {
         continue;
@@ -187,8 +196,9 @@ class ZombieEndpointInvariant : public Invariant {
       if (it == sink->tracks().end() || !it->second.has_left_seen) continue;
       VirtualTime quiet = std::max(ctx.fault_quiet_at, it->second.left_seen_at);
       if (ctx.now < quiet + grace) continue;
-      for (const Node* viewer : *ctx.nodes) {
-        if (viewer == target || !Running(viewer) || !viewer->IsSettledView()) {
+      for (const NodeView& viewer_view : *ctx.nodes) {
+        const ProtocolNode* viewer = viewer_view.core;
+        if (viewer == target || !Running(viewer_view) || !viewer->IsSettledView()) {
           continue;
         }
         if (viewer->ring().HasNode(target->id())) {
@@ -211,8 +221,9 @@ class GenVersionMonotonicInvariant : public Invariant {
   const char* name() const override { return "generation-monotonic"; }
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
-    for (const Node* viewer : *ctx.nodes) {
-      if (!Running(viewer)) continue;
+    for (const NodeView& viewer_view : *ctx.nodes) {
+      if (!Running(viewer_view)) continue;
+      const ProtocolNode* viewer = viewer_view.core;
       int64_t viewer_gen =
           viewer->gossiper().LocalState().heartbeat().generation;
       PerViewer& mine = seen_[viewer->id()];
@@ -407,15 +418,12 @@ class KvDurabilityInvariant : public Invariant {
         ts = std::max(ts, rec.write_timestamp);
       }
     }
-    if (required_.empty()) return;
-    std::map<NodeId, const Node*> by_id;
-    for (const Node* node : *ctx.nodes) by_id[node->id()] = node;
     for (const auto& [key_acker, ts] : required_) {
-      const Node* node = by_id.count(key_acker.second)
-                             ? by_id[key_acker.second]
-                             : nullptr;
-      if (node == nullptr || !Running(node) || node->kv() == nullptr) continue;
-      int64_t have = node->kv()->storage().TimestampOf(key_acker.first);
+      const size_t acker = static_cast<size_t>(key_acker.second);
+      if (acker >= ctx.nodes->size()) continue;
+      const NodeView& node = (*ctx.nodes)[acker];
+      if (!Running(node) || node.core->kv() == nullptr) continue;
+      int64_t have = node.core->kv()->storage().TimestampOf(key_acker.first);
       if (have < ts) {
         sink->ReportViolation(
             name(), ctx.now,
@@ -453,10 +461,13 @@ class KvDurabilityInvariant : public Invariant {
 // repair pass has had the least time to fix, which is where convergence
 // failures hide.
 //
-// Budget: no node may stream repair bytes beyond twice its configured rate
-// integrated over the run plus a fixed slack. The token bucket's burst and
-// the post-charged stream overdraft both fit comfortably inside 2x+slack;
-// a repair storm that ignores its throttle (plant_repair_storm) does not.
+// Budget: no node may exceed RepairBudgetAt (src/kv/kv_config.h): twice the
+// bytes its configured rate allows over the run, or twice the sessions its
+// schedule allows, each plus a fixed slack. The token bucket's burst and the
+// post-charged stream overdraft both fit comfortably inside 2x+slack; a
+// repair storm that ignores its throttle (plant_repair_storm) does not. A
+// short run's storm streams few bytes but opens one session per co-replica
+// per tick, so the session term catches it where the byte term cannot.
 class ReplicaConvergenceInvariant : public Invariant {
  public:
   const char* name() const override { return "replica-convergence"; }
@@ -483,14 +494,8 @@ class ReplicaConvergenceInvariant : public Invariant {
     if (sample.empty()) return;
     std::sort(sample.begin(), sample.end());
 
-    for (const Node* node : *ctx.nodes) {
-      if (!Running(node) || node->my_status() != StatusKind::kNormal ||
-          node->kv() == nullptr || !node->IsSettledView()) {
-        continue;
-      }
-      auto it = sink->tracks().find(node->id());
-      if (it == sink->tracks().end() || !it->second.has_normal_since) continue;
-      if (ctx.now < it->second.normal_since + grace) continue;
+    for (const ProtocolNode* node : StableNormal(ctx, *sink, grace)) {
+      if (node->kv() == nullptr || !node->IsSettledView()) continue;
       for (uint64_t key : sample) {
         int64_t expected = WinningTimestampBefore(key, cutoff);
         if (expected <= 0) continue;
@@ -534,18 +539,18 @@ class ReplicaConvergenceInvariant : public Invariant {
     if (ctx.config->kv.repair_rate_bytes <= 0) return;
     const double elapsed_seconds =
         static_cast<double>(ctx.now.nanos()) / 1e9;
-    const double allowance = RepairByteAllowance(ctx.config->kv, elapsed_seconds);
-    for (const Node* node : *ctx.nodes) {
-      if (!Running(node) || node->kv() == nullptr) continue;
-      int64_t streamed = node->kv()->stats().repair_bytes_streamed;
-      if (static_cast<double>(streamed) > allowance) {
+    for (const NodeView& node : *ctx.nodes) {
+      if (!Running(node) || node.core->kv() == nullptr) continue;
+      const KvStats& stats = node.core->kv()->stats();
+      if (RepairOverBudget(ctx.config->kv, elapsed_seconds, stats.repair_bytes_streamed,
+                           stats.repair_sessions)) {
         sink->ReportViolation(
             name(), ctx.now,
-            StrFormat("node %lld streamed %lld repair bytes in %.1fs, over "
-                      "2x its %lld B/s budget — repair storm",
-                      static_cast<long long>(node->id()),
-                      static_cast<long long>(streamed), elapsed_seconds,
-                      static_cast<long long>(ctx.config->kv.repair_rate_bytes)));
+            StrFormat("node %lld streamed %lld repair bytes in %lld sessions in "
+                      "%.1fs, over 2x its budget — repair storm",
+                      static_cast<long long>(node.core->id()),
+                      static_cast<long long>(stats.repair_bytes_streamed),
+                      static_cast<long long>(stats.repair_sessions), elapsed_seconds));
       }
     }
   }
@@ -610,7 +615,8 @@ void InvariantRegistry::Add(std::unique_ptr<Invariant> invariant) {
 }
 
 void InvariantRegistry::UpdateTracks(const InvariantContext& ctx) {
-  for (const Node* node : *ctx.nodes) {
+  for (const NodeView& view : *ctx.nodes) {
+    const ProtocolNode* node = view.core;
     NodeTrack& track = tracks_[node->id()];
     bool crashed = node->crashed();
     int64_t generation =
@@ -623,7 +629,7 @@ void InvariantRegistry::UpdateTracks(const InvariantContext& ctx) {
     track.crashed = crashed;
     track.generation = generation;
     track.status = node->my_status();
-    if (!crashed && node->started() &&
+    if (!crashed && view.started &&
         track.status == StatusKind::kNormal && !track.has_normal_since) {
       track.has_normal_since = true;
       track.normal_since = ctx.now;

@@ -2,10 +2,13 @@
 //
 // A FaultPlan tells us what we did to the cluster; these invariants tell us
 // whether the cluster stayed *correct* — the judgment ChaosSearch optimizes
-// against. The registry is probed on a virtual-time cadence by the Cluster
-// (plus once at run end); probes are pure inspections of deterministic model
-// state (no messages, no CPU charge), so the resulting report is part of the
-// byte-identical-JSON determinism contract and survives memoize/replay.
+// against. Both carriers own a registry and probe it on a cadence plus once at
+// run end, handing it the same carrier-neutral view (NodeView): the simulated
+// Cluster every check.probe_period of virtual time, RealCluster every
+// probe_period of wall clock with every node's monitor held. In the simulator
+// probes are pure inspections of deterministic model state (no messages, no
+// CPU charge), so the resulting report is part of the byte-identical-JSON
+// determinism contract and survives memoize/replay.
 //
 // Built-in invariants (AddBuiltins):
 //   ring-ownership       every live settled node's ring view assigns each
@@ -46,8 +49,9 @@
 //                        within the grace window. Budget: with repair on
 //                        (kv.repair), no node may stream repair bytes beyond
 //                        2x its configured rate over the run (plus a fixed
-//                        slack) — the signature of a repair storm that
-//                        ignores its throttle (plant_repair_storm)
+//                        slack), nor open sessions faster than 2x its
+//                        schedule allows — the signature of a repair storm
+//                        that ignores its throttle (plant_repair_storm)
 
 #ifndef SCALECHECK_SRC_CHECK_INVARIANTS_H_
 #define SCALECHECK_SRC_CHECK_INVARIANTS_H_
@@ -59,6 +63,7 @@
 #include <vector>
 
 #include "src/check/check_options.h"
+#include "src/cluster/workload.h"
 #include "src/common/types.h"
 #include "src/gossip/endpoint_state.h"
 
@@ -66,7 +71,7 @@ namespace scalecheck {
 
 class JsonWriter;
 class KvHistory;
-class Node;
+class ProtocolNode;
 struct ClusterConfig;
 
 // Aggregated sighting of one invariant: the virtual time and detail of the
@@ -111,17 +116,36 @@ struct NodeTrack {
 
 class InvariantRegistry;
 
+// One node as the invariants see it on either carrier: the protocol core
+// plus the one host fact the core lacks. A node is running iff it has
+// started and core->crashed() is false.
+struct NodeView {
+  const ProtocolNode* core = nullptr;
+  bool started = false;  // a joiner is not started before its join time
+};
+
+// Whether the kv-history, kv-durability and replica-convergence data checks
+// are sound for this run. The workload must preserve key ownership: the
+// simulator has no data-streaming model, so a membership change legitimately
+// strands acknowledged data on the old replicas. Reads and writes must also
+// intersect, which consistency ONE does not provide (a ONE read legitimately
+// misses a ONE write). The real carrier changes no membership, so it asks
+// with kSteadyState.
+bool KvHistoryCheckable(WorkloadKind workload, const ClusterConfig& config);
+
 struct InvariantContext {
   VirtualTime now;
-  // All cluster nodes in id order (crashed ones included; checkers filter).
-  const std::vector<const Node*>* nodes = nullptr;
+  // All cluster nodes in id order, so (*nodes)[id] is node `id` (crashed
+  // ones included; checkers filter).
+  const std::vector<NodeView>* nodes = nullptr;
   // The run's configuration: the replication factor, the gossip round
   // period (scales partition_heal_rounds) and the KV settings, whose kv.wal
   // and kv.repair arm the invariants above.
   const ClusterConfig* config = nullptr;
-  // Virtual instant the last scheduled fault heals (Zero when no faults).
+  // Instant the last scheduled fault heals (Zero when no faults). The real
+  // carrier boots from seeds, so it is not quiet before it first converges.
   VirtualTime fault_quiet_at;
-  // True when the run's workload preserves key ownership (see kv-history).
+  // KvHistoryCheckable for this run.
   bool kv_checkable = false;
   const KvHistory* history = nullptr;
 };

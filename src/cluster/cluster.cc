@@ -426,7 +426,7 @@ bool Cluster::WorkloadSettled() const {
         if (node->id() == wl.target || node->crashed()) {
           continue;
         }
-        if (node->ring().HasNode(wl.target) || !node->IsSettledView()) {
+        if (node->core().ring().HasNode(wl.target) || !node->core().IsSettledView()) {
           return false;
         }
       }
@@ -440,7 +440,7 @@ bool Cluster::WorkloadSettled() const {
             (wl.kind == WorkloadKind::kRebalance && node->id() == wl.target)) {
           continue;
         }
-        if (!node->IsSettledView()) {
+        if (!node->core().IsSettledView()) {
           return false;
         }
         // Every live node must be NORMAL in everyone's ring.
@@ -449,8 +449,8 @@ bool Cluster::WorkloadSettled() const {
               (wl.kind == WorkloadKind::kRebalance && other->id() == wl.target)) {
             continue;
           }
-          if (other->my_status() == StatusKind::kNormal &&
-              !node->ring().HasNode(other->id())) {
+          if (other->core().my_status() == StatusKind::kNormal &&
+              !node->core().ring().HasNode(other->id())) {
             return false;
           }
         }
@@ -466,7 +466,7 @@ bool Cluster::WorkloadSettled() const {
         if (node->crashed()) {
           continue;
         }
-        if (node->gossiper().IsAlive(wl.target)) {
+        if (node->core().gossiper().IsAlive(wl.target)) {
           return false;
         }
       }
@@ -510,7 +510,7 @@ RunResult Cluster::Run() {
         size_t idx = kv_rng_->PickIndex(nodes_.size());
         Node* coordinator = nodes_[idx].get();
         if (coordinator->crashed() || coordinator->kv() == nullptr ||
-            coordinator->my_status() != StatusKind::kNormal) {
+            coordinator->core().my_status() != StatusKind::kNormal) {
           continue;
         }
         uint64_t key = SampleKvKey();
@@ -621,27 +621,14 @@ void Cluster::ProbeInvariants() {
   if (invariants_ == nullptr) {
     return;
   }
-  if (node_view_.size() != nodes_.size()) {
-    node_view_.clear();
-    node_view_.reserve(nodes_.size());
-    for (const auto& node : nodes_) {
-      node_view_.push_back(node.get());
-    }
-  }
-  const WorkloadSpec& wl = options_.workload;
+  std::vector<NodeView> view;
+  for (const auto& node : nodes_) view.push_back(NodeView{&node->core(), node->started()});
   InvariantContext ctx;
   ctx.now = sim_->Now();
-  ctx.nodes = &node_view_;
+  ctx.nodes = &view;
   ctx.config = &options_.config;
   ctx.fault_quiet_at = VirtualTime::Zero() + options_.faults.End();
-  // The KV history checker is only sound on workloads that preserve key
-  // ownership: the simulator has no data-streaming model, so a membership
-  // change legitimately strands acknowledged data on the old replicas. It
-  // also requires intersecting read/write sets, which consistency ONE does
-  // not provide (a ONE read legitimately misses a ONE write).
-  ctx.kv_checkable = (wl.kind == WorkloadKind::kSteadyState ||
-                      wl.kind == WorkloadKind::kFailover) &&
-                     options_.config.kv.consistency != KvConsistency::kOne;
+  ctx.kv_checkable = KvHistoryCheckable(options_.workload.kind, options_.config);
   ctx.history = kv_history_.get();
   invariants_->Probe(ctx);
 }
@@ -659,9 +646,9 @@ void Cluster::CollectResult(RunResult* result) const {
       continue;
     }
     result->live_endpoints +=
-        static_cast<int64_t>(node->gossiper().LiveEndpointsView().size());
+        static_cast<int64_t>(node->core().gossiper().LiveEndpointsView().size());
     result->unreachable_endpoints +=
-        static_cast<int64_t>(node->gossiper().UnreachableEndpointsView().size());
+        static_cast<int64_t>(node->core().gossiper().UnreachableEndpointsView().size());
   }
 
   result->test_duration = sim_->Now() - VirtualTime::Zero();
@@ -780,14 +767,14 @@ void Cluster::CollectResult(RunResult* result) const {
     run.event_slot_high_water = sim_->event_slot_high_water();
     run.messages_sent = network_->messages_sent();
     for (const auto& node : nodes_) {
-      const Gossiper& g = node->gossiper();
+      const Gossiper& g = node->core().gossiper();
       run.gossip_syn_handled += g.syn_handled();
       run.gossip_states_applied += g.states_applied();
       run.gossip_updates_applied += g.updates_applied();
       run.digest_builds += g.digest_builds();
       run.digest_entries_refreshed += g.digest_entries_refreshed();
       run.digest_full_rebuilds += g.digest_full_rebuilds();
-      run.gossip_digest_bytes_sent += node->digest_bytes_sent();
+      run.gossip_digest_bytes_sent += node->core().digest_bytes_sent();
       run.gossip_arena_bytes += node->arena_bytes_reserved();
       run.endpoint_store_bytes += g.endpoint_store_bytes();
     }

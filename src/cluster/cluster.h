@@ -107,8 +107,6 @@ class Cluster {
   PilFunctionId bootstrap_function() const { return bootstrap_function_; }
   const PendingRangeCalculator* calculator() const { return calculator_.get(); }
   const PendingRangeCalculator* bootstrap_calc() const { return bootstrap_calc_.get(); }
-  // Non-null iff config.check.enabled.
-  const InvariantRegistry* invariants() const { return invariants_.get(); }
   // Non-null iff config.check.enabled && config.kv.enabled.
   const KvHistory* kv_history() const { return kv_history_.get(); }
   // Deployment name->id authority; interning order == NodeId (checked).
@@ -141,7 +139,6 @@ class Cluster {
   std::unique_ptr<FidelityGuard> guard_;  // null iff config.guard.enabled is false
   std::unique_ptr<InvariantRegistry> invariants_;  // null iff !config.check.enabled
   std::unique_ptr<KvHistory> kv_history_;
-  std::vector<const Node*> node_view_;  // lazy id-ordered view for probes
   std::unique_ptr<CalcOutputCache> owned_output_cache_;
   std::unique_ptr<TraceRecorder> trace_;
   GossipPayloadPools payloads_;

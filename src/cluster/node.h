@@ -207,13 +207,9 @@ class Node final : private ProtocolNode::Host {
 
   // ---- Introspection -------------------------------------------------------
 
-  const TokenRing& ring() const { return core_.ring(); }
-  const Gossiper& gossiper() const { return core_.gossiper(); }
-  const PendingRanges& pending_ranges() const { return core_.pending_ranges(); }
-  const std::vector<PendingChange>& pending_changes() const {
-    return core_.pending_changes();
-  }
-  bool recalc_inflight() const { return core_.recalc_inflight(); }
+  // The carrier-neutral protocol state: gossip, ring view, pending changes,
+  // status and tokens (what the invariant checker reads, on either carrier).
+  const ProtocolNode& core() const { return core_; }
   const SimMutex& ring_lock() const { return ring_lock_; }
   uint64_t order_divergences() const;
   uint64_t order_enforced() const;
@@ -222,18 +218,12 @@ class Node final : private ProtocolNode::Host {
   const KvService* kv() const { return core_.kv(); }
   // Gossip-processing tasks shed for staleness (stage overload signature).
   uint64_t stage_tasks_dropped() const { return gossip_stage_.jobs_dropped(); }
-  // Total SYN digest-section bytes shipped (delta-varint encoded measure);
-  // divide by the profiler's digest_builds for bytes/round.
-  uint64_t digest_bytes_sent() const { return core_.digest_bytes_sent(); }
   // Arena footprint of the gossip scratch (what MemoryModel is charged
   // under the "gossip-arena" tag while the node is up).
   uint64_t arena_bytes_reserved() const {
     return core_.gossiper().scratch_arena().bytes_reserved();
   }
-  std::vector<Token> my_tokens() const { return core_.my_tokens(); }
   Machine* machine() const { return machine_; }
-  StatusKind my_status() const { return core_.gossiper().LocalState().Status(); }
-  bool IsSettledView() const { return core_.IsSettledView(); }
 
  private:
   // ---- Message delivery: each gossip body runs as a stage Job ---------------

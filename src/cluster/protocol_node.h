@@ -180,11 +180,13 @@ class ProtocolNode {
     return pending_changes_.empty() && !recalc_inflight_ && !ring_dirty_;
   }
   const std::vector<Token>& my_tokens() const { return my_tokens_; }
+  StatusKind my_status() const { return gossiper_.LocalState().Status(); }
   KvService* kv() { return kv_.get(); }
   const KvService* kv() const { return kv_.get(); }
   bool crashed() const { return crashed_; }
   int64_t generation() const { return generation_; }
-  // SYN digest-section bytes shipped (delta-varint encoded measure).
+  // SYN digest-section bytes shipped (delta-varint encoded measure); divide
+  // by the profiler's digest_builds for bytes/round.
   uint64_t digest_bytes_sent() const { return digest_bytes_sent_; }
 
  private:

@@ -28,9 +28,14 @@ int KvRequiredAcks(KvConsistency level, int replication_factor) {
   return replication_factor / 2 + 1;
 }
 
-double RepairByteAllowance(const KvConfig& kv, double elapsed_seconds) {
-  return static_cast<double>(kv.repair_rate_bytes) * elapsed_seconds * 2.0 +
-         4.0 * 1024.0 * 1024.0;
+bool RepairOverBudget(const KvConfig& kv, double elapsed_seconds, int64_t bytes,
+                      int64_t sessions) {
+  const double byte_allowance =
+      static_cast<double>(kv.repair_rate_bytes) * elapsed_seconds * 2.0 + 4.0 * 1024.0 * 1024.0;
+  const double intervals = elapsed_seconds / std::max(1e-3, kv.repair_interval.seconds());
+  const double session_allowance = intervals * kv.repair_max_sessions * 2.0 + 4.0;
+  return static_cast<double>(bytes) > byte_allowance ||
+         static_cast<double>(sessions) > session_allowance;
 }
 
 }  // namespace scalecheck

@@ -70,11 +70,13 @@ struct KvConfig {
   bool operator==(const KvConfig&) const = default;
 };
 
-// The most repair bytes a node may stream in its first `elapsed_seconds`
-// before the invariant checker calls it a repair storm: twice the configured
-// rate, plus 4 MiB of slack for the first sessions. Both carriers judge by
-// this one allowance.
-double RepairByteAllowance(const KvConfig& kv, double elapsed_seconds);
+// Whether a node that streamed `bytes` of repair in `sessions` sessions in
+// its first `elapsed_seconds` is a repair storm: over twice the configured
+// byte rate plus 4 MiB of slack for the first sessions, or over twice the
+// repair_max_sessions per repair_interval its scheduler may open plus 4.
+// Both carriers judge by this one budget.
+bool RepairOverBudget(const KvConfig& kv, double elapsed_seconds, int64_t bytes,
+                      int64_t sessions);
 
 }  // namespace scalecheck
 

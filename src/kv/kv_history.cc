@@ -1,5 +1,7 @@
 #include "src/kv/kv_history.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace scalecheck {
@@ -7,6 +9,7 @@ namespace scalecheck {
 uint64_t KvHistory::RecordIssued(NodeId coordinator, bool is_write,
                                  uint64_t key, const std::string& value,
                                  VirtualTime now) {
+  std::lock_guard<std::mutex> lock(mu_);
   KvOpRecord rec;
   rec.id = static_cast<uint64_t>(ops_.size());
   rec.coordinator = coordinator;
@@ -20,6 +23,7 @@ uint64_t KvHistory::RecordIssued(NodeId coordinator, bool is_write,
 
 void KvHistory::RecordWriteAcked(uint64_t id, int64_t write_timestamp,
                                  const std::vector<NodeId>& ackers) {
+  std::lock_guard<std::mutex> lock(mu_);
   CHECK_LT(id, ops_.size());
   KvOpRecord& rec = ops_[id];
   CHECK(rec.is_write) << "write ack recorded for a read";
@@ -30,13 +34,16 @@ void KvHistory::RecordWriteAcked(uint64_t id, int64_t write_timestamp,
 void KvHistory::RecordConcluded(uint64_t id, KvOutcome outcome,
                                 const std::string& result_value,
                                 VirtualTime now) {
+  std::lock_guard<std::mutex> lock(mu_);
   CHECK_LT(id, ops_.size());
   KvOpRecord& rec = ops_[id];
   CHECK(!rec.concluded) << "KV op concluded twice";
   rec.concluded = true;
   rec.outcome = outcome;
   rec.result_value = result_value;
-  rec.concluded_at = now;
+  rec.concluded_at = conclusion_order_.empty()
+                         ? now
+                         : std::max(now, ops_[conclusion_order_.back()].concluded_at);
   conclusion_order_.push_back(id);
 }
 

@@ -6,14 +6,16 @@
 // complete by construction: every client request appears exactly once at
 // issue and at most once at conclusion (requests still in flight when the run
 // stops stay unconcluded — the same population RunResult reports as
-// kv_inflight_at_stop). The simulator is single-threaded within a run, so no
-// synchronization is needed; ops are ordered by issue time, and
-// conclusion_order() gives the (deterministic) conclusion sequence.
+// kv_inflight_at_stop). Ops are ordered by issue time, and
+// conclusion_order() gives the conclusion sequence. Recording is locked, as
+// real-carrier coordinators record at once; readers exclude writers
+// themselves (RealCluster holds every node's monitor).
 
 #ifndef SCALECHECK_SRC_KV_KV_HISTORY_H_
 #define SCALECHECK_SRC_KV_KV_HISTORY_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,8 @@ class KvHistory {
   // Called just before RecordConcluded for writes that concluded OK.
   void RecordWriteAcked(uint64_t id, int64_t write_timestamp,
                         const std::vector<NodeId>& ackers);
+  // Stamps no earlier than the previous conclusion, so conclusion_order()
+  // stays sorted by concluded_at across racing coordinators.
   void RecordConcluded(uint64_t id, KvOutcome outcome,
                        const std::string& result_value, VirtualTime now);
 
@@ -66,6 +70,7 @@ class KvHistory {
   }
 
  private:
+  std::mutex mu_;
   std::vector<KvOpRecord> ops_;
   std::vector<uint64_t> conclusion_order_;
 };

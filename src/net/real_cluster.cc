@@ -12,35 +12,47 @@
 #include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/faults/fault_injector.h"
-#include "src/kv/kv_config.h"
 #include "src/ring/token_ring.h"
 
 namespace scalecheck {
 namespace {
 
-// Snapshots taken through RealNode::WithCore (under the node mutex).
-size_t Unreachable(const RealNode& node) {
-  return node.WithCore([](const ProtocolNode& core) {
-    return core.gossiper().UnreachableEndpointsView().size();
-  });
-}
-
-KvStats KvStatsOf(const RealNode& node) {
-  return node.WithCore([](const ProtocolNode& core) {
-    return core.kv() == nullptr ? KvStats{} : core.kv()->stats();
-  });
-}
-
-// The local storage version of `key` (0 = absent or KV off).
-int64_t KvTimestampOf(const RealNode& node, uint64_t key) {
-  return node.WithCore([key](const ProtocolNode& core) {
-    return core.kv() == nullptr ? 0 : core.kv()->storage().TimestampOf(key);
-  });
+// Takes every node's monitor without ever blocking on one while holding
+// another, std::lock's back-off: block on one, try the rest, and on a miss
+// release them all and start over from the one that was busy. Locking in id
+// order instead could deadlock against a node blocked in send() to a peer
+// whose socket reader waits on a monitor the probe already holds.
+std::vector<std::unique_lock<std::mutex>> LockAllMonitors(
+    const std::vector<std::unique_ptr<RealNode>>& nodes) {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  for (const auto& node : nodes) locks.emplace_back(node->monitor(), std::defer_lock);
+  for (size_t first = 0, busy = 0; !locks.empty(); first = busy) {
+    locks[first].lock();
+    busy = locks.size();
+    for (size_t i = 0; i < locks.size() && busy == locks.size(); ++i) {
+      if (i != first && !locks[i].try_lock()) busy = i;
+    }
+    if (busy == locks.size()) break;
+    for (auto& lock : locks) {
+      if (lock.owns_lock()) lock.unlock();
+    }
+    std::this_thread::yield();
+  }
+  return locks;
 }
 
 }  // namespace
 
-RealCluster::RealCluster(const Options& options) : options_(options) {
+RealCluster::RealCluster(const Options& options)
+    : options_(options),
+      quiet_at_(VirtualTime::Zero() + options.convergence_timeout) {
+  if (options_.config.check.enabled) {
+    invariants_ = std::make_unique<InvariantRegistry>(options_.config.check);
+    invariants_->AddBuiltins();
+    if (options_.config.kv.enabled) {
+      kv_history_ = std::make_unique<KvHistory>();
+    }
+  }
   std::map<NodeId, std::vector<Token>> seed_members;
   std::vector<NodeId> seed_ids;
   int seeds = std::min(options_.seeds, options_.config.initial_nodes);
@@ -55,8 +67,8 @@ RealCluster::RealCluster(const Options& options) : options_(options) {
     // (gossip, ring, transport) speaks dense EndpointIds == NodeIds.
     EndpointId interned = interner_.Intern("127.0.0.1#" + std::to_string(id));
     CHECK_EQ(interned, id);
-    auto node = std::make_unique<RealNode>(id, options_.config, &transport_,
-                                           &clock_, &flaps_, &flaps_mu_);
+    auto node = std::make_unique<RealNode>(id, options_.config, &transport_, &clock_,
+                                           &flaps_, &flaps_mu_, kv_history_.get());
     node->PrimeSeeds(seed_members, seed_ids);
     nodes_.push_back(std::move(node));
   }
@@ -95,6 +107,38 @@ bool RealCluster::AllConverged() const {
   return true;
 }
 
+void RealCluster::ProbeInvariants() {
+  if (invariants_ == nullptr) {
+    return;
+  }
+  std::vector<std::unique_lock<std::mutex>> held = LockAllMonitors(nodes_);
+  std::vector<NodeView> view;
+  for (const auto& node : nodes_) view.push_back(NodeView{&node->core(), node->started()});
+  InvariantContext ctx;
+  ctx.now = clock_.Now();
+  ctx.nodes = &view;
+  ctx.config = &options_.config;
+  ctx.fault_quiet_at = quiet_at_;
+  ctx.kv_checkable = KvHistoryCheckable(WorkloadKind::kSteadyState, options_.config);
+  ctx.history = kv_history_.get();
+  invariants_->Probe(ctx);
+}
+
+void RealCluster::PollInvariants() {
+  if (clock_.Now() < next_probe_) {
+    return;
+  }
+  ProbeInvariants();
+  next_probe_ = clock_.Now() + options_.config.check.probe_period;
+}
+
+void RealCluster::DwellUntil(VirtualTime until) {
+  while (clock_.Now() <= until) {
+    PollInvariants();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 RunResult RealCluster::Run() {
   for (auto& node : nodes_) {
     node->Start();
@@ -105,10 +149,15 @@ RunResult RealCluster::Run() {
   // observer samples, as an external prober would.
   bool settled = false;
   VirtualTime settle_time;
+  // The first probe comes at boot, so every stability window the registry
+  // keeps opens when the node came up.
+  next_probe_ = clock_.Now();
   while (clock_.Now().nanos() < options_.convergence_timeout.nanos()) {
+    PollInvariants();
     if (AllConverged()) {
       settled = true;
       settle_time = clock_.Now();
+      quiet_at_ = settle_time;
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -124,9 +173,7 @@ RunResult RealCluster::Run() {
   // interval); rescale by this carrier's interval so the same FaultPlan
   // means the same protocol-time schedule on both carriers.
   std::unique_ptr<FaultInjector> injector;
-  bool fault_phase_ran = false;
   bool healed = true;
-  int64_t islanded = 0;
   if (settled && !options_.faults.empty()) {
     const double scale =
         static_cast<double>(options_.config.gossip_interval.nanos()) / 1e9;
@@ -150,46 +197,22 @@ RunResult RealCluster::Run() {
       plan.events.push_back(scaled);
     }
     if (!plan.empty()) {
-      fault_phase_ran = true;
-      const VirtualTime armed_at = clock_.Now();
-      const VirtualTime quiet_at = armed_at + plan.End();
-      const VirtualTime deadline =
-          quiet_at +
-          options_.config.gossip_interval * options_.partition_heal_rounds;
+      quiet_at_ = clock_.Now() + plan.End();
       FaultInjector::Hooks hooks;
       hooks.clock = &clock_;
       hooks.links = &transport_;
       injector = std::make_unique<FaultInjector>(std::move(plan), hooks);
       injector->Arm();
-      // Ride out the plan, then poll for reconvergence within the
-      // rounds-denominated heal bound — the real-mode probe of the
-      // partition-heals invariant.
-      healed = false;
-      while (clock_.Now() < deadline) {
-        // Quiet means the heals have run on the clock's timer thread, not
-        // just come due: a loaded host fires them late, and a view that never
-        // convicted the islanded node would otherwise pass as healed while
-        // the partition is still up.
-        FaultInjector::Stats faults = injector->stats();
-        if (clock_.Now() >= quiet_at && faults.events_healed >= faults.events_applied &&
-            AllConverged()) {
-          healed = true;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      if (!healed) {
-        healed = AllConverged();  // final check at the deadline itself
-      }
-      for (const auto& node : nodes_) {
-        islanded += static_cast<int64_t>(Unreachable(*node));
-      }
-      if (!healed) {
-        SC_LOG(Warning) << "real cluster: partition did not heal within "
-                        << options_.partition_heal_rounds
-                        << " gossip rounds of fault quiescence (" << islanded
-                        << " endpoints still unreachable)";
-      }
+      // Ride out the plan and the rounds-denominated heal bound, so the
+      // registry's partition-heals check is armed by the time it judges.
+      DwellUntil(quiet_at_ +
+                 options_.config.gossip_interval * options_.config.check.partition_heal_rounds);
+      // Healed means the heals have run on the clock's timer thread, not just
+      // come due: a loaded host fires them late, and a view that never
+      // convicted the islanded node would otherwise pass as healed while the
+      // partition is still up.
+      FaultInjector::Stats faults = injector->stats();
+      healed = faults.events_healed >= faults.events_applied && AllConverged();
     }
   }
 
@@ -209,9 +232,7 @@ RunResult RealCluster::Run() {
         ++outstanding;
       }
       ++kv_issued;
-      auto done = [&, started](KvOutcome outcome, std::string value) {
-        (void)outcome;
-        (void)value;
+      auto done = [&, started](KvOutcome, std::string) {
         std::lock_guard<std::mutex> lock(done_mu);
         kv_latency.AddDuration(clock_.Now() - started);
         --outstanding;
@@ -236,71 +257,24 @@ RunResult RealCluster::Run() {
                      [&] { return outstanding == 0; });
   }
 
-  // ---- Anti-entropy phase: with repair on, every natural replica of the
-  // smoke keys must converge on the winning timestamp within a few repair
-  // intervals — the real-mode probe of replica-convergence's data facet.
-  bool repair_phase_ran = false;
-  bool repair_converged = true;
-  int64_t diverged_replicas = 0;
+  // ---- Anti-entropy phase: with repair on, dwell until replica-convergence's
+  // data facet audits the smoke's writes, a convergence grace after the last
+  // one concluded. Repair then has had the grace to converge every natural
+  // replica, and an unthrottled storm the grace to exceed its budget.
   if (settled && healed && options_.config.kv.enabled && options_.config.kv.repair &&
       options_.kv_ops > 0) {
-    repair_phase_ran = true;
-    auto count_diverged = [&] {
-      int64_t diverged = 0;
-      for (int i = 0; i < options_.kv_ops; ++i) {
-        uint64_t key = static_cast<uint64_t>(i) * 7919;
-        std::vector<NodeId> replicas =
-            nodes_[0]->WithCore([&](const ProtocolNode& core) {
-              return core.ring().NaturalEndpointsForKey(
-                  KvTokenForKey(key), options_.config.replication_factor);
-            });
-        int64_t winning = 0;
-        for (NodeId r : replicas) {
-          winning = std::max(winning, KvTimestampOf(*nodes_[static_cast<size_t>(r)], key));
-        }
-        if (winning == 0) continue;  // never acked anywhere: nothing to repair
-        for (NodeId r : replicas) {
-          if (KvTimestampOf(*nodes_[static_cast<size_t>(r)], key) < winning) {
-            ++diverged;
-          }
-        }
-      }
-      return diverged;
-    };
-    const VirtualTime repair_deadline = clock_.Now() +
-                                        options_.config.kv.repair_interval * 8 +
-                                        VirtualDuration::Seconds(2);
-    // Even when nothing diverged, dwell a few intervals: the scheduler must
-    // be observed actually ticking, both so throttled repair demonstrates it
-    // stays inside the session budget and so an unthrottled storm has time
-    // to exceed it. Exiting at first agreement would end the run before the
-    // first repair timer ever fired.
-    const VirtualTime min_dwell = clock_.Now() +
-                                  options_.config.kv.repair_interval * 4 +
-                                  VirtualDuration::Seconds(1);
-    repair_converged = false;
-    while (clock_.Now() < repair_deadline) {
-      diverged_replicas = count_diverged();
-      if (diverged_replicas == 0 && clock_.Now() >= min_dwell) {
-        repair_converged = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    if (!repair_converged) {
-      diverged_replicas = count_diverged();
-      repair_converged = diverged_replicas == 0;
-    }
+    DwellUntil(clock_.Now() + options_.config.check.convergence_grace);
   }
 
   VirtualTime end = clock_.Now();
+  ProbeInvariants();
   int64_t live_sum = 0;
   int64_t unreachable_sum = 0;
   for (const auto& node : nodes_) {
-    live_sum += static_cast<int64_t>(node->WithCore([](const ProtocolNode& core) {
-      return core.gossiper().LiveEndpointsView().size();
-    }));
-    unreachable_sum += static_cast<int64_t>(Unreachable(*node));
+    node->WithCore([&](const ProtocolNode& core) {
+      live_sum += static_cast<int64_t>(core.gossiper().LiveEndpointsView().size());
+      unreachable_sum += static_cast<int64_t>(core.gossiper().UnreachableEndpointsView().size());
+    });
   }
   for (auto& node : nodes_) {
     node->Stop();
@@ -331,79 +305,14 @@ RunResult RealCluster::Run() {
     result.fault_events_applied = stats.events_applied;
     result.fault_events_healed = stats.events_healed;
   }
-  if (fault_phase_ran || repair_phase_ran) {
-    // Real-mode probe of the partition-heals invariant: one end-of-run
-    // verdict in the same report shape the sim checker emits, so the CLI's
-    // exit-code logic treats both carriers identically.
-    result.invariants.checked = true;
-    result.invariants.probes = 1;
-    if (fault_phase_ran && !healed) {
-      InvariantViolation violation;
-      violation.invariant = "partition-heals";
-      violation.first_at = end;
-      violation.detail = StrFormat(
-          "%lld endpoints still unreachable %d gossip rounds after fault "
-          "quiescence on the real carrier",
-          static_cast<long long>(islanded), options_.partition_heal_rounds);
-      violation.count = islanded > 0 ? islanded : 1;
-      result.invariants.violations.push_back(violation);
-    }
-    if (repair_phase_ran && !repair_converged) {
-      // Data facet of replica-convergence on the real carrier: acknowledged
-      // smoke writes never reached every natural replica despite repair
-      // having had several intervals to run.
-      InvariantViolation violation;
-      violation.invariant = "replica-convergence";
-      violation.first_at = end;
-      violation.detail = StrFormat(
-          "%lld replica copies of the smoke key set still diverged after 8 "
-          "repair intervals on the real carrier",
-          static_cast<long long>(diverged_replicas));
-      violation.count = diverged_replicas > 0 ? diverged_replicas : 1;
-      result.invariants.violations.push_back(violation);
-    }
+  if (invariants_ != nullptr) {
+    result.invariants = invariants_->report();
   }
   result.kv_issued = kv_issued;
-  // Budget facet of replica-convergence on the real carrier. Byte volumes in
-  // a smoke are tiny, so the storm signature here is session RATE: throttled
-  // repair opens at most max_sessions per interval, while the planted storm
-  // opens one pseudo-session per live co-replica per tick.
-  const double elapsed_seconds = static_cast<double>(end.nanos()) / 1e9;
-  const double interval_seconds = std::max(
-      1e-3,
-      static_cast<double>(options_.config.kv.repair_interval.nanos()) / 1e9);
-  const double session_allowance =
-      (elapsed_seconds / interval_seconds) * options_.config.kv.repair_max_sessions *
-          2.0 +
-      4.0;
-  const double byte_allowance = RepairByteAllowance(options_.config.kv, elapsed_seconds);
   for (const auto& node : nodes_) {
-    if (!options_.config.kv.repair) break;
-    bool already_flagged = false;
-    for (const InvariantViolation& v : result.invariants.violations) {
-      already_flagged = already_flagged || v.invariant == "replica-convergence";
-    }
-    if (already_flagged) break;
-    KvStats stats = KvStatsOf(*node);
-    if (static_cast<double>(stats.repair_sessions) > session_allowance ||
-        static_cast<double>(stats.repair_bytes_streamed) > byte_allowance) {
-      result.invariants.checked = true;
-      if (result.invariants.probes == 0) result.invariants.probes = 1;
-      result.invariants.violations.push_back(InvariantViolation{
-          "replica-convergence", end,
-          StrFormat("node %lld opened %lld repair sessions / streamed %lld "
-                    "bytes in %.1fs, over 2x its configured budget — repair "
-                    "storm",
-                    static_cast<long long>(node->id()),
-                    static_cast<long long>(stats.repair_sessions),
-                    static_cast<long long>(stats.repair_bytes_streamed),
-                    elapsed_seconds),
-          1});
-      break;  // one verdict is enough; keep the report small
-    }
-  }
-  for (const auto& node : nodes_) {
-    KvStats stats = KvStatsOf(*node);
+    KvStats stats = node->WithCore([](const ProtocolNode& core) {
+      return core.kv() == nullptr ? KvStats{} : core.kv()->stats();
+    });
     result.kv_ok += stats.ok;
     result.kv_unavailable += stats.unavailable;
     result.kv_timeout += stats.timeout;

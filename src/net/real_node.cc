@@ -18,11 +18,15 @@ ClusterConfig RealCarrierConfig() {
   config.recalc_trigger = RecalcTrigger::kStatusChangeOnly;
   config.kv.repair_interval = VirtualDuration::Seconds(2);
   config.kv.repair_session_timeout = VirtualDuration::Seconds(5);
+  config.check.probe_period = VirtualDuration::Millis(100);
+  config.check.convergence_grace =
+      config.kv.repair_interval * 4 + VirtualDuration::Seconds(1);
   return config;
 }
 
 RealNode::RealNode(NodeId id, const ClusterConfig& config, Transport* transport,
-                   Clock* clock, FlapCounter* flaps, std::mutex* flaps_mu)
+                   Clock* clock, FlapCounter* flaps, std::mutex* flaps_mu,
+                   KvHistory* kv_history)
     : config_(config),
       transport_(transport),
       flaps_(flaps),
@@ -37,7 +41,7 @@ RealNode::RealNode(NodeId id, const ClusterConfig& config, Transport* transport,
                 .host = this,
                 .kv_stage = &stage_,
                 .kv_charge = nullptr,
-                .kv_history = nullptr,
+                .kv_history = kv_history,
             }) {}
 
 RealNode::~RealNode() { Stop(); }

@@ -33,19 +33,22 @@ namespace scalecheck {
 
 // The real carrier's configuration defaults: ClusterConfig's values except
 // 8 nodes, a 100 ms gossip interval, 8 vnodes, seed 1, calculator V3,
-// recalculation on STATUS changes only, and a 2 s repair interval with 5 s
-// sessions (the smoke's horizon is seconds, not minutes). Fields that model
-// the simulated deployment (placement, machines, memory, PIL) are ignored
-// by this carrier.
+// recalculation on STATUS changes only, a 2 s repair interval with 5 s
+// sessions, an invariant probe every 100 ms, and a 9 s convergence grace
+// (four repair intervals plus 1 s): the smoke's horizon is seconds, not
+// minutes. Fields that model the simulated deployment (placement, machines,
+// memory, PIL) are ignored by this carrier.
 ClusterConfig RealCarrierConfig();
 
 class RealNode final : private ProtocolNode::Host {
  public:
-  // `transport` and `clock` outlive the node; `flaps` is shared across nodes
-  // and internally synchronized by `flaps_mu` (FlapCounter itself is not
-  // thread-safe). The node seeds its RNG from (config.seed, id).
+  // `transport`, `clock` and `kv_history` (null = not recorded) outlive the
+  // node; `flaps` is shared across nodes and internally synchronized by
+  // `flaps_mu` (FlapCounter itself is not thread-safe). The node seeds its
+  // RNG from (config.seed, id).
   RealNode(NodeId id, const ClusterConfig& config, Transport* transport,
-           Clock* clock, FlapCounter* flaps, std::mutex* flaps_mu);
+           Clock* clock, FlapCounter* flaps, std::mutex* flaps_mu,
+           KvHistory* kv_history);
   ~RealNode();
   RealNode(const RealNode&) = delete;
   RealNode& operator=(const RealNode&) = delete;
@@ -74,6 +77,13 @@ class RealNode final : private ProtocolNode::Host {
     std::lock_guard<std::mutex> lock(mu_);
     return fn(static_cast<const ProtocolNode&>(core_));
   }
+
+  // For a probe that must see every node at one instant, and so takes all
+  // the monitors itself: read core() and started() only while holding
+  // monitor().
+  std::mutex& monitor() const { return mu_; }
+  const ProtocolNode& core() const { return core_; }
+  bool started() const { return started_; }
 
  private:
   void OnMessage(const Message& msg);

@@ -50,12 +50,12 @@ TEST_P(ConvergenceTest, FreshBootstrapConverges) {
   ASSERT_TRUE(r.settled) << r.Summary();
   for (size_t i = 0; i < cluster.total_nodes(); ++i) {
     Node* node = cluster.node(static_cast<NodeId>(i));
-    EXPECT_EQ(node->gossiper().endpoints().size(), cluster.total_nodes())
+    EXPECT_EQ(node->core().gossiper().endpoints().size(), cluster.total_nodes())
         << "node " << i << " endpoint map incomplete";
-    EXPECT_EQ(node->ring().num_nodes(), cluster.total_nodes())
+    EXPECT_EQ(node->core().ring().num_nodes(), cluster.total_nodes())
         << "node " << i << " ring incomplete";
     // All rings must agree exactly.
-    EXPECT_EQ(node->ring().ComputeDigest(), cluster.node(0)->ring().ComputeDigest())
+    EXPECT_EQ(node->core().ring().ComputeDigest(), cluster.node(0)->core().ring().ComputeDigest())
         << "node " << i << " ring diverged";
   }
 }

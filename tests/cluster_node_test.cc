@@ -52,7 +52,7 @@ TEST(NodeTest, RecalcCoalescesWhileInflight) {
   // At 10 nodes a calc takes ~microseconds, so invocations roughly track
   // triggers; the property that matters: no node ever has two in flight.
   for (size_t i = 0; i < cluster.total_nodes(); ++i) {
-    EXPECT_FALSE(cluster.node(static_cast<NodeId>(i))->recalc_inflight());
+    EXPECT_FALSE(cluster.node(static_cast<NodeId>(i))->core().recalc_inflight());
   }
   EXPECT_GT(r.calc_invocations, 0);
 }
@@ -120,7 +120,7 @@ TEST(NodeTest, TokensAreStableAcrossModes) {
   Cluster::Options colo_options = BaseOptions(8, WorkloadKind::kSteadyState);
   colo_options.config.run_mode = RunMode::kColocated;
   Cluster b(std::move(colo_options));
-  EXPECT_EQ(a.node(2)->ring().ComputeDigest(), b.node(2)->ring().ComputeDigest());
+  EXPECT_EQ(a.node(2)->core().ring().ComputeDigest(), b.node(2)->core().ring().ComputeDigest());
 }
 
 }  // namespace

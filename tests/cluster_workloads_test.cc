@@ -39,10 +39,10 @@ TEST(WorkloadTest, DecommissionRemovesTargetFromAllRings) {
     if (node->id() == target) {
       continue;
     }
-    EXPECT_FALSE(node->ring().HasNode(target)) << "node " << i;
-    EXPECT_TRUE(node->pending_changes().empty()) << "node " << i;
+    EXPECT_FALSE(node->core().ring().HasNode(target)) << "node " << i;
+    EXPECT_TRUE(node->core().pending_changes().empty()) << "node " << i;
     // The departed node must not be producing flap noise.
-    EXPECT_FALSE(node->gossiper().IsAlive(target));
+    EXPECT_FALSE(node->core().gossiper().IsAlive(target));
   }
 }
 
@@ -54,10 +54,10 @@ TEST(WorkloadTest, ScaleOutAddsJoinersEverywhere) {
   for (size_t i = 0; i < cluster.total_nodes(); ++i) {
     Node* node = cluster.node(static_cast<NodeId>(i));
     for (NodeId joiner = 12; joiner < 15; ++joiner) {
-      EXPECT_TRUE(node->ring().HasNode(joiner))
+      EXPECT_TRUE(node->core().ring().HasNode(joiner))
           << "node " << i << " missing joiner " << joiner;
     }
-    EXPECT_EQ(node->ring().num_nodes(), 15u) << "node " << i;
+    EXPECT_EQ(node->core().ring().num_nodes(), 15u) << "node " << i;
   }
 }
 
@@ -67,8 +67,8 @@ TEST(WorkloadTest, FreshBootstrapConvergesFromNothing) {
   ASSERT_TRUE(r.settled) << r.Summary();
   for (size_t i = 0; i < cluster.total_nodes(); ++i) {
     Node* node = cluster.node(static_cast<NodeId>(i));
-    EXPECT_EQ(node->ring().num_nodes(), cluster.total_nodes()) << "node " << i;
-    EXPECT_EQ(node->my_status(), StatusKind::kNormal);
+    EXPECT_EQ(node->core().ring().num_nodes(), cluster.total_nodes()) << "node " << i;
+    EXPECT_EQ(node->core().my_status(), StatusKind::kNormal);
   }
 }
 
@@ -84,7 +84,7 @@ TEST(WorkloadTest, FailoverConvictsTheCrashedNodeEverywhere) {
     if (static_cast<NodeId>(i) == target) {
       continue;
     }
-    EXPECT_FALSE(cluster.node(static_cast<NodeId>(i))->gossiper().IsAlive(target));
+    EXPECT_FALSE(cluster.node(static_cast<NodeId>(i))->core().gossiper().IsAlive(target));
   }
 }
 
@@ -99,8 +99,8 @@ TEST(WorkloadTest, RebalanceReplacesNode) {
     if (node->id() == target) {
       continue;
     }
-    EXPECT_FALSE(node->ring().HasNode(target)) << "node " << i;
-    EXPECT_TRUE(node->ring().HasNode(replacement)) << "node " << i;
+    EXPECT_FALSE(node->core().ring().HasNode(target)) << "node " << i;
+    EXPECT_TRUE(node->core().ring().HasNode(replacement)) << "node " << i;
   }
 }
 

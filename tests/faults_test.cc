@@ -74,7 +74,7 @@ TEST(FaultInjectorTest, CrashRestartBringsTheNodeBack) {
   EXPECT_EQ(result.restarted_nodes, 1);
   Node* node = cluster.node(victim);
   EXPECT_FALSE(node->crashed());
-  EXPECT_EQ(node->my_status(), StatusKind::kNormal);
+  EXPECT_EQ(node->core().my_status(), StatusKind::kNormal);
   EXPECT_TRUE(result.settled) << result.Summary();
   // Conviction on death + recovery on restart shows up as flapping.
   EXPECT_GT(result.flaps, 0) << result.Summary();

@@ -68,7 +68,7 @@ TEST(KvClusterTest, QuorumSurvivesOneReplicaCrash) {
   cluster.sim().ScheduleAfter(VirtualDuration::Seconds(5), [&] {
     // Find the replicas of key 99 and crash one of them.
     std::vector<NodeId> replicas =
-        cluster.node(0)->ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
+        cluster.node(0)->core().ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
     ASSERT_EQ(replicas.size(), 3u);
     NodeId victim = replicas[0] == 0 ? replicas[1] : replicas[0];
     cluster.node(victim)->Crash();
@@ -90,12 +90,12 @@ TEST(KvClusterTest, UnavailableWhenCoordinatorConvictedReplicas) {
     // view marks two replicas of the key dead (even though they are fine).
     Node* coordinator = cluster.node(0);
     std::vector<NodeId> replicas =
-      coordinator->ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
+      coordinator->core().ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
     int marked = 0;
     for (NodeId replica : replicas) {
       if (replica != 0 && marked < 2) {
         // Reach in via the gossiper the coordinator consults.
-        const_cast<Gossiper&>(coordinator->gossiper()).MarkDead(replica);
+        const_cast<Gossiper&>(coordinator->core().gossiper()).MarkDead(replica);
         ++marked;
       }
     }

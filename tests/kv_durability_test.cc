@@ -52,7 +52,7 @@ TEST(KvDurabilityTest, AckedWriteSurvivesAckerCrashRestart) {
   NodeId victim = kInvalidNode;
   cluster.sim().ScheduleAfter(VirtualDuration::Seconds(5), [&] {
     std::vector<NodeId> replicas =
-        cluster.node(0)->ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
+        cluster.node(0)->core().ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
     ASSERT_EQ(replicas.size(), 3u);
     victim = replicas[0] == 0 ? replicas[1] : replicas[0];
     cluster.node(0)->kv()->Write(99, "durable", [&](KvOutcome o, std::string) {
@@ -86,7 +86,7 @@ TEST(KvDurabilityTest, PlantedAckBeforeSyncViolatesKvDurability) {
   NodeId victim = kInvalidNode;
   cluster.sim().ScheduleAfter(VirtualDuration::Seconds(5), [&] {
     std::vector<NodeId> replicas =
-        cluster.node(0)->ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
+        cluster.node(0)->core().ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
     ASSERT_EQ(replicas.size(), 3u);
     victim = replicas[0] == 0 ? replicas[1] : replicas[0];
     cluster.node(0)->kv()->Write(99, "doomed", [&](KvOutcome o, std::string) {
@@ -114,7 +114,7 @@ TEST(KvDurabilityTest, HintQueuedForDeadReplicaReplaysOnRecovery) {
   NodeId coordinator = kInvalidNode;
   cluster.sim().ScheduleAfter(VirtualDuration::Seconds(5), [&] {
     std::vector<NodeId> replicas =
-        cluster.node(0)->ring().NaturalEndpointsForKey(KvTokenForKey(424), 3);
+        cluster.node(0)->core().ring().NaturalEndpointsForKey(KvTokenForKey(424), 3);
     ASSERT_EQ(replicas.size(), 3u);
     victim = replicas[0] == 0 ? replicas[1] : replicas[0];
     // Coordinate from a live replica so at least one acker holds the value.
@@ -166,7 +166,7 @@ TEST(KvDurabilityTest, HintExpiresAfterTtlAndIsNotDelivered) {
   NodeId coordinator = kInvalidNode;
   cluster.sim().ScheduleAfter(VirtualDuration::Seconds(5), [&] {
     std::vector<NodeId> replicas =
-        cluster.node(0)->ring().NaturalEndpointsForKey(KvTokenForKey(424), 3);
+        cluster.node(0)->core().ring().NaturalEndpointsForKey(KvTokenForKey(424), 3);
     ASSERT_EQ(replicas.size(), 3u);
     victim = replicas[0] == 0 ? replicas[1] : replicas[0];
     for (NodeId replica : replicas) {

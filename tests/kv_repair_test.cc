@@ -2,7 +2,8 @@
 // injected divergence converging with hints disabled, the crash-mid-repair
 // abort accounting (sessions against a dead peer are abandoned, never
 // retried forever), the planted repair-storm bug tripping the
-// replica-convergence budget facet, and the RunResult counter exports.
+// replica-convergence budget facet, the shared repair budget's two terms,
+// and the RunResult counter exports.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/kv/anti_entropy.h"
+#include "src/kv/kv_config.h"
 #include "src/kv/kv_service.h"
 
 namespace scalecheck {
@@ -57,7 +59,7 @@ TEST(KvRepairTest, InjectedDivergenceConvergesViaAntiEntropy) {
   NodeId coordinator = kInvalidNode;
   cluster.sim().ScheduleAfter(VirtualDuration::Seconds(5), [&] {
     std::vector<NodeId> replicas =
-        cluster.node(0)->ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
+        cluster.node(0)->core().ring().NaturalEndpointsForKey(KvTokenForKey(99), 3);
     ASSERT_EQ(replicas.size(), 3u);
     victim = replicas[0] == 0 ? replicas[1] : replicas[0];
     for (NodeId replica : replicas) {
@@ -143,6 +145,20 @@ TEST(KvRepairTest, PlantedRepairStormViolatesReplicaConvergence) {
   EXPECT_GT(r.kv_repair_bytes_streamed,
             4096 * 150 * 2 + 4 * 1024 * 1024);
   EXPECT_GT(r.kv_repair_sessions, 0);
+}
+
+// The one repair budget both carriers judge by: either term over its
+// allowance alone is a storm. At 10 s with 4 KiB/s and one session per 2 s
+// interval the allowances are 4 MiB + 80 KiB and 14 sessions.
+TEST(KvRepairTest, RepairBudgetFlagsEachTermAlone) {
+  KvConfig kv;
+  kv.repair_rate_bytes = 4096;
+  kv.repair_interval = VirtualDuration::Seconds(2);
+  kv.repair_max_sessions = 1;
+  const int64_t byte_allowance = 4096 * 10 * 2 + 4 * 1024 * 1024;
+  EXPECT_FALSE(RepairOverBudget(kv, 10.0, byte_allowance, 14));
+  EXPECT_TRUE(RepairOverBudget(kv, 10.0, byte_allowance + 1, 14));  // bytes only
+  EXPECT_TRUE(RepairOverBudget(kv, 10.0, byte_allowance, 15));      // sessions only
 }
 
 // Same cluster, same load, throttle honored: no violation, and the repair

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/net/real_cluster.h"
 
@@ -90,6 +91,53 @@ TEST(RealCluster, IslandPartitionHealsOnRealSockets) {
   EXPECT_TRUE(result.invariants.ok()) << result.invariants.ToJson();
   EXPECT_EQ(result.unreachable_endpoints, 0) << result.Summary();
   EXPECT_EQ(result.live_endpoints, 5 * 4);
+}
+
+// A WAL-backed quorum KV smoke with anti-entropy on. The repair interval is
+// short so the run is too, and the convergence grace is re-derived from it
+// the way RealCarrierConfig() derives it from its 2 s default.
+RealCluster::Options RepairOptions(int nodes) {
+  RealCluster::Options options = FastOptions(nodes);
+  options.config.kv.enabled = true;
+  options.config.kv.wal = true;
+  options.config.kv.wal_sync_interval = VirtualDuration::Millis(25);
+  options.config.kv.repair = true;
+  options.config.kv.repair_interval = VirtualDuration::Millis(200);
+  options.config.check.convergence_grace =
+      options.config.kv.repair_interval * 4 + VirtualDuration::Seconds(1);
+  options.kv_ops = 16;
+  return options;
+}
+
+TEST(RealCluster, HealthyRepairSmokePassesTheSharedRegistry) {
+  // The registry the simulator probes judges the socket run too: probed
+  // from boot on, with the client history recorded, so the KV checks arm
+  // and the run dwells until the data facet has audited the smoke.
+  RealCluster cluster(RepairOptions(5));
+  RunResult result = cluster.Run();
+  ASSERT_TRUE(result.settled) << result.Summary();
+  EXPECT_EQ(result.kv_ok, 32) << result.Summary();
+  EXPECT_TRUE(result.invariants.checked);
+  EXPECT_GE(result.invariants.probes, 2u);
+  EXPECT_TRUE(result.invariants.kv_checked);
+  EXPECT_TRUE(result.invariants.ok()) << result.invariants.ToJson();
+  EXPECT_GE(result.kv_repair_sessions, 1);
+}
+
+TEST(RealCluster, PlantedRepairStormViolatesReplicaConvergence) {
+  // The storm streams to every co-replica on every tick: at 8 nodes about
+  // seven sessions per 200 ms tick per node against an allowance of two, so
+  // the shared repair budget's session term trips early in the dwell and by
+  // the end each node has opened ~55 sessions against an allowance of ~23.
+  RealCluster::Options options = RepairOptions(8);
+  options.config.check.plant_repair_storm = true;
+  RealCluster cluster(options);
+  RunResult result = cluster.Run();
+  ASSERT_TRUE(result.settled) << result.Summary();
+  ASSERT_FALSE(result.invariants.violations.empty()) << result.invariants.ToJson();
+  EXPECT_EQ(result.invariants.ViolatedNames(),
+            std::vector<std::string>{"replica-convergence"})
+      << result.invariants.ToJson();
 }
 
 TEST(RealCluster, ResultJsonRoundTripsThroughSameSchema) {

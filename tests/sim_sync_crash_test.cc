@@ -84,7 +84,7 @@ bool KillDuringRecalc(const BugSpec& spec) {
   bool killed = false;
   bool lock_held_at_death = false;
   std::function<void()> poll = [&] {
-    if (!killed && (node->recalc_inflight() || node->ring_lock().locked())) {
+    if (!killed && (node->core().recalc_inflight() || node->ring_lock().locked())) {
       killed = true;
       lock_held_at_death = node->ring_lock().locked();
       node->Crash();
@@ -104,7 +104,7 @@ bool KillDuringRecalc(const BugSpec& spec) {
   EXPECT_TRUE(killed) << spec.id << ": recalc never observed in flight";
   EXPECT_FALSE(node->crashed()) << spec.id;
   EXPECT_FALSE(node->ring_lock().locked()) << spec.id;
-  EXPECT_EQ(node->my_status(), StatusKind::kNormal) << spec.id;
+  EXPECT_EQ(node->core().my_status(), StatusKind::kNormal) << spec.id;
   EXPECT_TRUE(result.settled) << spec.id << ": " << result.Summary();
   if (lock_held_at_death) {
     EXPECT_EQ(node->ring_lock().crash_releases(), 1u) << spec.id;
