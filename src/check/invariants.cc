@@ -1,6 +1,7 @@
 #include "src/check/invariants.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <unordered_map>
 
 #include "src/cluster/config.h"
@@ -83,30 +84,49 @@ class RingOwnershipInvariant : public Invariant {
   const char* name() const override { return "ring-ownership"; }
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
+    // Each running NORMAL subject's sorted token set, gathered once per
+    // probe rather than once per (viewer, subject) pair. The buffers keep
+    // their capacity across probes.
+    size_t subjects = 0;
+    for (const NodeView& subject_view : *ctx.nodes) {
+      if (!Running(subject_view) || subject_view.core->my_status() != StatusKind::kNormal) {
+        continue;
+      }
+      if (subjects == truths_.size()) truths_.emplace_back();
+      Truth& truth = truths_[subjects++];
+      truth.node = subject_view.core;
+      const std::vector<Token>& tokens = truth.node->my_tokens();
+      truth.tokens.assign(tokens.begin(), tokens.end());
+      std::sort(truth.tokens.begin(), truth.tokens.end());
+    }
     for (const NodeView& viewer_view : *ctx.nodes) {
       if (!Running(viewer_view) || !viewer_view.core->IsSettledView()) continue;
       const ProtocolNode* viewer = viewer_view.core;
-      for (const NodeView& subject_view : *ctx.nodes) {
-        const ProtocolNode* subject = subject_view.core;
-        if (!Running(subject_view) || subject->my_status() != StatusKind::kNormal) continue;
+      for (size_t i = 0; i < subjects; ++i) {
+        const ProtocolNode* subject = truths_[i].node;
+        const std::vector<Token>& truth = truths_[i].tokens;
         if (!viewer->ring().HasNode(subject->id())) continue;
         // TokensOf spans are already sorted (AddNode sorts the slice).
         TokenSpan seen = viewer->ring().TokensOf(subject->id());
-        std::vector<Token> truth = subject->my_tokens();
-        std::sort(truth.begin(), truth.end());
         if (seen.size() != truth.size() ||
             !std::equal(seen.begin(), seen.end(), truth.begin())) {
-          sink->ReportViolation(
-              name(), ctx.now,
-              StrFormat("node %lld's ring assigns node %lld %zu tokens, "
-                        "owner holds %zu",
-                        static_cast<long long>(viewer->id()),
-                        static_cast<long long>(subject->id()), seen.size(),
-                        truth.size()));
+          sink->ReportViolation(name(), ctx.now,
+                                "node %lld's ring assigns node %lld %zu tokens, "
+                                "owner holds %zu",
+                                static_cast<long long>(viewer->id()),
+                                static_cast<long long>(subject->id()), seen.size(),
+                                truth.size());
         }
       }
     }
   }
+
+ private:
+  struct Truth {
+    const ProtocolNode* node = nullptr;
+    std::vector<Token> tokens;  // sorted
+  };
+  std::vector<Truth> truths_;  // the first `subjects` entries are this probe's
 };
 
 // ---- gossip-convergence -----------------------------------------------------
@@ -125,12 +145,12 @@ class GossipConvergenceInvariant : public Invariant {
         if (!viewer->gossiper().IsAlive(subject->id())) {
           sink->ReportViolation(
               name(), ctx.now,
-              StrFormat("node %lld still considers live node %lld dead %llds "
-                        "after fault quiescence",
-                        static_cast<long long>(viewer->id()),
-                        static_cast<long long>(subject->id()),
-                        static_cast<long long>(
-                            (ctx.now - ctx.fault_quiet_at).seconds())));
+              "node %lld still considers live node %lld dead %llds "
+              "after fault quiescence",
+              static_cast<long long>(viewer->id()),
+              static_cast<long long>(subject->id()),
+              static_cast<long long>(
+                  (ctx.now - ctx.fault_quiet_at).seconds()));
         }
       }
     }
@@ -162,15 +182,15 @@ class PartitionHealsInvariant : public Invariant {
         if (!viewer->gossiper().IsAlive(subject->id())) {
           sink->ReportViolation(
               name(), ctx.now,
-              StrFormat("node %lld is still islanded from node %lld %lld "
-                        "gossip rounds after fault quiescence — the "
-                        "unreachable escape hatch never re-established "
-                        "contact",
-                        static_cast<long long>(subject->id()),
-                        static_cast<long long>(viewer->id()),
-                        static_cast<long long>(
-                            (ctx.now - ctx.fault_quiet_at).nanos() /
-                            std::max<int64_t>(1, ctx.config->gossip_interval.nanos()))));
+              "node %lld is still islanded from node %lld %lld "
+              "gossip rounds after fault quiescence — the "
+              "unreachable escape hatch never re-established "
+              "contact",
+              static_cast<long long>(subject->id()),
+              static_cast<long long>(viewer->id()),
+              static_cast<long long>(
+                  (ctx.now - ctx.fault_quiet_at).nanos() /
+                  std::max<int64_t>(1, ctx.config->gossip_interval.nanos())));
         }
       }
     }
@@ -204,10 +224,10 @@ class ZombieEndpointInvariant : public Invariant {
         if (viewer->ring().HasNode(target->id())) {
           sink->ReportViolation(
               name(), ctx.now,
-              StrFormat("node %lld's ring still contains node %lld, which "
-                        "completed decommission",
-                        static_cast<long long>(viewer->id()),
-                        static_cast<long long>(target->id())));
+              "node %lld's ring still contains node %lld, which "
+              "completed decommission",
+              static_cast<long long>(viewer->id()),
+              static_cast<long long>(target->id()));
         }
       }
     }
@@ -226,7 +246,7 @@ class GenVersionMonotonicInvariant : public Invariant {
       const ProtocolNode* viewer = viewer_view.core;
       int64_t viewer_gen =
           viewer->gossiper().LocalState().heartbeat().generation;
-      PerViewer& mine = seen_[viewer->id()];
+      PerViewer& mine = Slot(&seen_, viewer->id());
       if (mine.viewer_generation != viewer_gen) {
         // The viewer restarted: its endpoint map was rebuilt from scratch, so
         // old observations no longer constrain it.
@@ -236,41 +256,57 @@ class GenVersionMonotonicInvariant : public Invariant {
       for (const auto& [ep, state] : viewer->gossiper().endpoints()) {
         HeartbeatState hb = state.heartbeat();
         int64_t max_version = state.MaxVersion();
-        auto it = mine.last.find(ep);
-        if (it != mine.last.end()) {
-          if (hb.generation < it->second.generation) {
+        Record& last = Slot(&mine.last, ep);
+        if (last.seen) {
+          if (hb.generation < last.generation) {
             sink->ReportViolation(
                 name(), ctx.now,
-                StrFormat("node %lld saw node %lld's generation move "
-                          "backwards (%lld -> %lld)",
-                          static_cast<long long>(viewer->id()),
-                          static_cast<long long>(ep),
-                          static_cast<long long>(it->second.generation),
-                          static_cast<long long>(hb.generation)));
-          } else if (hb.generation == it->second.generation &&
-                     max_version < it->second.version) {
+                "node %lld saw node %lld's generation move "
+                "backwards (%lld -> %lld)",
+                static_cast<long long>(viewer->id()),
+                static_cast<long long>(ep),
+                static_cast<long long>(last.generation),
+                static_cast<long long>(hb.generation));
+          } else if (hb.generation == last.generation &&
+                     max_version < last.version) {
             sink->ReportViolation(
                 name(), ctx.now,
-                StrFormat("node %lld saw node %lld's version move backwards "
-                          "(%lld -> %lld) within generation %lld",
-                          static_cast<long long>(viewer->id()),
-                          static_cast<long long>(ep),
-                          static_cast<long long>(it->second.version),
-                          static_cast<long long>(max_version),
-                          static_cast<long long>(hb.generation)));
+                "node %lld saw node %lld's version move backwards "
+                "(%lld -> %lld) within generation %lld",
+                static_cast<long long>(viewer->id()),
+                static_cast<long long>(ep),
+                static_cast<long long>(last.version),
+                static_cast<long long>(max_version),
+                static_cast<long long>(hb.generation));
           }
         }
-        mine.last[ep] = HeartbeatState{hb.generation, max_version};
+        last = Record{true, hb.generation, max_version};
       }
     }
   }
 
  private:
+  // Node ids are dense (0..N-1), so both tables are indexed by id. An
+  // endpoint the viewer forgot keeps its last record.
+  struct Record {
+    bool seen = false;
+    int64_t generation = 0;
+    int64_t version = 0;  // max version
+  };
   struct PerViewer {
     int64_t viewer_generation = -1;
-    std::map<NodeId, HeartbeatState> last;  // generation + max version
+    std::vector<Record> last;
   };
-  std::map<NodeId, PerViewer> seen_;
+
+  template <typename T>
+  static T& Slot(std::vector<T>* table, NodeId id) {
+    CHECK_GE(id, 0);
+    const size_t index = static_cast<size_t>(id);
+    if (index >= table->size()) table->resize(index + 1);
+    return (*table)[index];
+  }
+
+  std::vector<PerViewer> seen_;
 };
 
 // ---- kv-history -------------------------------------------------------------
@@ -323,11 +359,11 @@ class KvHistoryInvariant : public Invariant {
             w.concluded_at < read.issued_at) {
           sink->ReportViolation(
               name(), read.concluded_at,
-              StrFormat("read op %llu of key %llu returned empty, but write "
-                        "op %llu was acknowledged before the read was issued",
-                        static_cast<unsigned long long>(read.id),
-                        static_cast<unsigned long long>(read.key),
-                        static_cast<unsigned long long>(w.id)));
+              "read op %llu of key %llu returned empty, but write "
+              "op %llu was acknowledged before the read was issued",
+              static_cast<unsigned long long>(read.id),
+              static_cast<unsigned long long>(read.key),
+              static_cast<unsigned long long>(w.id));
           return;
         }
       }
@@ -365,18 +401,18 @@ class KvHistoryInvariant : public Invariant {
     if (!matched) {
       sink->ReportViolation(
           name(), read.concluded_at,
-          StrFormat("read op %llu of key %llu returned a value no write ever "
-                    "wrote",
-                    static_cast<unsigned long long>(read.id),
-                    static_cast<unsigned long long>(read.key)));
+          "read op %llu of key %llu returned a value no write ever "
+          "wrote",
+          static_cast<unsigned long long>(read.id),
+          static_cast<unsigned long long>(read.key));
     } else if (!legal) {
       sink->ReportViolation(
           name(), read.concluded_at,
-          StrFormat("read op %llu of key %llu returned a value superseded by "
-                    "acknowledged write op %llu (lost acknowledged write)",
-                    static_cast<unsigned long long>(read.id),
-                    static_cast<unsigned long long>(read.key),
-                    static_cast<unsigned long long>(superseded_by)));
+          "read op %llu of key %llu returned a value superseded by "
+          "acknowledged write op %llu (lost acknowledged write)",
+          static_cast<unsigned long long>(read.id),
+          static_cast<unsigned long long>(read.key),
+          static_cast<unsigned long long>(superseded_by));
     }
   }
 
@@ -427,13 +463,13 @@ class KvDurabilityInvariant : public Invariant {
       if (have < ts) {
         sink->ReportViolation(
             name(), ctx.now,
-            StrFormat("node %lld acknowledged a write of key %llu at "
-                      "timestamp %lld but now holds %lld (acked write lost "
-                      "across crash/restart)",
-                      static_cast<long long>(key_acker.second),
-                      static_cast<unsigned long long>(key_acker.first),
-                      static_cast<long long>(ts),
-                      static_cast<long long>(have)));
+            "node %lld acknowledged a write of key %llu at "
+            "timestamp %lld but now holds %lld (acked write lost "
+            "across crash/restart)",
+            static_cast<long long>(key_acker.second),
+            static_cast<unsigned long long>(key_acker.first),
+            static_cast<long long>(ts),
+            static_cast<long long>(have));
       }
     }
   }
@@ -509,15 +545,15 @@ class ReplicaConvergenceInvariant : public Invariant {
         if (have < expected) {
           sink->ReportViolation(
               name(), ctx.now,
-              StrFormat("replica %lld of key %llu still holds timestamp %lld "
-                        "(< acknowledged %lld) %llds after fault quiescence — "
-                        "anti-entropy never converged it",
-                        static_cast<long long>(node->id()),
-                        static_cast<unsigned long long>(key),
-                        static_cast<long long>(have),
-                        static_cast<long long>(expected),
-                        static_cast<long long>(
-                            (ctx.now - ctx.fault_quiet_at).seconds())));
+              "replica %lld of key %llu still holds timestamp %lld "
+              "(< acknowledged %lld) %llds after fault quiescence — "
+              "anti-entropy never converged it",
+              static_cast<long long>(node->id()),
+              static_cast<unsigned long long>(key),
+              static_cast<long long>(have),
+              static_cast<long long>(expected),
+              static_cast<long long>(
+                  (ctx.now - ctx.fault_quiet_at).seconds()));
         }
       }
     }
@@ -546,11 +582,11 @@ class ReplicaConvergenceInvariant : public Invariant {
                            stats.repair_sessions)) {
         sink->ReportViolation(
             name(), ctx.now,
-            StrFormat("node %lld streamed %lld repair bytes in %lld sessions in "
-                      "%.1fs, over 2x its budget — repair storm",
-                      static_cast<long long>(node.core->id()),
-                      static_cast<long long>(stats.repair_bytes_streamed),
-                      static_cast<long long>(stats.repair_sessions), elapsed_seconds));
+            "node %lld streamed %lld repair bytes in %lld sessions in "
+            "%.1fs, over 2x its budget — repair storm",
+            static_cast<long long>(node.core->id()),
+            static_cast<long long>(stats.repair_bytes_streamed),
+            static_cast<long long>(stats.repair_sessions), elapsed_seconds);
       }
     }
   }
@@ -654,9 +690,8 @@ void InvariantRegistry::Probe(const InvariantContext& ctx) {
   }
 }
 
-void InvariantRegistry::ReportViolation(const std::string& invariant,
-                                        VirtualTime at,
-                                        const std::string& detail) {
+void InvariantRegistry::ReportViolation(const char* invariant, VirtualTime at,
+                                        const char* fmt, ...) {
   for (InvariantViolation& v : report_.violations) {
     if (v.invariant == invariant) {
       ++v.count;
@@ -666,7 +701,10 @@ void InvariantRegistry::ReportViolation(const std::string& invariant,
   InvariantViolation v;
   v.invariant = invariant;
   v.first_at = at;
-  v.detail = detail;
+  va_list args;
+  va_start(args, fmt);
+  v.detail = StrFormatV(fmt, args);
+  va_end(args);
   v.count = 1;
   report_.violations.push_back(std::move(v));
 }

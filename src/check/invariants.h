@@ -173,10 +173,12 @@ class InvariantRegistry {
   // Updates node tracks, then dispatches every registered invariant.
   void Probe(const InvariantContext& ctx);
 
-  // Aggregates into the report keyed by invariant name: first sighting wins
-  // the timestamp/detail, later sightings bump the count.
-  void ReportViolation(const std::string& invariant, VirtualTime at,
-                       const std::string& detail);
+  // Aggregates into the report keyed by invariant name. The first sighting
+  // of a name pins `at` and formats `fmt` into the detail; a later sighting
+  // is a name compare and a count bump, and formats nothing.
+  [[gnu::format(printf, 4, 5)]] void ReportViolation(const char* invariant,
+                                                     VirtualTime at,
+                                                     const char* fmt, ...);
 
   const InvariantReport& report() const { return report_; }
   const CheckOptions& options() const { return options_; }

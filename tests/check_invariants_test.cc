@@ -1,16 +1,26 @@
 // The runtime invariant checker (src/check/): clean runs stay clean, the
 // planted left-join bug is caught as a zombie endpoint, the report is
 // deterministic, and the exit-code contract distinguishes invariant
-// violations (4) from fidelity verdicts (3).
+// violations (4) from fidelity verdicts (3). The registry is also driven
+// directly over hand-primed ProtocolNodes, so ring-ownership and
+// generation-monotonic are made to fire and the sighting aggregation
+// (first time and detail, counts) is pinned.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/check/invariants.h"
+#include "src/cluster/protocol_node.h"
 #include "src/scalecheck/bug_catalog.h"
 #include "src/scalecheck/scale_check.h"
+#include "src/sim/network.h"
+#include "src/sim/simulator.h"
+#include "src/transport/sim_substrate.h"
 
 namespace scalecheck {
 namespace {
@@ -195,6 +205,203 @@ TEST(InvariantsTest, PermanentPartitionTripsPartitionHeals) {
       << result.invariants.ToJson();
   EXPECT_GT(result.unreachable_endpoints, 0) << result.Summary();
   EXPECT_EQ(RunExitCode(result), 4);
+}
+
+// ---- The registry over hand-primed protocol cores --------------------------
+
+class NullHost final : public ProtocolNode::Host {
+ public:
+  void OnConviction(NodeId /*ep*/, VirtualTime /*now*/) override {}
+  void OnRescue(NodeId /*ep*/, bool /*restarted*/) override {}
+  void OnStatusTransition(NodeId /*ep*/, StatusKind /*new_status*/) override {}
+  void OnPendingSetChanged() override {}
+  void RunCalculator() override {}
+};
+
+// Two protocol cores over the simulated substrate, each primed as a settled
+// two-member cluster, probed through their NodeViews with no Cluster around
+// them. Every probe runs at t=0 with no faults, so the time-gated
+// invariants stay quiet and only the one under test can fire.
+class RegistryOverCoresTest : public ::testing::Test {
+ protected:
+  static constexpr int kTokens = 4;
+
+  RegistryOverCoresTest() {
+    config_.vnodes_per_node = kTokens;
+    for (NodeId id : {0, 1}) {
+      cores_.push_back(std::make_unique<ProtocolNode>(
+          id, /*seed=*/42 + id,
+          ProtocolNode::Deps{
+              .config = &config_,
+              .transport = &transport_,
+              .clock = &clock_,
+              .host = &host_,
+              .kv_stage = nullptr,
+              .kv_charge = nullptr,
+              .kv_history = nullptr,
+          }));
+      tokens_[id] = GenerateTokens(id, kTokens, config_.seed);
+      views_.push_back(NodeView{cores_.back().get(), /*started=*/true});
+    }
+    registry_.AddBuiltins();
+  }
+
+  // Primes core `id` with `members` and settles its ring view.
+  void Prime(NodeId id, const std::map<NodeId, std::vector<Token>>& members) {
+    cores_[id]->PrimeSettled(members);
+    cores_[id]->MaybeRecalc();
+    ASSERT_TRUE(cores_[id]->IsSettledView());
+  }
+
+  void Probe() {
+    InvariantContext ctx;
+    ctx.now = VirtualTime::Zero();
+    ctx.nodes = &views_;
+    ctx.config = &config_;
+    registry_.Probe(ctx);
+  }
+
+  const InvariantViolation* Find(const std::string& name) const {
+    for (const InvariantViolation& v : registry_.report().violations) {
+      if (v.invariant == name) return &v;
+    }
+    return nullptr;
+  }
+
+  ClusterConfig config_;
+  Simulator sim_{1};
+  NetworkModel network_{&sim_, NetworkModel::Config{}, /*seed=*/7};
+  SimClock clock_{&sim_};
+  SimTransport transport_{&network_};
+  NullHost host_;
+  std::vector<std::unique_ptr<ProtocolNode>> cores_;
+  std::vector<NodeView> views_;
+  std::map<NodeId, std::vector<Token>> tokens_;
+  InvariantRegistry registry_{CheckOptions{}};
+};
+
+TEST_F(RegistryOverCoresTest, AgreeingViewsAreClean) {
+  Prime(0, tokens_);
+  Prime(1, tokens_);
+  Probe();
+  Probe();
+  EXPECT_EQ(registry_.report().probes, 2u);
+  EXPECT_TRUE(registry_.report().ok()) << registry_.report().ToJson();
+}
+
+TEST_F(RegistryOverCoresTest, MisassignedTokensTripRingOwnership) {
+  // Viewer 0 believes node 1 owns one token fewer than node 1 holds; node
+  // 1's own view is right.
+  std::map<NodeId, std::vector<Token>> wrong = tokens_;
+  wrong[1].pop_back();
+  Prime(0, wrong);
+  Prime(1, tokens_);
+  Probe();
+  Probe();
+  ASSERT_EQ(registry_.report().ViolatedNames(), std::vector<std::string>{"ring-ownership"})
+      << registry_.report().ToJson();
+  const InvariantViolation& v = registry_.report().violations[0];
+  EXPECT_EQ(v.detail, "node 0's ring assigns node 1 3 tokens, owner holds 4");
+  EXPECT_EQ(v.first_at, VirtualTime::Zero());
+  EXPECT_EQ(v.count, 2);  // one misassigned (viewer, subject) pair per probe
+}
+
+TEST_F(RegistryOverCoresTest, LowerGenerationTripsGenerationMonotonic) {
+  Prime(0, tokens_);
+  Prime(1, tokens_);
+  Probe();  // viewer 0 records node 1 at generation 1
+  ASSERT_TRUE(registry_.report().ok()) << registry_.report().ToJson();
+  Gossiper& gossiper = cores_[0]->gossiper();
+  gossiper.RemoveEndpoint(1);
+  gossiper.AddKnownEndpoint(1, EndpointState(/*generation=*/0));
+  Probe();
+  const InvariantViolation* v = Find("generation-monotonic");
+  ASSERT_NE(v, nullptr) << registry_.report().ToJson();
+  EXPECT_EQ(v->detail, "node 0 saw node 1's generation move backwards (1 -> 0)");
+  EXPECT_EQ(v->count, 1);
+}
+
+TEST_F(RegistryOverCoresTest, LowerVersionTripsGenerationMonotonic) {
+  Prime(0, tokens_);
+  Prime(1, tokens_);
+  Probe();  // viewer 0 records node 1 at generation 1, max version 1 (STATUS)
+  ASSERT_TRUE(registry_.report().ok()) << registry_.report().ToJson();
+  Gossiper& gossiper = cores_[0]->gossiper();
+  gossiper.RemoveEndpoint(1);
+  gossiper.AddKnownEndpoint(1, EndpointState(/*generation=*/1));  // no STATUS: version 0
+  Probe();
+  const InvariantViolation* v = Find("generation-monotonic");
+  ASSERT_NE(v, nullptr) << registry_.report().ToJson();
+  EXPECT_EQ(v->detail,
+            "node 0 saw node 1's version move backwards (1 -> 0) within generation 1");
+  EXPECT_EQ(v->count, 1);
+}
+
+TEST_F(RegistryOverCoresTest, ForgottenEndpointKeepsItsLastRecord) {
+  // A probe that runs while viewer 0 has forgotten node 1 does not reset
+  // the record: the lower generation that comes back is still caught.
+  Prime(0, tokens_);
+  Prime(1, tokens_);
+  Probe();
+  cores_[0]->gossiper().RemoveEndpoint(1);
+  Probe();
+  ASSERT_TRUE(registry_.report().ok()) << registry_.report().ToJson();
+  cores_[0]->gossiper().AddKnownEndpoint(1, EndpointState(/*generation=*/0));
+  Probe();
+  EXPECT_NE(Find("generation-monotonic"), nullptr) << registry_.report().ToJson();
+}
+
+TEST_F(RegistryOverCoresTest, ViewerRestartClearsItsRecords) {
+  // A restarted viewer re-learns its peers from scratch, so a peer seen at a
+  // lower version than before the restart is not a regression.
+  Prime(0, tokens_);
+  Prime(1, tokens_);
+  Probe();
+  cores_[0]->Crash();
+  cores_[0]->Restart({1});  // node 1 comes back as a bare generation-0 contact
+  Probe();
+  EXPECT_EQ(Find("generation-monotonic"), nullptr) << registry_.report().ToJson();
+}
+
+// Reports a scripted sequence of sightings, numbering each call.
+class ScriptedInvariant final : public Invariant {
+ public:
+  const char* name() const override { return "scripted"; }
+  void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
+    for (const char* sighted : script_[probe_++]) {
+      ++call_;
+      sink->ReportViolation(sighted, ctx.now, "%s sighting %d", sighted, call_);
+    }
+  }
+
+ private:
+  std::vector<std::vector<const char*>> script_ = {
+      {"beta"}, {"alpha", "beta", "alpha"}, {"beta"}};
+  size_t probe_ = 0;
+  int call_ = 0;
+};
+
+TEST(InvariantRegistryTest, FirstSightingWinsTimeAndDetailLaterOnesCount) {
+  InvariantRegistry registry{CheckOptions{}};
+  registry.Add(std::make_unique<ScriptedInvariant>());
+  const std::vector<NodeView> none;
+  for (int64_t second = 1; second <= 3; ++second) {
+    InvariantContext ctx;
+    ctx.now = VirtualTime::Zero() + VirtualDuration::Seconds(second);
+    ctx.nodes = &none;
+    registry.Probe(ctx);
+  }
+  const InvariantReport& report = registry.report();
+  EXPECT_EQ(report.probes, 3u);
+  ASSERT_EQ(report.ViolatedNames(), (std::vector<std::string>{"beta", "alpha"}));
+  const InvariantViolation& beta = report.violations[0];
+  EXPECT_EQ(beta.first_at, VirtualTime::Zero() + VirtualDuration::Seconds(1));
+  EXPECT_EQ(beta.detail, "beta sighting 1");
+  EXPECT_EQ(beta.count, 3);
+  const InvariantViolation& alpha = report.violations[1];
+  EXPECT_EQ(alpha.first_at, VirtualTime::Zero() + VirtualDuration::Seconds(2));
+  EXPECT_EQ(alpha.detail, "alpha sighting 2");
+  EXPECT_EQ(alpha.count, 2);
 }
 
 }  // namespace
