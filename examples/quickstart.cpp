@@ -54,7 +54,8 @@ int main() {
                                  static_cast<double>(full.replay.pil.replay_hits +
                                                      full.replay.pil.replay_misses)));
 
-  std::printf("At 64 nodes nothing flaps anywhere — run the fig3a_c3831 bench to see\n"
-              "the symptom surface at 256 nodes while 128-node testing stays green.\n");
+  std::printf("At 64 nodes nothing flaps anywhere — run scalecheck_cli --mode=experiment\n"
+              "--table=fig3a to see the symptom surface at 256 nodes while 128-node\n"
+              "testing stays green.\n");
   return 0;
 }

@@ -5,12 +5,14 @@
 //   scalecheck_cli --bug=C3881 --mode=suite --sim-modes=colo --nodes=96 --trace
 //   scalecheck_cli --bug=C3831 --mode=suite --nodes=64 --json
 //   scalecheck_cli --mode=real --nodes=16 --faults=island
+//   scalecheck_cli --mode=experiment --table=fig3a --jobs=4
 //
 // --faults=NAME injects a seed-deterministic fault schedule (partitions,
 // crash+restart, slow nodes, memory pressure) into every run; see
 // src/faults/fault_plan.h for the named plans.
 //
-// Modes (src/scalecheck/cli_modes.h): suite | search | repro | real.
+// Modes (src/scalecheck/cli_modes.h): suite | search | repro | real |
+// experiment.
 // --mode=suite picks simulated deployments via --sim-modes= (default all
 // four: the Figure-3 grid through the host-parallel ExperimentSuite; --jobs=N
 // adds workers without changing a single output byte). --sim-modes=memoize
@@ -21,6 +23,9 @@
 // the link-level events of the plan are replayed against the sockets
 // (rescaled to the real gossip interval) and the run must then pass the
 // partition-heals reconvergence bound, or the CLI exits 4.
+// --mode=experiment prints one row of the experiment table
+// (src/scalecheck/experiment_table.h) as the markdown EXPERIMENTS.md holds;
+// host timings go to stderr, and a row whose check fails exits 1.
 //
 // Every flag is a row of the knob table (src/scalecheck/knob_table.h), which
 // also generates the usage text. A flag the selected mode would ignore (a
@@ -42,6 +47,7 @@
 #include "src/scalecheck/bug_catalog.h"
 #include "src/scalecheck/cli_modes.h"
 #include "src/scalecheck/experiment_suite.h"
+#include "src/scalecheck/experiment_table.h"
 #include "src/scalecheck/knob_table.h"
 #include "src/scalecheck/scale_check.h"
 
@@ -221,6 +227,18 @@ int RunReal(const RunSettings& s) {
   return RunExitCode(result);
 }
 
+int RunExperimentTable(const RunSettings& s) {
+  std::string log;
+  Result<std::string> table = RunExperiment(*s.table, s.run.jobs, &log);
+  std::fprintf(stderr, "%s", log.c_str());
+  if (!table.ok()) {
+    std::fprintf(stderr, "%s\n", table.status().message().c_str());
+    return 1;
+  }
+  std::printf("%s", table.value().c_str());
+  return 0;
+}
+
 int UsageError(const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
   Usage();
@@ -252,6 +270,9 @@ int main(int argc, char** argv) {
   }
   if (sel.kind == CliModeKind::kReal) {
     return RunReal(s);
+  }
+  if (sel.kind == CliModeKind::kExperiment) {
+    return RunExperimentTable(s);
   }
   const BugSpec& spec = s.run.spec;
   if (!s.json) {

@@ -8,14 +8,20 @@
 #      scaling gate (tests/scaling_gate_test.cc): deterministic counters
 #      fitted as c*N^k at N=16..128 against pinned exponents, so the perf
 #      regression check has no wall-clock threshold and cannot flake on a
-#      loaded host; constant factors go through scripts/bench_ab.sh,
+#      loaded host; constant factors go through scripts/bench_ab.sh. It also
+#      includes tests/experiment_table_test.cc, which regenerates every
+#      experiment-table row whose deployments stop at N <= 128 and diffs it
+#      against its marked block in EXPERIMENTS.md (scripts/
+#      regen_experiments.sh rewrites the blocks),
 #   2. fidelity-guard exit-code contract: scalecheck_cli must exit 3 — and
 #      only 3 — when a run's verdict is invalid, so downstream automation can
 #      reject untrustworthy colocation results without parsing JSON; usage
 #      errors exit 2: a flag the selected mode would ignore, a value that
 #      does not parse whole or lies outside its range, a search below
-#      ChaosSearch's minimum cluster size, and a KV flag that would act on
-#      nothing; a --sim-modes=colo run equals the full grid's colo cell,
+#      ChaosSearch's minimum cluster size, a KV flag that would act on
+#      nothing, and --mode=experiment without a known --table (or --table
+#      outside it, or a grid flag inside it); a --sim-modes=colo run equals
+#      the full grid's colo cell,
 #   3. ChaosSearch smoke: a pinned-seed bounded search must find the planted
 #      left-join bug, shrink it to a <=3-event reproducer, and the emitted
 #      repro artifact must replay to the identical violation (exit 4); a flag
@@ -89,8 +95,10 @@ fi
 # silent no-op: a BugSpec knob with --mode=real, a socket knob in a sim mode,
 # a search knob outside search. So is a value that does not parse whole or
 # lies outside its range, a search below ChaosSearch's minimum N (the
-# searcher would abort on its internal CHECK instead), and a KV flag that
-# would act on nothing: no KV load, or a WAL/repair flag with that path off.
+# searcher would abort on its internal CHECK instead), a KV flag that would
+# act on nothing: no KV load, or a WAL/repair flag with that path off, and an
+# experiment table that is missing, unknown, asked of another mode, or given
+# a grid override (a row declares its own grid).
 for flags in "--mode=real --kv-rate=100 --nodes=8" \
              "--mode=suite --sim-modes=colo --kv-ops=8 --nodes=8" \
              "--seed=abc" \
@@ -98,7 +106,11 @@ for flags in "--mode=real --kv-rate=100 --nodes=8" \
              "--mode=suite --search-budget=3" \
              "--mode=search --nodes=4" \
              "--mode=suite --sim-modes=colo --nodes=8 --kv-wal --plant-kv-bug" \
-             "--mode=real --nodes=4 --kv-ops=8 --plant-kv-bug=repair-storm"; do
+             "--mode=real --nodes=4 --kv-ops=8 --plant-kv-bug=repair-storm" \
+             "--mode=experiment" \
+             "--mode=experiment --table=bogus" \
+             "--mode=suite --table=fig1" \
+             "--mode=experiment --table=fig1 --nodes=16"; do
   set +e
   "$CLI" $flags >/dev/null 2>&1
   code=$?

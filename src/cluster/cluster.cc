@@ -786,26 +786,6 @@ void Cluster::CollectResult(RunResult* result) const {
     run.intern_table_bytes = interner_.ApproxBytes();
     result->profile = run;
     result->has_profile = true;
-
-    // The profiler itself aggregates across runs when reused.
-    SimProfiler::Counters& total = options_.profiler->counters();
-    total.events_executed += run.events_executed;
-    total.events_cancelled += run.events_cancelled;
-    total.event_slot_high_water += run.event_slot_high_water;
-    total.messages_sent += run.messages_sent;
-    total.gossip_syn_handled += run.gossip_syn_handled;
-    total.gossip_states_applied += run.gossip_states_applied;
-    total.gossip_updates_applied += run.gossip_updates_applied;
-    total.digest_builds += run.digest_builds;
-    total.digest_entries_refreshed += run.digest_entries_refreshed;
-    total.digest_full_rebuilds += run.digest_full_rebuilds;
-    total.payload_reuses += run.payload_reuses;
-    total.payload_allocs += run.payload_allocs;
-    total.gossip_digest_bytes_sent += run.gossip_digest_bytes_sent;
-    total.gossip_arena_bytes += run.gossip_arena_bytes;
-    total.endpoint_store_bytes += run.endpoint_store_bytes;
-    total.intern_table_size += run.intern_table_size;
-    total.intern_table_bytes += run.intern_table_bytes;
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/common/strings.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/common/check.h"
@@ -39,33 +40,36 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep) 
 
 std::string RenderTable(const std::vector<std::string>& header,
                         const std::vector<std::vector<std::string>>& rows) {
+  // A cell's width in characters: UTF-8 continuation bytes take no column.
+  auto width = [](const std::string& cell) {
+    return static_cast<size_t>(std::count_if(
+        cell.begin(), cell.end(), [](char byte) { return (byte & 0xC0) != 0x80; }));
+  };
   std::vector<size_t> widths(header.size());
   for (size_t c = 0; c < header.size(); ++c) {
-    widths[c] = header[c].size();
+    widths[c] = width(header[c]);
   }
   for (const auto& row : rows) {
     CHECK_EQ(row.size(), header.size());
     for (size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
+      widths[c] = std::max(widths[c], width(row[c]));
     }
   }
   auto render_row = [&](const std::vector<std::string>& row) {
     std::string line = "|";
     for (size_t c = 0; c < row.size(); ++c) {
-      line += " " + row[c] + std::string(widths[c] - row[c].size(), ' ') + " |";
+      line += " " + row[c] + std::string(widths[c] - width(row[c]), ' ') + " |";
     }
     return line + "\n";
   };
-  std::string sep = "+";
+  std::string out = render_row(header) + "|";
   for (size_t c = 0; c < header.size(); ++c) {
-    sep += std::string(widths[c] + 2, '-') + "+";
+    out += std::string(widths[c] + 2, '-') + "|";
   }
-  sep += "\n";
-  std::string out = sep + render_row(header) + sep;
+  out += "\n";
   for (const auto& row : rows) {
     out += render_row(row);
   }
-  out += sep;
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Small string utilities: printf-style formatting into std::string, joining,
-// and table rendering used by bench/report binaries.
+// and markdown table rendering for reports.
 
 #ifndef SCALECHECK_SRC_COMMON_STRINGS_H_
 #define SCALECHECK_SRC_COMMON_STRINGS_H_
@@ -18,8 +18,9 @@ std::string StrFormatV(const char* fmt, va_list args);
 
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 
-// Renders rows as a fixed-width ASCII table with a header row; every row must
-// have the same number of columns as the header.
+// Renders rows as a GitHub markdown pipe table: the header row, a |---|
+// separator row and one line per row, every cell padded to its column's
+// width in characters. Every row must have as many columns as the header.
 std::string RenderTable(const std::vector<std::string>& header,
                         const std::vector<std::vector<std::string>>& rows);
 

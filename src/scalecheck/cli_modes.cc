@@ -39,6 +39,8 @@ const char* CliModeKindName(CliModeKind kind) {
       return "repro";
     case CliModeKind::kReal:
       return "real";
+    case CliModeKind::kExperiment:
+      return "experiment";
   }
   return "?";
 }
@@ -95,17 +97,18 @@ Result<ModeSelection> ParseCliMode(const std::string& mode,
     }
     return sel;
   }
-  if (mode == "search" || mode == "repro" || mode == "real") {
+  if (mode == "search" || mode == "repro" || mode == "real" || mode == "experiment") {
     if (!sim_modes_csv.empty()) {
       return Status::InvalidArgument("--sim-modes only applies to --mode=suite");
     }
-    sel.kind = mode == "search" ? CliModeKind::kSearch
+    sel.kind = mode == "search"  ? CliModeKind::kSearch
                : mode == "repro" ? CliModeKind::kRepro
-                                 : CliModeKind::kReal;
+               : mode == "real"  ? CliModeKind::kReal
+                                 : CliModeKind::kExperiment;
     return sel;
   }
   return Status::InvalidArgument(
-      "unknown mode '" + mode + "' (want suite|search|repro|real)");
+      "unknown mode '" + mode + "' (want suite|search|repro|real|experiment)");
 }
 
 }  // namespace scalecheck

@@ -2,7 +2,7 @@
 //
 // The CLI grew one mode spelling per feature (real/colo/memoize/replay/full/
 // search, plus --repro as an implicit mode). This normalizes them to one
-// enum with four values:
+// enum with five values:
 //
 //   --mode=suite   simulation run(s); which deployments via --sim-modes=
 //                  (default: all four, the Figure-3 comparison grid)
@@ -10,6 +10,8 @@
 //   --mode=repro   replay a search artifact (--repro=FILE)
 //   --mode=real    REAL deployment: N in-process nodes on localhost TCP
 //                  sockets and wall-clock timers (src/net/)
+//   --mode=experiment  one EXPERIMENTS.md table (--table=NAME, see
+//                  src/scalecheck/experiment_table.h)
 //
 // Any other spelling — including the retired ones (full, colo, memoize,
 // replay, real-scale, sim-real) — is rejected. NOTE: bare --mode=real boots
@@ -33,6 +35,7 @@ enum class CliModeKind : int {
   kSearch = 1,
   kRepro = 2,
   kReal = 3,
+  kExperiment = 4,
 };
 
 const char* CliModeKindName(CliModeKind kind);

@@ -14,8 +14,9 @@ constexpr unsigned kSuite = ModeBit(CliModeKind::kSuite);
 constexpr unsigned kSearch = ModeBit(CliModeKind::kSearch);
 constexpr unsigned kRepro = ModeBit(CliModeKind::kRepro);
 constexpr unsigned kReal = ModeBit(CliModeKind::kReal);
+constexpr unsigned kExperiment = ModeBit(CliModeKind::kExperiment);
 constexpr unsigned kSim = kSuite | kSearch;  // the modes that run the BugSpec
-constexpr unsigned kAll = kSim | kRepro | kReal;
+constexpr unsigned kAll = kSim | kRepro | kReal | kExperiment;
 
 constexpr int kMaxInt = std::numeric_limits<int>::max();
 constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
@@ -269,15 +270,24 @@ Knob GuardLateness(Knob row) {
 }
 
 std::vector<Knob> BuildTable() {
+  std::vector<const ExperimentRow*> tables;
+  std::vector<std::string> table_names;
+  for (const ExperimentRow& row : ExperimentTable()) {
+    tables.push_back(&row);
+    table_names.push_back(row.name);
+  }
+  static const std::string* table_help =
+      new std::string("the EXPERIMENTS.md table to print: " + Join(table_names, " | "));
   return {
       Bind({"--bug", "bug", kSim, "=ID", "catalog scenario to run (default {})"}, CatalogEntry{},
            [](auto& s) -> auto& { return s.run.spec; }),
       Bind({"--mode", "", kAll, "=M",
-            "suite | search | repro | real (default {}). suite runs simulated deployments "
-            "(--sim-modes). search is ChaosSearch: explore seed-deterministic fault plans, score "
-            "by invariant violations, shrink the first hit to a minimal reproducer. repro replays "
-            "--repro=FILE. real boots N in-process nodes on REAL localhost TCP sockets + "
-            "wall-clock timers, runs to gossip convergence, exports RunResult JSON"},
+            "suite | search | repro | real | experiment (default {}). suite runs simulated "
+            "deployments (--sim-modes). search is ChaosSearch: explore seed-deterministic fault "
+            "plans, score by invariant violations, shrink the first hit to a minimal reproducer. "
+            "repro replays --repro=FILE. real boots N in-process nodes on REAL localhost TCP "
+            "sockets + wall-clock timers, runs to gossip convergence, exports RunResult JSON. "
+            "experiment prints one EXPERIMENTS.md table (--table)"},
            Text{}, [](auto& s) -> auto& { return s.mode; }),
       Bind({"--sim-modes", "", kSuite, "=CSV",
             "which simulated deployments (real|colo|memoize|replay; default all four, the "
@@ -294,7 +304,10 @@ std::vector<Knob> BuildTable() {
       Bind({"--seed", "seed", kSim | kReal, "=S",
             "simulation seed: decimal, 0x hex or 0-prefixed octal (default {})"},
            Int<uint64_t>{0, kMaxUint64, 0}, [](auto& s) -> auto& { return s.run.seed; }),
-      Bind({"--jobs", "", kSim, "=J",
+      Bind({"--table", "", kExperiment, "=NAME", *table_help},
+           Choice<const ExperimentRow*>{ExperimentName, tables},
+           [](auto& s) -> auto& { return s.table; }),
+      Bind({"--jobs", "", kSim | kExperiment, "=J",
             "host worker threads for the grid and the search; moves no output byte (0 = one per "
             "core; default {})"},
            Int<int>{0, kMaxInt}, [](auto& s) -> auto& { return s.run.jobs; }),
@@ -310,7 +323,7 @@ std::vector<Knob> BuildTable() {
             "record an execution trace and print its digest and last entries (--sim-modes "
             "runs only)"},
            Switch{}, [](auto& s) -> auto& { return s.trace; }),
-      Bind({"--json", "", kAll, "", "print results as JSON"}, Switch{},
+      Bind({"--json", "", kAll & ~kExperiment, "", "print results as JSON"}, Switch{},
            [](auto& s) -> auto& { return s.json; }),
       GuardLateness({"--guard-lateness-p99-ms", "", kSim, "=MS",
                      "fidelity budget: p99 event lateness above MS ms invalidates the run "
@@ -535,6 +548,9 @@ Result<ModeSelection> SelectMode(const CliArgs& args) {
   if (kind == CliModeKind::kRepro && s.repro.empty()) {
     return Status::InvalidArgument("--mode=repro needs --repro=FILE");
   }
+  if (kind == CliModeKind::kExperiment && s.table == nullptr) {
+    return Status::InvalidArgument("--mode=experiment needs --table=NAME");
+  }
   return sel;
 }
 
@@ -551,7 +567,7 @@ std::string KnobUsage() {
     // Prefixed with the modes that read the flag, unless all of them do.
     std::string text;
     for (CliModeKind kind : {CliModeKind::kSuite, CliModeKind::kSearch, CliModeKind::kRepro,
-                             CliModeKind::kReal}) {
+                             CliModeKind::kReal, CliModeKind::kExperiment}) {
       if (row.modes != kAll && (row.modes & ModeBit(kind)) != 0) {
         text += (text.empty() ? "" : "|") + std::string(CliModeKindName(kind));
       }

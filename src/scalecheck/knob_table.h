@@ -24,6 +24,7 @@
 #include "src/net/real_cluster.h"
 #include "src/scalecheck/bug_catalog.h"
 #include "src/scalecheck/cli_modes.h"
+#include "src/scalecheck/experiment_table.h"
 
 namespace scalecheck {
 
@@ -43,6 +44,7 @@ struct RunSettings {
   bool json = false;
   std::string repro_out;  // --mode=search: save the repro artifact here
   std::string repro;      // --mode=repro: the artifact to replay
+  const ExperimentRow* table = nullptr;  // --mode=experiment: the table to print
 };
 
 // The mode bit of a row: 1 << CliModeKind.
@@ -91,8 +93,8 @@ Result<CliArgs> ParseCliArgs(const std::vector<std::string>& args);
 
 // The mode the arguments select (--repro=FILE implies --mode=repro), checked
 // against what it reads: every given flag must be read by the mode and have
-// what its KvNeeds names, search needs kMinFaultSearchNodes nodes and repro
-// an artifact.
+// what its KvNeeds names, search needs kMinFaultSearchNodes nodes, repro
+// an artifact and experiment a table.
 Result<ModeSelection> SelectMode(const CliArgs& args);
 
 // The synopsis and one help entry per flag, each default shown from

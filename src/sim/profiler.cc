@@ -24,18 +24,4 @@ void SimProfiler::Counters::WriteJson(JsonWriter* w) const {
   w->EndObject();
 }
 
-std::string SimProfiler::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("counters");
-  counters_.WriteJson(&w);
-  w.Key("wall_ns").BeginObject();
-  w.Field("build", wall_ns_[kPhaseBuild]);
-  w.Field("run", wall_ns_[kPhaseRun]);
-  w.Field("collect", wall_ns_[kPhaseCollect]);
-  w.EndObject();
-  w.EndObject();
-  return w.str();
-}
-
 }  // namespace scalecheck

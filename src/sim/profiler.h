@@ -17,7 +17,9 @@
 //
 // Profiling is opt-in (Cluster::Options::profiler). A null profiler costs
 // nothing on the hot path: components keep their own plain counters and the
-// Cluster aggregates them once at result-collection time.
+// Cluster sums them into RunResult::profile once at result-collection time.
+// The profiler object itself holds only the wall timers, so one profiler
+// reused across runs accumulates their phase times.
 
 #ifndef SCALECHECK_SRC_SIM_PROFILER_H_
 #define SCALECHECK_SRC_SIM_PROFILER_H_
@@ -101,18 +103,10 @@ class SimProfiler {
     std::chrono::steady_clock::time_point start_;
   };
 
-  Counters& counters() { return counters_; }
-  const Counters& counters() const { return counters_; }
-
   void AddWallNanos(Phase phase, int64_t nanos) { wall_ns_[phase] += nanos; }
   int64_t wall_nanos(Phase phase) const { return wall_ns_[phase]; }
 
-  // Counters + wall timings, for bench/diagnostic output only (contains host
-  // wall-clock; must not be folded into deterministic artifacts).
-  std::string ToJson() const;
-
  private:
-  Counters counters_;
   int64_t wall_ns_[kNumPhases] = {};
 };
 

@@ -25,9 +25,16 @@ TEST(JoinTest, JoinsWithSeparator) {
 
 TEST(RenderTableTest, AlignsColumns) {
   std::string table = RenderTable({"name", "v"}, {{"x", "10"}, {"longer", "2"}});
-  EXPECT_NE(table.find("| name   | v  |"), std::string::npos);
-  EXPECT_NE(table.find("| longer | 2  |"), std::string::npos);
-  EXPECT_NE(table.find("+--------+----+"), std::string::npos);
+  EXPECT_EQ(table,
+            "| name   | v  |\n"
+            "|--------|----|\n"
+            "| x      | 10 |\n"
+            "| longer | 2  |\n");
+  // Columns are counted in characters, not UTF-8 bytes.
+  EXPECT_EQ(RenderTable({"q1–q3"}, {{"x"}}),
+            "| q1–q3 |\n"
+            "|-------|\n"
+            "| x     |\n");
 }
 
 TEST(HumanCountTest, PicksSuffixes) {

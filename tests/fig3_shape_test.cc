@@ -1,7 +1,8 @@
 // The headline result as a regression test (a slow one, ~1-2 min): at 128
 // nodes the C3831 symptom is invisible in real-scale testing AND PIL replay,
 // while basic colocation already reports a storm — i.e. the left half of
-// Figure 3(a). The full 256-node right half lives in bench/fig3a_c3831.
+// Figure 3(a). The full 256-node right half is the fig3a experiment-table
+// row (scalecheck_cli --mode=experiment --table=fig3a).
 
 #include <gtest/gtest.h>
 

@@ -27,6 +27,7 @@ const std::map<std::string, Sample>& FlagSamples() {
       {"--sim-modes", {"colo,replay", ""}},
       {"--nodes", {"12", "1"}},
       {"--seed", {"0x7", "-1"}},
+      {"--table", {"fig1", "fig9"}},
       {"--jobs", {"4", "4x"}},
       {"--faults", {"island", "hurricane"}},
       {"--trace", {"", "yes"}},
@@ -193,6 +194,30 @@ TEST(KnobTable, ModeMasksComeFromWhatEachModeReads) {
       ModeError({"--mode=real", "--plant-kv-bug=repair-storm", "--kv-repair", "--kv-ops=8"}).ok());
   EXPECT_FALSE(ModeError({"--mode=suite", "--sim-modes=colo", "--kv-ops=8"}).ok());
   EXPECT_FALSE(ModeError({"--mode=search", "--faults=island"}).ok());
+}
+
+TEST(KnobTable, ExperimentModeReadsOnlyItsTableAndJobs) {
+  Result<CliArgs> parsed = ParseCliArgs({"--mode=experiment", "--table=fig3a", "--jobs=4"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(SelectMode(parsed.value()).value().kind, CliModeKind::kExperiment);
+  EXPECT_STREQ(ExperimentName(parsed.value().settings.table), "fig3a");
+  // No table to print.
+  Status bare = ModeError({"--mode=experiment"});
+  EXPECT_FALSE(bare.ok());
+  EXPECT_NE(bare.message().find("--table"), std::string::npos) << bare.message();
+  // An unknown table is a value error that lists the tables.
+  Result<CliArgs> unknown = ParseCliArgs({"--mode=experiment", "--table=fig9"});
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("fig3a"), std::string::npos)
+      << unknown.status().message();
+  // --table in another mode, and a grid override in experiment mode: a row
+  // declares its own grid.
+  EXPECT_FALSE(ModeError({"--mode=suite", "--table=fig1"}).ok());
+  EXPECT_FALSE(ModeError({"--table=fig1"}).ok());
+  for (const char* flag : {"--nodes=16", "--seed=1", "--bug=C5456", "--json", "--trace",
+                           "--sim-modes=colo"}) {
+    EXPECT_FALSE(ModeError({"--mode=experiment", "--table=fig1", flag}).ok()) << flag;
+  }
 }
 
 TEST(KnobTable, KvFlagsThatActOnNothingAreErrors) {
