@@ -44,7 +44,13 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # Deps by reference, which must outlive every timer it arms);
 # sim_payload_pool_test releases payloads after their pool is destroyed, as
 # a cluster's teardown does with the payloads still queued in its simulator,
-# so the ASan leg shows the recycler frees them without touching freed state.
+# so the ASan leg shows the recycler frees them without touching freed state;
+# sim_job_alloc_test runs 20k gossip-shaped jobs through recycled step blocks,
+# which the ASan build poisons while they sit on the free list, so a step used
+# after its block was recycled is reported, and sim_cpu_model_test replays
+# seeded scripts through the CPU model's reused burst slots. Every worker
+# thread of the jobs=4 suite tests above keeps its own step-block free list,
+# which the TSan leg checks is never shared.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -54,7 +60,8 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          net_link_filter_test cluster_protocol_node_test
          kv_merkle_test kv_repair_test gossip_incremental_test
          sim_thread_expiry_test sim_golden_test
-         kv_durability_test kv_cluster_test sim_payload_pool_test)
+         kv_durability_test kv_cluster_test sim_payload_pool_test
+         sim_job_alloc_test sim_cpu_model_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"

@@ -106,6 +106,7 @@ void Cluster::BuildDeployment() {
   }
   int total = initial_nodes_ + joining_nodes_;
   CHECK_GT(total, 1);
+  payloads_ = GossipPayloadPools(static_cast<size_t>(total));
 
   sim_ = std::make_unique<Simulator>(cfg.seed);
 

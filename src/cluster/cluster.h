@@ -41,8 +41,16 @@ enum class KvKeyDist { kUniform, kZipf };
 // kind. The simulator runs one event at a time on one host thread, so a
 // payload freed by one node can carry the next send of any other: a pool per
 // node would only park idle capacity (an ACK that once carried every
-// endpoint state keeps its ~47 KB at N=256).
+// endpoint state keeps its ~47 KB at N=256). The SYN pool parks up to one
+// payload per node, so the burst of digests a stalled stage returns is kept
+// for the sends that follow rather than freed and allocated again; a SYN
+// holds only 24-byte digests (6 KB at N=256). The state-carrying ACK and ACK2
+// pools keep the default bound: parking one per node there too raised fig3
+// peak RSS by 12% (EXPERIMENTS.md, "Job path").
 struct GossipPayloadPools {
+  explicit GossipPayloadPools(size_t nodes = PayloadPool<SynPayload>::kMaxParked)
+      : syn(nodes) {}
+
   PayloadPool<SynPayload> syn;
   PayloadPool<AckPayload> ack;
   PayloadPool<Ack2Payload> ack2;

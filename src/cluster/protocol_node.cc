@@ -25,7 +25,7 @@ ProtocolNode::ProtocolNode(NodeId id, uint64_t seed, Deps wiring)
   CHECK_NOTNULL(transport_);
   CHECK_NOTNULL(clock_);
   CHECK_NOTNULL(host_);
-  unmonitored_.insert(id_);
+  SetUnmonitored(id_);
   if (config_->kv.enabled) {
     CHECK_NOTNULL(wiring.kv_stage);
     kv_ = std::make_unique<KvService>(KvService::Deps{
@@ -164,7 +164,7 @@ void ProtocolNode::SweepFailures() {
   // and skipping the dead: alive ⊆ known. MarkDead inside the loop only
   // defers a rebuild, it does not move the vector.
   for (NodeId ep : gossiper_.LiveEndpointsView()) {
-    if (unmonitored_.count(ep) > 0) {
+    if (Unmonitored(ep)) {
       continue;
     }
     if (fd_.Phi(ep, now) > fd_.config().threshold) {
@@ -249,14 +249,22 @@ void ProtocolNode::OnStatusChange(NodeId ep, StatusKind old_status, StatusKind n
   if (departed) {
     // A properly departed node is no longer monitored; its silence is not a
     // failure and must not produce flaps.
-    unmonitored_.insert(ep);
+    SetUnmonitored(ep);
     fd_.Forget(ep);
     gossiper_.MarkDead(ep);
   }
 }
 
+void ProtocolNode::SetUnmonitored(NodeId ep) {
+  CHECK_GE(ep, 0);
+  if (static_cast<size_t>(ep) >= unmonitored_.size()) {
+    unmonitored_.resize(static_cast<size_t>(ep) + 1);
+  }
+  unmonitored_[ep] = true;
+}
+
 void ProtocolNode::OnHeartbeat(NodeId ep) {
-  if (unmonitored_.count(ep) > 0) {
+  if (Unmonitored(ep)) {
     return;
   }
   fd_.Report(ep, clock_->Now());
@@ -351,7 +359,7 @@ void ProtocolNode::Restart(const std::vector<NodeId>& contacts) {
   ring_dirty_ = false;
   recalc_inflight_ = false;
   unmonitored_.clear();
-  unmonitored_.insert(id_);
+  SetUnmonitored(id_);
   // Peers replace our stale state wholesale on seeing the new generation.
   PrimeContacts(contacts);
   SetOwnStatus(StatusKind::kNormal);

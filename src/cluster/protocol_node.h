@@ -24,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -190,6 +189,11 @@ class ProtocolNode {
   uint64_t digest_bytes_sent() const { return digest_bytes_sent_; }
 
  private:
+  bool Unmonitored(NodeId ep) const {
+    return static_cast<size_t>(ep) < unmonitored_.size() && unmonitored_[ep];
+  }
+  void SetUnmonitored(NodeId ep);
+
   // Gossiper callbacks.
   void OnStatusChange(NodeId ep, StatusKind old_status, StatusKind new_status);
   void OnHeartbeat(NodeId ep);
@@ -224,9 +228,10 @@ class ProtocolNode {
   bool ring_dirty_ = false;
   bool recalc_inflight_ = false;
 
-  // Endpoints we do not failure-monitor (ourselves, LEFT nodes). Membership
-  // queries only — never iterated, so unordered is deterministic here.
-  std::unordered_set<NodeId> unmonitored_;
+  // Endpoints we do not failure-monitor (ourselves, LEFT nodes), as flags
+  // indexed by the dense NodeId: probed once per heartbeat and once per
+  // swept peer, so a hash lookup here cost millions of probes per run.
+  std::vector<bool> unmonitored_;
   std::vector<NodeId> seed_contacts_;  // excludes self
 
   uint64_t digest_bytes_sent_ = 0;

@@ -1,15 +1,16 @@
-// Small-buffer-optimized move-only callable for simulator events and
-// substrate timers (src/transport/substrate.h). Lives in common/ so the
-// transport seam can use it without depending on the simulator.
+// Small-buffer-optimized move-only callables: EventFn for simulator events
+// and substrate timers (src/transport/substrate.h), and the step callable of
+// a simulated Job (src/sim/thread.h). Lives in common/ so the transport seam
+// can use it without depending on the simulator.
 //
 // Every scheduled event used to carry a std::function<void()>, which
 // heap-allocates for any capture beyond ~16 bytes and requires the callable
-// to be copyable. EventFn stores up to kInlineBytes of capture state inline
-// (enough for every hot callback in the tree, including the network-delivery
-// closure that carries a whole Message), falls back to the heap only for
-// oversized or throwing-move callables, and is move-only — so event callbacks
-// may own move-only resources, and by construction are never copied between
-// scheduling and execution.
+// to be copyable. SmallFn<R(Args...), N> stores up to N bytes of capture
+// state inline (EventFn's 64 hold every hot callback in the tree, including
+// the network-delivery closure that carries a whole Message), falls back to
+// the heap only for oversized or throwing-move callables, and is move-only —
+// so callbacks may own move-only resources, and by construction are never
+// copied between scheduling and execution.
 
 #ifndef SCALECHECK_SRC_COMMON_EVENT_FN_H_
 #define SCALECHECK_SRC_COMMON_EVENT_FN_H_
@@ -21,19 +22,22 @@
 
 namespace scalecheck {
 
-class EventFn {
- public:
-  // Sized to hold the network-delivery closure (a Message plus the model
-  // pointer) without touching the heap. Callables larger than this — or with
-  // throwing moves — are boxed.
-  static constexpr size_t kInlineBytes = 64;
+template <typename Signature, size_t kInline>
+class SmallFn;
 
-  EventFn() noexcept = default;
+template <typename R, typename... Args, size_t kInline>
+class SmallFn<R(Args...), kInline> {
+ public:
+  // Callables up to this size (with a non-throwing move) live inline;
+  // larger ones are boxed.
+  static constexpr size_t kInlineBytes = kInline;
+
+  SmallFn() noexcept = default;
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  EventFn(F&& fn) {  // NOLINT(google-explicit-constructor)
+            typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
+                                        std::is_invocable_r_v<R, D&, Args...>>>
+  SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor)
     if constexpr (sizeof(D) <= kInlineBytes &&
                   alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
@@ -46,19 +50,21 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { MoveFrom(&other); }
-  EventFn& operator=(EventFn&& other) noexcept {
+  SmallFn(SmallFn&& other) noexcept { MoveFrom(&other); }
+  SmallFn& operator=(SmallFn&& other) noexcept {
     if (this != &other) {
       Reset();
       MoveFrom(&other);
     }
     return *this;
   }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { Reset(); }
+  SmallFn(const SmallFn&) = delete;
+  SmallFn& operator=(const SmallFn&) = delete;
+  ~SmallFn() { Reset(); }
 
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) {
+    return ops_->invoke(storage_, std::forward<Args>(args)...);
+  }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -78,7 +84,7 @@ class EventFn {
 
  private:
   struct Ops {
-    void (*invoke)(void* storage);
+    R (*invoke)(void* storage, Args&&... args);
     // Move-constructs into `to` from `from` and destroys the source.
     void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void* storage) noexcept;
@@ -88,7 +94,9 @@ class EventFn {
   template <typename D>
   static const Ops* InlineOps() {
     static constexpr Ops ops = {
-        [](void* s) { (*static_cast<D*>(s))(); },
+        [](void* s, Args&&... args) -> R {
+          return (*static_cast<D*>(s))(std::forward<Args>(args)...);
+        },
         [](void* from, void* to) noexcept {
           D* src = static_cast<D*>(from);
           ::new (to) D(std::move(*src));
@@ -103,7 +111,9 @@ class EventFn {
   template <typename D>
   static const Ops* HeapOps() {
     static constexpr Ops ops = {
-        [](void* s) { (**static_cast<D**>(s))(); },
+        [](void* s, Args&&... args) -> R {
+          return (**static_cast<D**>(s))(std::forward<Args>(args)...);
+        },
         [](void* from, void* to) noexcept {
           *static_cast<D**>(to) = *static_cast<D**>(from);
         },
@@ -113,7 +123,7 @@ class EventFn {
     return &ops;
   }
 
-  void MoveFrom(EventFn* other) noexcept {
+  void MoveFrom(SmallFn* other) noexcept {
     ops_ = other->ops_;
     if (ops_ != nullptr) {
       ops_->relocate(other->storage_, storage_);
@@ -124,6 +134,10 @@ class EventFn {
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+// Sized to hold the network-delivery closure (a Message plus the model
+// pointer) without touching the heap.
+using EventFn = SmallFn<void(), 64>;
 
 }  // namespace scalecheck
 

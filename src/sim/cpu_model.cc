@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "src/common/check.h"
 
@@ -47,7 +46,7 @@ void CpuModel::Settle() {
   VirtualTime now = sim_->Now();
   CHECK_GE(now, last_settle_);
   double dt = (now - last_settle_).seconds();
-  if (dt > 0.0 && !tasks_.empty()) {
+  if (dt > 0.0 && !heap_.empty()) {
     int active = active_count();
     service_ += dt * RatePerTask(active);
     busy_core_work_ +=
@@ -78,34 +77,95 @@ double CpuModel::CurrentStretch() const {
   return config_.speed / RatePerTask(active);
 }
 
-CpuModel::TaskId CpuModel::StartTask(WorkUnits work, std::function<void()> on_complete) {
+CpuModel::TaskId CpuModel::StartTask(WorkUnits work, EventFn on_complete) {
   CHECK_GE(work, 0);
   Settle();
-  TaskId id = next_id_++;
-  double target = service_ + static_cast<double>(work);
-  tasks_.emplace(id, Task{target, std::move(on_complete)});
-  by_target_.emplace(target, id);
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(tasks_.size());
+    CHECK_LT(slot, uint32_t{1} << kSlotBits) << "too many concurrent bursts";
+    tasks_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  TaskId id = (next_seq_++ << kSlotBits) | slot;
+  Task& task = tasks_[slot];
+  task.target_service = service_ + static_cast<double>(work);
+  task.id = id;
+  task.heap_pos = static_cast<uint32_t>(heap_.size());
+  task.on_complete = std::move(on_complete);
+  heap_.push_back(slot);
+  SiftUp(task.heap_pos);
   peak_active_ = std::max(peak_active_, active_count());
   Reschedule();
   return id;
 }
 
 bool CpuModel::CancelTask(TaskId id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) {
+  uint64_t slot = id & ((uint64_t{1} << kSlotBits) - 1);
+  if (slot >= tasks_.size() || tasks_[slot].id != id) {
     return false;
   }
   Settle();
-  auto range = by_target_.equal_range(it->second.target_service);
-  for (auto t = range.first; t != range.second; ++t) {
-    if (t->second == id) {
-      by_target_.erase(t);
-      break;
-    }
-  }
-  tasks_.erase(it);
+  tasks_[slot].on_complete.Reset();
+  RemoveAt(tasks_[slot].heap_pos);
   Reschedule();
   return true;
+}
+
+void CpuModel::SiftUp(uint32_t pos) {
+  uint32_t slot = heap_[pos];
+  while (pos > 0) {
+    uint32_t parent = (pos - 1) / 2;
+    if (!Before(slot, heap_[parent])) {
+      break;
+    }
+    heap_[pos] = heap_[parent];
+    tasks_[heap_[pos]].heap_pos = pos;
+    pos = parent;
+  }
+  heap_[pos] = slot;
+  tasks_[slot].heap_pos = pos;
+}
+
+void CpuModel::SiftDown(uint32_t pos) {
+  uint32_t slot = heap_[pos];
+  uint32_t n = static_cast<uint32_t>(heap_.size());
+  while (true) {
+    uint32_t child = 2 * pos + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Before(heap_[child], slot)) {
+      break;
+    }
+    heap_[pos] = heap_[child];
+    tasks_[heap_[pos]].heap_pos = pos;
+    pos = child;
+  }
+  heap_[pos] = slot;
+  tasks_[slot].heap_pos = pos;
+}
+
+void CpuModel::RemoveAt(uint32_t pos) {
+  uint32_t slot = heap_[pos];
+  uint32_t last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    heap_[pos] = last;
+    tasks_[last].heap_pos = pos;
+    if (pos > 0 && Before(last, heap_[(pos - 1) / 2])) {
+      SiftUp(pos);
+    } else {
+      SiftDown(pos);
+    }
+  }
+  tasks_[slot].id = 0;
+  free_slots_.push_back(slot);
 }
 
 void CpuModel::Reschedule() {
@@ -113,10 +173,10 @@ void CpuModel::Reschedule() {
     sim_->Cancel(pending_event_);
     pending_event_ = kInvalidEvent;
   }
-  if (tasks_.empty()) {
+  if (heap_.empty()) {
     return;
   }
-  double min_target = by_target_.begin()->first;
+  double min_target = tasks_[heap_[0]].target_service;
   double rate = RatePerTask(active_count());
   CHECK_GT(rate, 0.0);
   double remaining = std::max(0.0, min_target - service_);
@@ -133,31 +193,30 @@ void CpuModel::Reschedule() {
 }
 
 void CpuModel::OnCompletionEvent() {
+  CHECK(!in_completion_);
   pending_event_ = kInvalidEvent;
   Settle();
   // Absolute + relative tolerance for floating-point drift between the
   // scheduled completion instant and the settled service clock.
   double eps = 1e-6 + 1e-9 * service_;
-  std::vector<std::function<void()>> done;
-  while (!by_target_.empty() && by_target_.begin()->first <= service_ + eps) {
-    TaskId id = by_target_.begin()->second;
-    by_target_.erase(by_target_.begin());
-    auto it = tasks_.find(id);
-    CHECK(it != tasks_.end());
-    done.push_back(std::move(it->second.on_complete));
-    tasks_.erase(it);
+  while (!heap_.empty() && tasks_[heap_[0]].target_service <= service_ + eps) {
+    done_.push_back(std::move(tasks_[heap_[0]].on_complete));
+    RemoveAt(0);
   }
-  if (done.empty()) {
+  if (done_.empty()) {
     // Fired fractionally early due to rounding; re-arm.
     Reschedule();
     return;
   }
   Reschedule();
-  for (auto& fn : done) {
+  in_completion_ = true;
+  for (EventFn& fn : done_) {
     if (fn) {
       fn();
     }
   }
+  done_.clear();
+  in_completion_ = false;
 }
 
 }  // namespace scalecheck

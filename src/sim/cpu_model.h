@@ -15,18 +15,19 @@
 //
 // Implementation: because all bursts share one rate, we track a global
 // "service clock" S with dS/dt = rate(A). A burst that starts when the clock
-// is S0 with w work units completes when S reaches S0 + w. Completions are a
-// sorted set of target service values, so every state change is O(log A).
+// is S0 with w work units completes when S reaches S0 + w. Bursts live in a
+// slot vector (freed slots are reused) and an indexed binary min-heap orders
+// them by (target service, task id) — ids grow with start order, so equal
+// targets complete in start order — making every state change O(log A) and
+// allocation-free once the vectors have grown to the peak burst count.
 
 #ifndef SCALECHECK_SRC_SIM_CPU_MODEL_H_
 #define SCALECHECK_SRC_SIM_CPU_MODEL_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <vector>
 
+#include "src/common/event_fn.h"
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
 
@@ -42,7 +43,12 @@ class CpuModel {
     double ctx_switch_penalty = 0.03;
   };
 
+  // A task id packs the burst's slot into its low kSlotBits under the
+  // burst's start sequence number (1, 2, ...), so CancelTask finds the slot
+  // without a map and a stale id is told apart from the slot's new burst.
+  // Ids are never 0.
   using TaskId = uint64_t;
+  static constexpr int kSlotBits = 24;
 
   CpuModel(Simulator* sim, const Config& config);
   ~CpuModel();
@@ -51,7 +57,7 @@ class CpuModel {
 
   // Starts a compute burst of `work` units; `on_complete` fires when the
   // burst finishes. Zero-work bursts complete on the next event dispatch.
-  TaskId StartTask(WorkUnits work, std::function<void()> on_complete);
+  TaskId StartTask(WorkUnits work, EventFn on_complete);
 
   // Cancels an in-flight burst (node crash injection). Returns false if the
   // burst already completed.
@@ -64,7 +70,7 @@ class CpuModel {
   void SetSpeedFactor(double factor);
   double speed_factor() const { return speed_factor_; }
 
-  int active_count() const { return static_cast<int>(tasks_.size()); }
+  int active_count() const { return static_cast<int>(heap_.size()); }
   int peak_active() const { return peak_active_; }
 
   // Total core-seconds of *occupancy* so far: min(active, cores) integrated
@@ -81,13 +87,28 @@ class CpuModel {
   double CurrentStretch() const;
 
   const Config& config() const { return config_; }
-  uint64_t tasks_started() const { return next_id_ - 1; }
+  uint64_t tasks_started() const { return next_seq_ - 1; }
 
  private:
   struct Task {
     double target_service = 0.0;  // service clock value at completion
-    std::function<void()> on_complete;
+    TaskId id = 0;                // 0 while the slot is free
+    uint32_t heap_pos = 0;        // index of this slot in heap_
+    EventFn on_complete;
   };
+
+  // Heap order: earlier target first, then earlier start.
+  bool Before(uint32_t a, uint32_t b) const {
+    const Task& x = tasks_[a];
+    const Task& y = tasks_[b];
+    return x.target_service < y.target_service ||
+           (x.target_service == y.target_service && x.id < y.id);
+  }
+  void SiftUp(uint32_t pos);
+  void SiftDown(uint32_t pos);
+  // Removes heap_[pos] and frees its slot (the callback must be moved out or
+  // reset by the caller first).
+  void RemoveAt(uint32_t pos);
 
   // Advances the service clock to Now().
   void Settle();
@@ -106,13 +127,13 @@ class CpuModel {
   VirtualTime last_settle_;        // last time service_ was updated
   double busy_core_work_ = 0.0;    // integral of min(A, C) * speed over time
 
-  std::unordered_map<TaskId, Task> tasks_;
-  // target service -> task id (multimap: equal targets allowed, ordered by
-  // insertion through id for determinism).
-  std::multimap<double, TaskId> by_target_;
+  std::vector<Task> tasks_;          // slots, indexed by the id's low bits
+  std::vector<uint32_t> free_slots_;
+  std::vector<uint32_t> heap_;       // slots of active bursts, min-heap
+  std::vector<EventFn> done_;        // reused completion buffer
 
   EventId pending_event_ = kInvalidEvent;
-  TaskId next_id_ = 1;
+  uint64_t next_seq_ = 1;
   int peak_active_ = 0;
   bool in_completion_ = false;
 };

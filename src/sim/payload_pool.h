@@ -27,12 +27,16 @@ namespace scalecheck {
 template <typename T>
 class PayloadPool {
  public:
-  // Bounds the parked-object list; beyond this, returned payloads are simply
-  // destroyed. Parked payloads keep their capacity, so this bounds the idle
-  // memory a pool holds; a burst of returns past it is freed.
+  // The default bound on the parked-object list; beyond the bound, returned
+  // payloads are simply destroyed. Parked payloads keep their capacity, so
+  // the bound caps the idle memory a pool holds (GossipPayloadPools sets a
+  // larger one where payloads are small).
   static constexpr size_t kMaxParked = 16;
 
-  PayloadPool() : state_(std::make_shared<State>()) {}
+  explicit PayloadPool(size_t max_parked = kMaxParked)
+      : state_(std::make_shared<State>()) {
+    state_->max_parked = max_parked;
+  }
 
   // Returns a cleared T. The pointer behaves like any shared_ptr<T>; when
   // the last reference drops, the object is recycled into this pool.
@@ -56,6 +60,7 @@ class PayloadPool {
  private:
   struct State {
     std::vector<std::unique_ptr<T>> parked;
+    size_t max_parked = kMaxParked;
     uint64_t reuses = 0;
     uint64_t allocs = 0;
   };
@@ -63,7 +68,7 @@ class PayloadPool {
   struct Recycler {
     std::shared_ptr<State> state;
     void operator()(T* obj) const {
-      if (state->parked.size() < kMaxParked) {
+      if (state->parked.size() < state->max_parked) {
         obj->Clear();
         state->parked.emplace_back(obj);
       } else {

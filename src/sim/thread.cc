@@ -1,67 +1,123 @@
 #include "src/sim/thread.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <utility>
 
 #include "src/common/check.h"
 
 namespace scalecheck {
 
-Job& Job::Run(std::function<void()> fn) {
-  Step s;
-  s.kind = StepKind::kRun;
-  s.run = std::move(fn);
-  steps_.push_back(std::move(s));
+// A block of steps; slots past the job's last step stay empty.
+struct Job::StepBlock {
+  Step steps[kStepsPerBlock];
+  StepBlock* next = nullptr;
+};
+
+namespace {
+
+static_assert(sizeof(Job::Step) == 48, "a step is 40 bytes of capture plus its ops pointer");
+
+// The free list of step blocks, one per host thread: a simulator runs one
+// event at a time on one host thread, so a job is built, run and released on
+// the thread that owns its blocks, and suite workers never share a list. A
+// block is allocated only when the list is empty, so the list never holds
+// more blocks than were live at once. Parked blocks are poisoned under ASan,
+// so a step used after its block was recycled is reported.
+class StepBlockPool {
+ public:
+  StepBlockPool() = default;
+  StepBlockPool(const StepBlockPool&) = delete;
+  StepBlockPool& operator=(const StepBlockPool&) = delete;
+  ~StepBlockPool() {
+    while (free_ != nullptr) {
+      Job::StepBlock* block = free_;
+      free_ = block->next;
+      ASAN_UNPOISON_MEMORY_REGION(block->steps, sizeof(block->steps));
+      delete block;
+    }
+  }
+
+  Job::StepBlock* Get() {
+    if (free_ == nullptr) {
+      return new Job::StepBlock;
+    }
+    Job::StepBlock* block = free_;
+    free_ = block->next;
+    ASAN_UNPOISON_MEMORY_REGION(block->steps, sizeof(block->steps));
+    block->next = nullptr;
+    return block;
+  }
+
+  void Put(Job::StepBlock* block) {
+    ASAN_POISON_MEMORY_REGION(block->steps, sizeof(block->steps));
+    block->next = free_;
+    free_ = block;
+  }
+
+ private:
+  Job::StepBlock* free_ = nullptr;
+};
+
+thread_local StepBlockPool step_blocks;
+
+}  // namespace
+
+void StepDone::operator()() const { thread_->OnStepComplete(gen_); }
+
+Job& Job::operator=(Job&& other) noexcept {
+  if (this != &other) {
+    ReleaseSteps();
+    label_ = other.label_;
+    head_ = std::exchange(other.head_, nullptr);
+    tail_ = std::exchange(other.tail_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    has_intended_ = other.has_intended_;
+    has_expiry_ = other.has_expiry_;
+    intended_ = other.intended_;
+    expiry_ = other.expiry_;
+  }
   return *this;
 }
 
-Job& Job::Compute(WorkUnits work) {
-  return Compute([work] { return work; });
+Job::Step& Job::NextStep() {
+  uint32_t slot = size_ % kStepsPerBlock;
+  if (slot == 0) {
+    StepBlock* block = step_blocks.Get();
+    if (tail_ == nullptr) {
+      head_ = block;
+    } else {
+      tail_->next = block;
+    }
+    tail_ = block;
+  }
+  ++size_;
+  return tail_->steps[slot];
 }
 
-Job& Job::Compute(std::function<WorkUnits()> work_fn) {
-  Step s;
-  s.kind = StepKind::kCompute;
-  s.work = std::move(work_fn);
-  steps_.push_back(std::move(s));
-  return *this;
-}
-
-Job& Job::Sleep(VirtualDuration d) {
-  return Sleep([d] { return d; });
-}
-
-Job& Job::Sleep(std::function<VirtualDuration()> d_fn) {
-  Step s;
-  s.kind = StepKind::kSleep;
-  s.duration = std::move(d_fn);
-  steps_.push_back(std::move(s));
-  return *this;
+void Job::ReleaseSteps() {
+  // Detached first, so a closure's destructor never sees a half-torn job.
+  StepBlock* block = std::exchange(head_, nullptr);
+  tail_ = nullptr;
+  size_ = 0;
+  while (block != nullptr) {
+    for (Step& step : block->steps) {
+      step.Reset();
+    }
+    StepBlock* next = block->next;
+    step_blocks.Put(block);
+    block = next;
+  }
 }
 
 Job& Job::Lock(SimMutex* mutex) {
   CHECK_NOTNULL(mutex);
-  Step s;
-  s.kind = StepKind::kLock;
-  s.mutex = mutex;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Async([mutex](const StepDone& done) { mutex->Acquire(done); });
 }
 
 Job& Job::Unlock(SimMutex* mutex) {
   CHECK_NOTNULL(mutex);
-  Step s;
-  s.kind = StepKind::kUnlock;
-  s.mutex = mutex;
-  steps_.push_back(std::move(s));
-  return *this;
-}
-
-Job& Job::Async(std::function<void(std::function<void()>)> fn) {
-  Step s;
-  s.kind = StepKind::kAsync;
-  s.async = std::move(fn);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Run([mutex] { mutex->Release(); });
 }
 
 SimThread::SimThread(Simulator* sim, Machine* machine, std::string name)
@@ -84,8 +140,8 @@ void SimThread::Enqueue(Job job) {
   // Now() never moves back, so a queued job past its expiry can only be shed:
   // release its closures (and the payloads they pin) now, not at the front.
   // The job stays queued as a tombstone and is shed and counted on time.
-  while (released_ < queue_.size() && Expired(queue_[released_])) {
-    ReleaseSteps(queue_[released_++]);
+  while (released_ < queue_depth() && Expired(queue_[queue_head_ + released_])) {
+    queue_[queue_head_ + released_++].ReleaseSteps();
   }
   if (!busy_) {
     StartNextJob();
@@ -95,6 +151,7 @@ void SimThread::Enqueue(Job job) {
 void SimThread::Kill() {
   dead_ = true;
   queue_.clear();
+  queue_head_ = 0;
   released_ = 0;
   ++step_gen_;  // invalidate stale async completions
   if (active_cpu_task_ != 0) {
@@ -118,28 +175,43 @@ bool SimThread::Expired(const Job& job) const {
   return job.has_expiry_ && sim_->Now() > job.intended_ + job.expiry_;
 }
 
-void SimThread::ReleaseSteps(Job& job) {
-  // Swapped out first, so a closure's destructor never sees a half-torn job.
-  std::vector<Job::Step> steps;
-  steps.swap(job.steps_);
+void SimThread::PopFront() {
+  queue_[queue_head_++].ReleaseSteps();
+  if (released_ > 0) {
+    --released_;
+  }
+  if (queue_head_ == queue_.size()) {
+    queue_.clear();
+    queue_head_ = 0;
+  } else if (2 * queue_head_ >= queue_.size()) {
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
+    queue_head_ = 0;
+  }
+}
+
+void SimThread::AdvanceStep() {
+  ++step_index_;
+  if (++step_slot_ == Job::kStepsPerBlock) {
+    step_block_ = step_block_->next;
+    step_slot_ = 0;
+  }
 }
 
 void SimThread::StartNextJob() {
   CHECK(!busy_);
-  while (!queue_.empty()) {
-    bool expired = Expired(queue_.front());
+  while (queue_head_ < queue_.size()) {
+    bool expired = Expired(queue_[queue_head_]);
     if (!expired) {
-      current_ = std::move(queue_.front());
+      current_ = std::move(queue_[queue_head_]);
     }
-    queue_.pop_front();
-    if (released_ > 0) {
-      --released_;
-    }
+    PopFront();
     if (expired) {
       // Shed the task, Cassandra-stage style: it is too stale to be useful.
       ++jobs_dropped_;
       continue;
     }
+    step_block_ = current_.head_;
+    step_slot_ = 0;
     step_index_ = 0;
     busy_ = true;
     machine_->lateness().Record(current_.intended_, sim_->Now());
@@ -155,81 +227,59 @@ void SimThread::RunSteps() {
   while (true) {
     if (dead_) {
       busy_ = false;
-      ReleaseSteps(current_);
+      current_.ReleaseSteps();
       return;
     }
-    if (step_index_ >= current_.steps_.size()) {
+    if (step_index_ >= current_.size_) {
       ++jobs_completed_;
       busy_ = false;
-      ReleaseSteps(current_);
+      current_.ReleaseSteps();
       // Let the caller (StartNextJob loop or OnStepComplete) pick the next
       // job; avoid recursing here.
       return;
     }
-    Job::Step& step = current_.steps_[step_index_];
-    switch (step.kind) {
+    step_started_ = sim_->Now();
+    uint64_t gen = ++step_gen_;
+    in_step_start_ = true;
+    step_completed_sync_ = false;
+    Job::StepAction action = step_block_->steps[step_slot_](StepDone(this, gen));
+    in_step_start_ = false;
+    if (dead_) {
+      continue;  // the step killed its own thread (a crash from inside a job)
+    }
+    switch (action.kind) {
       case Job::StepKind::kRun:
-        step.run();
-        ++step_index_;
-        break;
-      case Job::StepKind::kUnlock:
-        step.mutex->Release();
-        ++step_index_;
         break;
       case Job::StepKind::kCompute: {
-        WorkUnits work = step.work();
+        WorkUnits work = action.amount;
         CHECK_GE(work, 0);
         total_work_ += work;
-        step_started_ = sim_->Now();
-        uint64_t gen = ++step_gen_;
         in_step_start_ = true;
-        step_completed_sync_ = false;
-        active_cpu_task_ = machine_->cpu().StartTask(
-            work, [this, gen] { OnStepComplete(gen); });
+        active_cpu_task_ = machine_->cpu().StartTask(work, StepDone(this, gen));
         in_step_start_ = false;
         if (!step_completed_sync_) {
+          parked_kind_ = action.kind;
           return;  // parked until the CPU model completes the burst
         }
         compute_time_ += sim_->Now() - step_started_;
         active_cpu_task_ = 0;
-        ++step_index_;
         break;
       }
       case Job::StepKind::kSleep: {
-        VirtualDuration d = step.duration();
+        VirtualDuration d = VirtualDuration::Nanos(action.amount);
         CHECK(!d.IsNegative());
-        step_started_ = sim_->Now();
-        uint64_t gen = ++step_gen_;
-        active_timer_ = sim_->ScheduleAfter(d, [this, gen] { OnStepComplete(gen); });
+        active_timer_ = sim_->ScheduleAfter(d, StepDone(this, gen));
+        parked_kind_ = action.kind;
         return;  // parked until the timer fires
       }
-      case Job::StepKind::kLock: {
-        step_started_ = sim_->Now();
-        uint64_t gen = ++step_gen_;
-        in_step_start_ = true;
-        step_completed_sync_ = false;
-        step.mutex->Acquire([this, gen] { OnStepComplete(gen); });
-        in_step_start_ = false;
+      case Job::StepKind::kWait:
         if (!step_completed_sync_) {
-          return;  // parked until the lock is granted
-        }
-        ++step_index_;
-        break;
-      }
-      case Job::StepKind::kAsync: {
-        step_started_ = sim_->Now();
-        uint64_t gen = ++step_gen_;
-        in_step_start_ = true;
-        step_completed_sync_ = false;
-        step.async([this, gen] { OnStepComplete(gen); });
-        in_step_start_ = false;
-        if (!step_completed_sync_) {
+          parked_kind_ = action.kind;
           return;  // parked until `done` is invoked
         }
-        ++step_index_;
         break;
-      }
     }
+    AdvanceStep();
   }
 }
 
@@ -244,8 +294,7 @@ void SimThread::OnStepComplete(uint64_t gen) {
     return;
   }
   CHECK(busy_);
-  Job::Step& step = current_.steps_[step_index_];
-  switch (step.kind) {
+  switch (parked_kind_) {
     case Job::StepKind::kCompute:
       compute_time_ += sim_->Now() - step_started_;
       active_cpu_task_ = 0;
@@ -257,7 +306,7 @@ void SimThread::OnStepComplete(uint64_t gen) {
     default:
       break;
   }
-  ++step_index_;
+  AdvanceStep();
   RunSteps();
   if (!busy_) {
     StartNextJob();

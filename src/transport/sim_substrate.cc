@@ -42,11 +42,10 @@ SimStage::SimStage(SimThread* thread) : thread_(thread) { CHECK_NOTNULL(thread);
 
 void SimStage::Submit(const char* label, std::function<WorkUnits()> op,
                       std::function<void()> done) {
+  // op runs as the Compute step's work function: if it kills the thread (a
+  // crash from inside the stage), no burst starts and done never runs.
   Job job(label);
-  auto work = std::make_shared<WorkUnits>(0);
-  job.Run([op = std::move(op), work] { *work = op(); })
-      .Compute([work] { return *work; })
-      .Run(std::move(done));
+  job.Compute(std::move(op)).Run(std::move(done));
   thread_->Enqueue(std::move(job));
 }
 

@@ -69,10 +69,10 @@ class SimTransport final : public Transport {
   uint64_t codec_roundtrips_ = 0;
 };
 
-// Maps Stage::Submit onto the node's SimThread as the canonical three-step
-// replica job: Run(op → work), Compute(work), Run(done) — exactly the job
-// shape the pre-seam KvService built by hand, so virtual-time charging is
-// unchanged.
+// Maps Stage::Submit onto the node's SimThread as the replica job
+// Compute(op), Run(done): op runs at the start of the burst and returns its
+// work, which charges virtual time exactly as the pre-seam KvService's
+// Run(op → work), Compute(work), Run(done) job did.
 class SimStage final : public Stage {
  public:
   explicit SimStage(SimThread* thread);

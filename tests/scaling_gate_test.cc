@@ -337,9 +337,10 @@ TEST(ScalingGate, KvSteadyStateScalesAsPinned) { ExpectScalesAsPinned(KvSteadySt
 // event each time the task set changes under the long calculation; the
 // gossip merges it delays land in bursts, piling more dirty-digest entries
 // into each node's arena between builds; and the payloads of the exchanges
-// queued behind it stay out of the cluster's pools, whose free lists then
-// overflow and refill, so at N=128 the pools allocate 1,954 payloads where
-// N<=64 needs at most 16.
+// queued behind it stay out of the cluster's pools, so the pools must
+// allocate more of them: at N=128 they allocate 794 payloads (1,954 when
+// the SYN free list, like ACK's and ACK2's, parked at most 16 rather than
+// one per node) where N<=64 needs at most 16.
 TEST(ScalingGate, FlagsTheV1Calculator) {
   Workload w = Decommission();
   w.spec.calc_version = CalcVersion::kV1PreC3831;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/sim/thread.h"
+#include "src/transport/sim_substrate.h"
 
 namespace scalecheck {
 namespace {
@@ -152,6 +153,26 @@ TEST_F(ThreadFixture, EnqueueAfterKillIsDropped) {
   thread_->Enqueue(std::move(job));
   sim_.RunUntilIdle();
   EXPECT_FALSE(ran);
+}
+
+// A stage op runs as its Compute step's work function, so an op that kills
+// its own thread (a crash from inside the stage) must start no burst and
+// never run `done`.
+TEST_F(ThreadFixture, StageOpThatKillsItsThreadStartsNoBurst) {
+  SimStage stage(thread_.get());
+  bool done = false;
+  stage.Submit(
+      "kv.op",
+      [&] {
+        thread_->Kill();
+        return WorkUnits{1'000'000};
+      },
+      [&] { done = true; });
+  EXPECT_TRUE(thread_->dead());
+  EXPECT_EQ(machine_->cpu().tasks_started(), 0u);
+  sim_.RunUntilIdle();
+  EXPECT_FALSE(done);
+  EXPECT_EQ(thread_->total_work(), 0);
 }
 
 TEST_F(ThreadFixture, LatenessRecordedAgainstIntendedTime) {
