@@ -15,9 +15,11 @@
 # pairs once read kv-durable-n64 at x1.122 and ten pairs x0.966, on the same
 # two trees.
 #
-# Prints each pair's wall and CPU seconds, then the median working/REF ratio
-# of each (and of peak RSS) with the spread of the per-pair ratios (min,
-# quartiles, max), and any scalebench output check that failed.
+# Prints each pair's wall and CPU seconds, peak RSS and set-up seconds (the
+# median of a run's repeated deployment builds), then the median working/REF
+# ratio of each with the spread of the per-pair ratios (min, quartiles, max),
+# and any scalebench output check that failed. Both sides share run.py's
+# reference kernel, so the wall ratio is the ratio of the two `wall_ratio`s.
 # Exit 0 when every run's deterministic `counts` equal REF's, 1 when they
 # differ or a run fails, 2 on bad arguments. Offline: nothing is fetched.
 set -euo pipefail
@@ -100,6 +102,12 @@ import sys
 tmp, pairs, ref, workload, seed = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
 load = lambda side, i: json.load(open(f"{tmp}/{side}_{i}.json"))
 runs = [(load("ref", i), load("cur", i)) for i in range(1, pairs + 1)]
+METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+
+
+def value(run, metric):  # setup_s is one reading per deployment build
+    v = run[metric]
+    return statistics.median(v) if isinstance(v, list) else v
 
 
 def spread(values):
@@ -109,11 +117,12 @@ def spread(values):
 
 
 print(f"workload {workload}  seed {seed}  ref {ref}  pairs {pairs}")
-print(f"{'pair':>4} {'ref wall':>9} {'cur wall':>9} {'ref cpu':>9} {'cur cpu':>9}")
+print("pair " + " ".join(f"{side + ' ' + m:>15}" for m in METRICS for side in ("ref", "cur")))
 for i, (r, c) in enumerate(runs, 1):
-    print(f"{i:>4} {r['wall_s']:>9.3f} {c['wall_s']:>9.3f} {r['cpu_s']:>9.3f} {c['cpu_s']:>9.3f}")
-for metric in ("wall_s", "cpu_s", "peak_rss_mb"):
-    print(f"{metric} ratio cur/ref: " + spread([c[metric] / r[metric] for r, c in runs]))
+    print(f"{i:>4} " + " ".join(f"{value(run, m):>15.4f}" for m in METRICS for run in (r, c)))
+for metric in METRICS:
+    print(f"{metric} ratio cur/ref: " +
+          spread([value(c, metric) / value(r, metric) for r, c in runs]))
 
 for side, k in (("ref", 0), ("cur", 1)):
     failed = [i for i, pair in enumerate(runs, 1) if pair[k]["check_failures"]]

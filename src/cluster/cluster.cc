@@ -162,18 +162,6 @@ void Cluster::BuildDeployment() {
   pil_ = std::make_unique<PilBoundary>(sim_.get(), pil_mode, options_.memo_store,
                                        spec.core_speed);
   pil_->set_replay_policy(cfg.replay_policy);
-  pil_->set_order_context_fn([this] {
-    uint64_t enforced = 0;
-    uint64_t divergences = 0;
-    for (const auto& node : nodes_) {
-      enforced += node->order_enforced();
-      divergences += node->order_divergences();
-    }
-    return StrFormat("order_enforced=%llu order_divergences=%llu pending_events=%llu",
-                     static_cast<unsigned long long>(enforced),
-                     static_cast<unsigned long long>(divergences),
-                     static_cast<unsigned long long>(sim_->pending_events()));
-  });
 
   // ---- Fidelity guard ------------------------------------------------------
   if (cfg.guard.enabled) {
@@ -216,9 +204,6 @@ void Cluster::BuildDeployment() {
                           ? options_.shared_output_cache
                           : owned_output_cache_.get();
   env_.trace = trace_.get();
-  env_.order_log = options_.record_order_log;
-  env_.record_order = cfg.run_mode == RunMode::kMemoize &&
-                      options_.record_order_log != nullptr;
   env_.calc_durations = &calc_durations_;
   env_.calc_invocations = &calc_invocations_;
   env_.calc_executed_real = &calc_executed_real_;
@@ -319,9 +304,6 @@ void Cluster::BuildDeployment() {
       node->PrimeSettled(settled_members);
     } else if (!fresh) {
       node->PrimeSeeds(seed_members);
-    }
-    if (cfg.run_mode == RunMode::kPilReplay && options_.replay_order_log != nullptr) {
-      node->EnableOrderEnforcement(options_.replay_order_log->SequenceOf(id));
     }
   }
 }
@@ -698,7 +680,6 @@ void Cluster::CollectResult(RunResult* result) const {
     result->replay_drift.first_digest = drift.first_digest.ToHex();
     result->replay_drift.first_at = drift.first_at;
     result->replay_drift.first_call_index = drift.first_call_index;
-    result->replay_drift.order_context = drift.order_context;
   }
   if (guard_ != nullptr) {
     if (drift.aborted) {
@@ -725,19 +706,13 @@ void Cluster::CollectResult(RunResult* result) const {
   result->calc_executed_real = calc_executed_real_;
   result->calc_duration_seconds = calc_durations_;
   RunningStat lock_holds;
-  uint64_t divergences = 0;
-  uint64_t enforced = 0;
   uint64_t dropped = 0;
   for (const auto& node : nodes_) {
     lock_holds.Merge(node->ring_lock().hold_seconds());
-    divergences += node->order_divergences();
-    enforced += node->order_enforced();
     dropped += node->stage_tasks_dropped();
   }
   result->stage_tasks_dropped = dropped;
   result->calc_lock_hold_seconds = lock_holds;
-  result->order_divergences = divergences;
-  result->order_enforced = enforced;
 
   result->pil = pil_->stats();
   if (options_.memo_store != nullptr) {

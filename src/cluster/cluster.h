@@ -22,7 +22,6 @@
 #include "src/pil/boundary.h"
 #include "src/pil/function_registry.h"
 #include "src/pil/memo_store.h"
-#include "src/pil/order_log.h"
 #include "src/sim/machine.h"
 #include "src/sim/network.h"
 #include "src/sim/payload_pool.h"
@@ -63,8 +62,6 @@ class Cluster {
     WorkloadSpec workload;
     // kMemoize: records into these. kPilReplay: reads from them.
     MemoStore* memo_store = nullptr;
-    OrderLog* record_order_log = nullptr;        // filled during memoization
-    const OrderLog* replay_order_log = nullptr;  // enforced during replay
     // Optional cross-run calculator output cache (harness wall-clock only).
     CalcOutputCache* shared_output_cache = nullptr;
     // sfind profiling hook: (function, executed ops, ring entries).

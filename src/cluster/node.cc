@@ -120,12 +120,6 @@ void Node::PrimeContacts(const std::vector<NodeId>& contacts) {
   core_.PrimeContacts(contacts);
 }
 
-void Node::EnableOrderEnforcement(std::vector<MessageKey> sequence) {
-  enforcer_ = std::make_unique<OrderEnforcer>(
-      std::move(sequence), /*max_buffer=*/48,
-      [this](const Message& msg) { ProcessMessage(msg); });
-}
-
 void Node::ChargeProcessMemory() {
   machine_->memory().Allocate(id(), "runtime", env_->config->RuntimeOverheadBytes());
   machine_->memory().Allocate(
@@ -251,31 +245,11 @@ void Node::Restart(const std::vector<NodeId>& contacts) {
   StartGossipTimer();
 }
 
-uint64_t Node::order_divergences() const {
-  return enforcer_ == nullptr ? 0 : enforcer_->divergences();
-}
-
-uint64_t Node::order_enforced() const {
-  return enforcer_ == nullptr ? 0 : enforcer_->enforced_in_order();
-}
-
 // ---- Message delivery ---------------------------------------------------------
 
 void Node::OnMessage(const Message& msg) {
   if (core_.crashed()) {
     return;
-  }
-  if (enforcer_ != nullptr) {
-    enforcer_->Submit(msg);
-  } else {
-    ProcessMessage(msg);
-  }
-}
-
-void Node::ProcessMessage(const Message& msg) {
-  if (env_->record_order && env_->order_log != nullptr) {
-    // Stage jobs run FIFO, so enqueue order here IS processing order.
-    env_->order_log->Append(id(), MessageKey::Of(msg));
   }
   switch (msg.type) {
     case kGossipSyn:

@@ -48,7 +48,6 @@
 #include "src/gossip/messages.h"
 #include "src/kv/kv_service.h"
 #include "src/pil/boundary.h"
-#include "src/pil/order_log.h"
 #include "src/ring/calculators.h"
 #include "src/sim/machine.h"
 #include "src/sim/network.h"
@@ -143,9 +142,6 @@ class Node final : private ProtocolNode::Host {
     PilFunctionId gossip_apply_function = kInvalidPilFunction;
     PilFunctionId fd_sweep_function = kInvalidPilFunction;
     CalcOutputCache* output_cache = nullptr;
-    // Memoization runs record processing order here.
-    OrderLog* order_log = nullptr;
-    bool record_order = false;
     // Optional execution trace (determinism digests, debug dumps).
     TraceRecorder* trace = nullptr;
 
@@ -184,8 +180,6 @@ class Node final : private ProtocolNode::Host {
   void SetSeedContacts(const std::vector<NodeId>& contacts) {
     core_.SetSeedContacts(contacts);
   }
-  // Replay mode: enforce this recorded processing order.
-  void EnableOrderEnforcement(std::vector<MessageKey> sequence);
 
   // ---- Lifecycle -----------------------------------------------------------
 
@@ -211,8 +205,6 @@ class Node final : private ProtocolNode::Host {
   // status and tokens (what the invariant checker reads, on either carrier).
   const ProtocolNode& core() const { return core_; }
   const SimMutex& ring_lock() const { return ring_lock_; }
-  uint64_t order_divergences() const;
-  uint64_t order_enforced() const;
   // Non-null iff config.kv.enabled.
   KvService* kv() { return core_.kv(); }
   const KvService* kv() const { return core_.kv(); }
@@ -228,7 +220,6 @@ class Node final : private ProtocolNode::Host {
  private:
   // ---- Message delivery: each gossip body runs as a stage Job ---------------
   void OnMessage(const Message& msg);
-  void ProcessMessage(const Message& msg);
   void GossipRound();
   void FailureSweep();
   void SendSyn(NodeId peer);
@@ -276,7 +267,6 @@ class Node final : private ProtocolNode::Host {
   bool partition_services_allocated_ = false;
   int64_t partition_services_bytes_ = 0;
 
-  std::unique_ptr<OrderEnforcer> enforcer_;
   bool started_ = false;
 };
 

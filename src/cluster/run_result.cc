@@ -48,7 +48,7 @@ std::string RunResult::Summary() const {
   }
   return StrFormat(
       "%s N=%d P=%d: flaps=%lld pairs=%lld dur=%s settle=%s%s util=%.1f%% mem=%s "
-      "calcs=%lld (real=%lld, avg=%.3fs max=%.3fs) pil(hit=%llu miss=%llu) div=%llu "
+      "calcs=%lld (real=%lld, avg=%.3fs max=%.3fs) pil(hit=%llu miss=%llu) "
       "shed=%llu guard=%s",
       RunModeName(mode), num_nodes, vnodes_per_node, static_cast<long long>(flaps),
       static_cast<long long>(flapped_pairs), test_duration.ToString().c_str(),
@@ -58,7 +58,6 @@ std::string RunResult::Summary() const {
       static_cast<long long>(calc_executed_real), calc_duration_seconds.mean(),
       calc_duration_seconds.max(), static_cast<unsigned long long>(pil.replay_hits),
       static_cast<unsigned long long>(pil.replay_misses),
-      static_cast<unsigned long long>(order_divergences),
       static_cast<unsigned long long>(stage_tasks_dropped), guard_tag.c_str());
 }
 
@@ -103,7 +102,6 @@ void RunResult::WriteJson(JsonWriter* w) const {
   w->Field("first_digest", replay_drift.first_digest);
   w->Field("first_at_ns", replay_drift.first_at.nanos());
   w->Field("first_call_index", replay_drift.first_call_index);
-  w->Field("order_context", replay_drift.order_context);
   w->EndObject();
 
   w->Field("calc_invocations", calc_invocations);
@@ -126,9 +124,6 @@ void RunResult::WriteJson(JsonWriter* w) const {
   w->Field("hits", memo.hits);
   w->Field("misses", memo.misses);
   w->EndObject();
-
-  w->Field("order_divergences", order_divergences);
-  w->Field("order_enforced", order_enforced);
 
   w->Field("kv_issued", kv_issued);
   w->Field("kv_ok", kv_ok);

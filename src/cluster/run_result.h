@@ -79,7 +79,6 @@ struct RunResult {
     std::string first_digest;    // input digest of that call, hex
     VirtualTime first_at;
     uint64_t first_call_index = 0;
-    std::string order_context;
   };
   ReplayDrift replay_drift;
 
@@ -98,8 +97,6 @@ struct RunResult {
   // ---- PIL accuracy metrics ------------------------------------------------
   PilBoundary::Stats pil;
   MemoStore::Stats memo;
-  uint64_t order_divergences = 0;
-  uint64_t order_enforced = 0;
 
   // ---- Data-path user impact (when the KV load driver runs) -----------------
   // Conservation: kv_issued == kv_ok + kv_unavailable + kv_timeout +

@@ -21,9 +21,8 @@ namespace scalecheck {
 
 // Message::type discriminators for gossip traffic.
 // These share the cluster NetworkModel with the gossip, KV and repair types
-// (src/gossip/messages.h, src/kv/kv_service.h, src/kv/anti_entropy.h), which
-// together may number at most NetworkModel::kLinkTypes (14). List a new type
-// in sim_network_test's EveryClusterMessageTypeFitsOneNetwork.
+// (src/gossip/messages.h, src/kv/kv_service.h, src/kv/anti_entropy.h), so
+// values stay distinct across the three enums.
 enum GossipMessageType : int {
   kGossipSyn = 1,
   kGossipAck = 2,

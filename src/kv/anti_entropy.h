@@ -49,9 +49,8 @@
 namespace scalecheck {
 
 // These share the cluster NetworkModel with the gossip, KV and repair types
-// (src/gossip/messages.h, src/kv/kv_service.h, src/kv/anti_entropy.h), which
-// together may number at most NetworkModel::kLinkTypes (14). List a new type
-// in sim_network_test's EveryClusterMessageTypeFitsOneNetwork.
+// (src/gossip/messages.h, src/kv/kv_service.h, src/kv/anti_entropy.h), so
+// values stay distinct across the three enums.
 enum KvRepairMessageType : int {
   // Initiator -> peer: subtree hashes at one tree level. The peer compares
   // against its own tree (masked to the ranges it shares with the sender).

@@ -56,9 +56,8 @@ class KvHistory;
 Token KvTokenForKey(uint64_t key);
 
 // These share the cluster NetworkModel with the gossip, KV and repair types
-// (src/gossip/messages.h, src/kv/kv_service.h, src/kv/anti_entropy.h), which
-// together may number at most NetworkModel::kLinkTypes (14). List a new type
-// in sim_network_test's EveryClusterMessageTypeFitsOneNetwork.
+// (src/gossip/messages.h, src/kv/kv_service.h, src/kv/anti_entropy.h), so
+// values stay distinct across the three enums.
 enum KvMessageType : int {
   kKvWriteReq = 10,
   kKvWriteResp = 11,

@@ -164,6 +164,14 @@ void TcpTransport::ReadLoop(NodeId to, int fd) {
                     << msg.status().ToString() << "; closing connection";
       break;
     }
+    if (msg.value().to != to) {
+      // A frame addressed to another node was sent down this node's
+      // connection: the peer is confused, so trust nothing more from it.
+      SC_LOG(Error) << "tcp: frame for node " << msg.value().to
+                    << " arrived at node " << to << "; closing connection";
+      dropped_.fetch_add(1);
+      break;
+    }
     Handler handler;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -275,10 +283,6 @@ uint64_t TcpTransport::Send(NodeId from, NodeId to, int type,
   msg.type = type;
   msg.payload = std::move(payload);
   msg.id = next_id_.fetch_add(1);
-  {
-    std::lock_guard<std::mutex> lock(seq_mu_);
-    msg.pair_seq = ++pair_seq_[PairKey(from, to)][type];
-  }
 
   std::shared_ptr<Conn> conn = GetConn(from, to);
   if (conn == nullptr) {

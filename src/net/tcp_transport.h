@@ -120,9 +120,6 @@ class TcpTransport final : public Transport, public LinkFilterHost {
   std::mutex filter_mu_;
   LinkFilterFn link_filter_;
   Rng loss_rng_{0x10557e57ULL};
-  // Per (from<<32|to, type) sequence numbers, as NetworkModel keeps.
-  std::mutex seq_mu_;
-  std::unordered_map<uint64_t, std::unordered_map<int, uint64_t>> pair_seq_;
 };
 
 }  // namespace scalecheck

@@ -307,7 +307,6 @@ void EncodeMessageTo(const Message& msg, std::string* out) {
   w.I32(msg.type);
   w.I32(msg.from);
   w.I32(msg.to);
-  w.U64(msg.pair_seq);
   w.U64(msg.id);
   switch (msg.type) {
     case kGossipSyn:
@@ -367,8 +366,13 @@ Result<Message> DecodeMessage(std::string_view data) {
   }
   Message msg;
   if (!r.I32(&msg.type) || !r.I32(&msg.from) || !r.I32(&msg.to) ||
-      !r.U64(&msg.pair_seq) || !r.U64(&msg.id)) {
+      !r.U64(&msg.id)) {
     return Status::Truncated("frame shorter than codec header");
+  }
+  if (msg.from < 0 || msg.to < 0) {
+    // Receivers index per-node state by these ids (kv-durability's ack
+    // sources among them).
+    return Status::CorruptData("negative node id");
   }
   bool ok = false;
   switch (msg.type) {

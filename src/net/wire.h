@@ -10,18 +10,21 @@
 //
 // Format (all integers little-endian, fixed width):
 //
-//   header : u8 magic 0x5C | u8 version 2 | i32 type | i32 from | i32 to
-//          | u64 pair_seq | u64 id
+//   header : u8 magic 0x5C | u8 version 3 | i32 type | i32 from | i32 to
+//          | u64 id
 //   body   : per Message::type, see wire.cc. Since v2, gossip digest
 //            sections (SYN digests, ACK requests) are delta + varint
 //            encoded (src/gossip/digest_codec.h): ~3-6 bytes per endpoint
 //            instead of 20, which is what keeps N=2048 SYN frames small.
+//            v3 dropped the header's u64 per-pair send counter, which no
+//            receiver read.
 //
-// Decoding is strict: every read is bounds-checked, unknown message types
-// and status/app-state discriminators are rejected, and trailing bytes after
-// a well-formed body are an error. A decoder that silently tolerated
-// malformed frames would turn a codec bug into a protocol-level heisenbug,
-// which is exactly the class of failure this repo exists to surface.
+// Decoding is strict: every read is bounds-checked, negative node ids,
+// unknown message types and status/app-state discriminators are rejected,
+// and trailing bytes after a well-formed body are an error. A decoder that
+// silently tolerated malformed frames would turn a codec bug into a
+// protocol-level heisenbug, which is exactly the class of failure this repo
+// exists to surface.
 
 #ifndef SCALECHECK_SRC_NET_WIRE_H_
 #define SCALECHECK_SRC_NET_WIRE_H_
@@ -36,9 +39,9 @@ namespace scalecheck {
 namespace wire {
 
 inline constexpr uint8_t kMagic = 0x5C;
-inline constexpr uint8_t kVersion = 2;
-// header = magic + version + type + from + to + pair_seq + id.
-inline constexpr size_t kHeaderSize = 1 + 1 + 4 + 4 + 4 + 8 + 8;
+inline constexpr uint8_t kVersion = 3;
+// header = magic + version + type + from + to + id.
+inline constexpr size_t kHeaderSize = 1 + 1 + 4 + 4 + 4 + 8;
 
 // Serializes the message (header + typed payload body) into a frame body.
 // The 4-byte socket length prefix is TcpTransport's concern, not the codec's.
@@ -52,7 +55,8 @@ std::string EncodeMessage(const Message& msg);
 void EncodeMessageTo(const Message& msg, std::string* out);
 
 // Parses a frame body produced by EncodeMessage. Returns kTruncated when the
-// input ends mid-field, kCorruptData for bad magic/version/discriminators or
+// input ends mid-field, kVersionSkew for another codec version, and
+// kCorruptData for bad magic, a negative node id, bad discriminators or
 // trailing bytes.
 Result<Message> DecodeMessage(std::string_view data);
 

@@ -138,9 +138,6 @@ void PilBoundary::RecordDivergence(PilFunctionId function,
   drift_.first_at = sim_->Now();
   // The diverging call itself has already been counted as a miss.
   drift_.first_call_index = stats_.replay_hits + stats_.replay_misses - 1;
-  if (order_context_fn_) {
-    drift_.order_context = order_context_fn_();
-  }
   if (replay_policy_ == ReplayPolicy::kStrict) {
     drift_.aborted = true;
     sim_->RequestStop();

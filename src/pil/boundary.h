@@ -25,7 +25,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -64,7 +63,7 @@ enum class ReplayPolicy : int {
 const char* ReplayPolicyName(ReplayPolicy policy);
 
 // Everything known about the first replay divergence of a run, for debugging
-// which call went off-script and in what ordering context.
+// which call went off-script and when.
 struct DriftReport {
   uint64_t misses = 0;
   bool diverged = false;
@@ -74,9 +73,6 @@ struct DriftReport {
   VirtualTime first_at;
   // Replay calls (hits + misses) issued before the first diverging one.
   uint64_t first_call_index = 0;
-  // Order-log state captured at the moment of first divergence (see
-  // set_order_context_fn).
-  std::string order_context;
 };
 
 class PilBoundary {
@@ -104,11 +100,6 @@ class PilBoundary {
   // Replay-divergence handling. Only consulted in kReplay mode.
   void set_replay_policy(ReplayPolicy policy) { replay_policy_ = policy; }
   ReplayPolicy replay_policy() const { return replay_policy_; }
-  // Called once, at the first divergence, to snapshot order-log context for
-  // the drift report (e.g. enforced/diverged message counts per node).
-  void set_order_context_fn(std::function<std::string()> fn) {
-    order_context_fn_ = std::move(fn);
-  }
   const DriftReport& drift() const { return drift_; }
 
   // Appends boundary steps to `job`:
@@ -134,7 +125,6 @@ class PilBoundary {
   double core_speed_;
   Stats stats_;
   ReplayPolicy replay_policy_ = ReplayPolicy::kFallbackToModelled;
-  std::function<std::string()> order_context_fn_;
   DriftReport drift_;
 };
 

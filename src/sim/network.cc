@@ -47,20 +47,6 @@ NetworkModel::Link& NetworkModel::LinkOf(NodeId from, NodeId to) {
   return row[t];
 }
 
-int NetworkModel::TypeSlot(int type) {
-  CHECK_GE(type, 0);
-  const size_t index = static_cast<size_t>(type);
-  if (index >= type_slot_.size()) {
-    type_slot_.resize(index + 1, -1);
-  }
-  int8_t& slot = type_slot_[index];
-  if (slot < 0) {
-    CHECK_LT(num_types_, kLinkTypes) << "more message types than Link holds";
-    slot = static_cast<int8_t>(num_types_++);
-  }
-  return slot;
-}
-
 VirtualDuration NetworkModel::SampleLatency(NodeId from, NodeId to) {
   bool local = same_machine_ && same_machine_(from, to);
   if (local) {
@@ -97,14 +83,11 @@ uint64_t NetworkModel::Send(NodeId from, NodeId to, int type,
     return 0;
   }
   Link& link = LinkOf(from, to);
-  uint32_t& seq = link.seq[TypeSlot(type)];
-  CHECK_LT(seq, std::numeric_limits<uint32_t>::max());
   Message msg;
   msg.id = next_id_++;
   msg.from = from;
   msg.to = to;
   msg.type = type;
-  msg.pair_seq = ++seq;
   msg.payload = std::move(payload);
   msg.sent_at = sim_->Now();
 

@@ -65,12 +65,11 @@ class NetworkModel : public LinkFilterHost {
   // sized to the largest id registered.
   void RegisterNode(NodeId node, Handler handler);
   // Messages to an unregistered node are dropped (crashed process). The
-  // node's links keep their counters and FIFO clamp across a re-register.
+  // node's links keep their FIFO clamp across a re-register.
   void UnregisterNode(NodeId node);
 
   // Sends a message; returns its id (0 if dropped at send time, as one to or
-  // from a negative id is). A network carries at most kLinkTypes distinct
-  // message types; the first type past that aborts the run.
+  // from a negative id is).
   uint64_t Send(NodeId from, NodeId to, int type, std::shared_ptr<const Payload> payload);
 
   uint64_t messages_sent() const { return sent_; }
@@ -81,24 +80,16 @@ class NetworkModel : public LinkFilterHost {
   uint64_t messages_blocked() const { return blocked_; }
   uint64_t bytes_sent() const { return bytes_; }
 
-  // The cluster network's types are listed in sim_network_test's
-  // EveryClusterMessageTypeFitsOneNetwork; a new type goes there too.
-  static constexpr int kLinkTypes = 14;
-
  private:
-  // Everything Send keeps per directed link, in one cache line: the last
-  // delivery time (the per-pair FIFO clamp) and the per-type sequence
-  // counters inline, indexed by the slot each type got on first use.
+  // Everything Send keeps per directed link: the last delivery time, the
+  // per-pair FIFO clamp.
   struct Link {
     VirtualTime last_delivery =
         VirtualTime::FromNanos(std::numeric_limits<int64_t>::min());
-    uint32_t seq[kLinkTypes] = {};
   };
-  static_assert(sizeof(Link) == 64);
 
   VirtualDuration SampleLatency(NodeId from, NodeId to);
   Link& LinkOf(NodeId from, NodeId to);  // both ids non-negative
-  int TypeSlot(int type);
 
   Simulator* sim_;
   Config config_;
@@ -111,9 +102,6 @@ class NetworkModel : public LinkFilterHost {
   // links_[from][to]. A sender's row is allocated on its first send, sized
   // to the ids registered so far, and grows when a later id joins.
   std::vector<std::vector<Link>> links_;
-  // Message type -> counter slot in Link::seq, -1 until first use.
-  std::vector<int8_t> type_slot_;
-  int num_types_ = 0;
   uint64_t next_id_ = 1;
   uint64_t sent_ = 0;
   uint64_t delivered_ = 0;

@@ -31,9 +31,6 @@ struct Message {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
   int type = 0;  // application-defined discriminator
-  // Per-(from, to, type) send counter. Stable across runs that send the same
-  // logical message stream — the key the PIL order log records and enforces.
-  uint64_t pair_seq = 0;
   std::shared_ptr<const Payload> payload;
   VirtualTime sent_at;
 };

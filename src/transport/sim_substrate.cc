@@ -18,7 +18,9 @@ SimTransport::SimTransport(NetworkModel* network, Options options)
 
 uint64_t SimTransport::Send(NodeId from, NodeId to, int type,
                             std::shared_ptr<const Payload> payload) {
-  if (options_.roundtrip_codec) {
+  // A negative id is no node: the codec rejects it and the network drops
+  // the send, so it skips the round trip and is counted there.
+  if (options_.roundtrip_codec && from >= 0 && to >= 0) {
     // Prove the shared codec reconstructs this payload: what TcpTransport
     // would frame onto the socket, delivered instead of the original.
     Message msg;

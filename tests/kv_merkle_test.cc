@@ -279,7 +279,6 @@ Message Frame(int type, std::shared_ptr<const Payload> payload) {
   msg.from = 2;
   msg.to = 5;
   msg.type = type;
-  msg.pair_seq = 31;
   msg.payload = std::move(payload);
   return msg;
 }

@@ -23,7 +23,6 @@ Message Frame(int type, std::shared_ptr<const Payload> payload) {
   msg.from = 3;
   msg.to = 9;
   msg.type = type;
-  msg.pair_seq = 77;
   msg.payload = std::move(payload);
   return msg;
 }
@@ -52,7 +51,6 @@ void ExpectHeaderEqual(const Message& in, const Message& out) {
   EXPECT_EQ(out.from, in.from);
   EXPECT_EQ(out.to, in.to);
   EXPECT_EQ(out.type, in.type);
-  EXPECT_EQ(out.pair_seq, in.pair_seq);
 }
 
 void ExpectStatesEqual(const EndpointStateMap& in, const EndpointStateMap& out) {
@@ -202,6 +200,26 @@ TEST(WireCodec, CorruptMagicVersionTypeRejected) {
     std::string bad = frame;
     bad[1] = static_cast<char>(wire::kVersion + 1);
     EXPECT_FALSE(wire::DecodeMessage(bad).ok());
+  }
+  {
+    // A v2 frame: the old header with its u64 per-pair counter between `to`
+    // and `id`. Its layout is not v3's, so it must be named as skew rather
+    // than parsed with the fields shifted.
+    std::string v2 = frame;
+    v2[1] = static_cast<char>(2);
+    v2.insert(14, std::string(8, '\0'));
+    Result<Message> out = wire::DecodeMessage(v2);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kVersionSkew);
+  }
+  // Negative node ids: `from` is header bytes 6..9 and `to` bytes 10..13,
+  // little-endian, so setting the top byte makes each negative.
+  for (size_t sign_byte : {size_t{9}, size_t{13}}) {
+    std::string bad = frame;
+    bad[sign_byte] = static_cast<char>(0xff);
+    Result<Message> out = wire::DecodeMessage(bad);
+    ASSERT_FALSE(out.ok()) << "sign byte " << sign_byte;
+    EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
   }
   {
     std::string bad = frame;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 
 #include "src/pil/boundary.h"
 #include "src/scalecheck/bug_catalog.h"
@@ -49,7 +48,6 @@ class ReplayPolicyFixture : public ::testing::Test {
 TEST_F(ReplayPolicyFixture, FallbackRecordsDriftAndContinues) {
   MemoStore store;  // empty: guaranteed miss
   PilBoundary boundary(&sim_, PilMode::kReplay, &store, 1e9);
-  boundary.set_order_context_fn([] { return std::string("ctx=unit"); });
   ASSERT_EQ(boundary.replay_policy(), ReplayPolicy::kFallbackToModelled);
 
   RunMissingReplay(&boundary);
@@ -59,7 +57,6 @@ TEST_F(ReplayPolicyFixture, FallbackRecordsDriftAndContinues) {
   EXPECT_FALSE(drift.aborted);
   EXPECT_EQ(drift.first_function, 1u);
   EXPECT_EQ(drift.first_call_index, 0u);
-  EXPECT_EQ(drift.order_context, "ctx=unit");
   // Fallback still executed the modelled path to completion.
   EXPECT_NEAR(sim_.Now().seconds(), 1.0, 1e-6);
 }
@@ -109,7 +106,6 @@ TEST(ReplayPolicyEndToEnd, FallbackDivergesButVerdictStaysOk) {
   // The drift report names the first divergent call precisely.
   EXPECT_FALSE(r.replay_drift.first_function.empty());
   EXPECT_FALSE(r.replay_drift.first_digest.empty());
-  EXPECT_FALSE(r.replay_drift.order_context.empty());
   EXPECT_EQ(r.replay_drift.first_call_index, 0u);
 }
 

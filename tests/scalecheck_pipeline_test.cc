@@ -147,24 +147,6 @@ TEST(PipelineTest, ReplayFromPersistedStoreWorks) {
   EXPECT_GT(replay.pil.replay_hits, 0u);
 }
 
-TEST(PipelineTest, OrderEnforcedReplayStillSettles) {
-  // §5's order determinism: the memoization run records its message-
-  // processing order and the replay enforces it.
-  BugSpec spec = BugCatalog::Get("C3831");
-  MemoStore store;
-  OrderLog order_log;
-  Cluster::Options memoize = spec.MakeClusterOptions(10, RunMode::kMemoize, 7);
-  memoize.memo_store = &store;
-  memoize.record_order_log = &order_log;
-  Cluster(std::move(memoize)).Run();
-  Cluster::Options replay = spec.MakeClusterOptions(10, RunMode::kPilReplay, 7);
-  replay.memo_store = &store;
-  replay.replay_order_log = &order_log;
-  RunResult replayed = Cluster(std::move(replay)).Run();
-  EXPECT_TRUE(replayed.settled) << replayed.Summary();
-  EXPECT_GT(replayed.order_enforced, 0u);
-}
-
 TEST(PipelineTest, FixedSpecsProduceNoSymptom) {
   // Ablation: the patched configurations stay quiet where the buggy ones
   // would flap (here both are quiet at 12 nodes; the bench shows 256).

@@ -95,8 +95,6 @@ constexpr Counter kCounters[] = {
     RESULT("pil", pil.replay_misses, Norm::kRate),
     RESULT("pil", memo.records, Norm::kRate),
     RESULT("pil", memo.lookups, Norm::kRate),
-    RESULT("pil", order_divergences, Norm::kRate),
-    RESULT("pil", order_enforced, Norm::kRate),
     RESULT("colo", peak_memory_bytes, Norm::kPerNode),
     RESULT("colo", crashed_nodes, Norm::kPerNode),
     RESULT("colo", lateness_early_count, Norm::kRate),

@@ -48,6 +48,13 @@
 // the replica-convergence invariant disarms itself, so the subsystem is
 // schedule- and RNG-silent. That silence is now part of what this golden
 // pins.
+//
+// Re-pinned with the §5 order log deleted: RunResult lost the replay
+// drift's order-context string and the two order-enforcement counters, so
+// each blob changed ONLY by deleting those three fields, all empty or zero
+// here (68 escaped characters). The per-(pair, type) send counter that fed
+// the log drew no randomness, scheduled nothing and counted no bytes, so
+// every other field is byte-identical.
 
 #include <gtest/gtest.h>
 
@@ -75,21 +82,20 @@ constexpr char kGoldenC3831[] =
     "t_ns\":0,\"violations\":[]},\"invariants\":{\"checked\":true,\"probes\":16,\"kv_check"
     "ed\":false,\"ok\":true,\"violations\":[]},\"watchdog_fired\":false,\"replay_drift\":{"
     "\"misses\":0,\"diverged\":false,\"aborted\":false,\"first_function\":\"\",\"first_dig"
-    "est\":\"\",\"first_at_ns\":0,\"first_call_index\":0,\"order_context\":\"\"},\"calc_in"
-    "vocations\":1455,\"calc_executed_real\":1455,\"calc_duration_seconds\":{\"count\":145"
-    "5,\"mean\":0.011103480000000001,\"min\":0.011103480000000001,\"max\":0.01110348000000"
-    "0001,\"sum\":16.155563399999426},\"calc_lock_hold_seconds\":{\"count\":0,\"mean\":0,"
-    "\"min\":0,\"max\":0,\"sum\":0},\"pil\":{\"direct_runs\":1455,\"memoized_runs\":0,\"re"
-    "play_hits\":0,\"replay_misses\":0},\"memo\":{\"records\":0,\"duplicate_puts\":0,\"det"
-    "erminism_violations\":0,\"lookups\":0,\"hits\":0,\"misses\":0},\"order_divergences\":"
-    "0,\"order_enforced\":0,\"kv_issued\":0,\"kv_ok\":0,\"kv_unavailable\":0,\"kv_timeout"
-    "\":0,\"kv_inflight_at_stop\":0,\"kv_retries\":0,\"kv_gave_up\":0,\"kv_latency_p50_ns"
-    "\":0,\"kv_latency_p99_ns\":0,\"kv_latency_p999_ns\":0,\"kv_wal_bytes\":0,\"kv_hints_q"
-    "ueued\":0,\"kv_hints_replayed\":0,\"kv_hints_expired\":0,\"kv_read_repairs\":0,\"kv_o"
-    "ps_one\":0,\"kv_ops_quorum\":0,\"kv_ops_all\":0,\"kv_repair_sessions\":0,\"kv_repair_"
-    "bytes_streamed\":0,\"kv_repair_keys_fixed\":0,\"kv_repair_aborted\":0,\"messages_sent"
-    "\":11085,\"messages_delivered\":11085,\"stage_tasks_dropped\":0,\"events_executed\":3"
-    "4809}";
+    "est\":\"\",\"first_at_ns\":0,\"first_call_index\":0},\"calc_invocations\":1455,\"calc"
+    "_executed_real\":1455,\"calc_duration_seconds\":{\"count\":1455,\"mean\":0.0111034800"
+    "00000001,\"min\":0.011103480000000001,\"max\":0.011103480000000001,\"sum\":16.1555633"
+    "99999426},\"calc_lock_hold_seconds\":{\"count\":0,\"mean\":0,\"min\":0,\"max\":0,\"su"
+    "m\":0},\"pil\":{\"direct_runs\":1455,\"memoized_runs\":0,\"replay_hits\":0,\"replay_m"
+    "isses\":0},\"memo\":{\"records\":0,\"duplicate_puts\":0,\"determinism_violations\":0,"
+    "\"lookups\":0,\"hits\":0,\"misses\":0},\"kv_issued\":0,\"kv_ok\":0,\"kv_unavailable\""
+    ":0,\"kv_timeout\":0,\"kv_inflight_at_stop\":0,\"kv_retries\":0,\"kv_gave_up\":0,\"kv_"
+    "latency_p50_ns\":0,\"kv_latency_p99_ns\":0,\"kv_latency_p999_ns\":0,\"kv_wal_bytes\":"
+    "0,\"kv_hints_queued\":0,\"kv_hints_replayed\":0,\"kv_hints_expired\":0,\"kv_read_repa"
+    "irs\":0,\"kv_ops_one\":0,\"kv_ops_quorum\":0,\"kv_ops_all\":0,\"kv_repair_sessions\":"
+    "0,\"kv_repair_bytes_streamed\":0,\"kv_repair_keys_fixed\":0,\"kv_repair_aborted\":0,"
+    "\"messages_sent\":11085,\"messages_delivered\":11085,\"stage_tasks_dropped\":0,\"even"
+    "ts_executed\":34809}";
 
 constexpr char kGoldenC5456Chaos[] =
     "{\"mode\":\"Colo\",\"num_nodes\":20,\"vnodes_per_node\":16,\"flaps\":6,\"flapped_pair"
@@ -102,21 +108,20 @@ constexpr char kGoldenC5456Chaos[] =
     "s\":0,\"violations\":[]},\"invariants\":{\"checked\":true,\"probes\":24,\"kv_checked"
     "\":false,\"ok\":true,\"violations\":[]},\"watchdog_fired\":false,\"replay_drift\":{\""
     "misses\":0,\"diverged\":false,\"aborted\":false,\"first_function\":\"\",\"first_diges"
-    "t\":\"\",\"first_at_ns\":0,\"first_call_index\":0,\"order_context\":\"\"},\"calc_invo"
-    "cations\":887,\"calc_executed_real\":887,\"calc_duration_seconds\":{\"count\":887,\"m"
-    "ean\":0.0065691697857948117,\"min\":0.0017244000000000001,\"max\":0.00691479999999999"
-    "96,\"sum\":5.8268535999999704},\"calc_lock_hold_seconds\":{\"count\":9833,\"mean\":0."
-    "00059258147025322884,\"min\":0,\"max\":0.0069147999999999996,\"sum\":5.82685359699999"
-    "95},\"pil\":{\"direct_runs\":887,\"memoized_runs\":0,\"replay_hits\":0,\"replay_misse"
-    "s\":0},\"memo\":{\"records\":0,\"duplicate_puts\":0,\"determinism_violations\":0,\"lo"
-    "okups\":0,\"hits\":0,\"misses\":0},\"order_divergences\":0,\"order_enforced\":0,\"kv_"
-    "issued\":0,\"kv_ok\":0,\"kv_unavailable\":0,\"kv_timeout\":0,\"kv_inflight_at_stop\":"
-    "0,\"kv_retries\":0,\"kv_gave_up\":0,\"kv_latency_p50_ns\":0,\"kv_latency_p99_ns\":0,"
-    "\"kv_latency_p999_ns\":0,\"kv_wal_bytes\":0,\"kv_hints_queued\":0,\"kv_hints_replayed"
-    "\":0,\"kv_hints_expired\":0,\"kv_read_repairs\":0,\"kv_ops_one\":0,\"kv_ops_quorum\":"
-    "0,\"kv_ops_all\":0,\"kv_repair_sessions\":0,\"kv_repair_bytes_streamed\":0,\"kv_repai"
-    "r_keys_fixed\":0,\"kv_repair_aborted\":0,\"messages_sent\":13553,\"messages_delivered"
-    "\":13429,\"stage_tasks_dropped\":0,\"events_executed\":41696}";
+    "t\":\"\",\"first_at_ns\":0,\"first_call_index\":0},\"calc_invocations\":887,\"calc_ex"
+    "ecuted_real\":887,\"calc_duration_seconds\":{\"count\":887,\"mean\":0.006569169785794"
+    "8117,\"min\":0.0017244000000000001,\"max\":0.0069147999999999996,\"sum\":5.8268535999"
+    "999704},\"calc_lock_hold_seconds\":{\"count\":9833,\"mean\":0.00059258147025322884,\""
+    "min\":0,\"max\":0.0069147999999999996,\"sum\":5.8268535969999995},\"pil\":{\"direct_r"
+    "uns\":887,\"memoized_runs\":0,\"replay_hits\":0,\"replay_misses\":0},\"memo\":{\"reco"
+    "rds\":0,\"duplicate_puts\":0,\"determinism_violations\":0,\"lookups\":0,\"hits\":0,\""
+    "misses\":0},\"kv_issued\":0,\"kv_ok\":0,\"kv_unavailable\":0,\"kv_timeout\":0,\"kv_in"
+    "flight_at_stop\":0,\"kv_retries\":0,\"kv_gave_up\":0,\"kv_latency_p50_ns\":0,\"kv_lat"
+    "ency_p99_ns\":0,\"kv_latency_p999_ns\":0,\"kv_wal_bytes\":0,\"kv_hints_queued\":0,\"k"
+    "v_hints_replayed\":0,\"kv_hints_expired\":0,\"kv_read_repairs\":0,\"kv_ops_one\":0,\""
+    "kv_ops_quorum\":0,\"kv_ops_all\":0,\"kv_repair_sessions\":0,\"kv_repair_bytes_streame"
+    "d\":0,\"kv_repair_keys_fixed\":0,\"kv_repair_aborted\":0,\"messages_sent\":13553,\"me"
+    "ssages_delivered\":13429,\"stage_tasks_dropped\":0,\"events_executed\":41696}";
 
 TEST(SimGolden, C3831ColoN24Seed7ByteIdentical) {
   BugSpec spec = BugCatalog::Get("C3831");
@@ -146,30 +151,29 @@ BugSpec KvDurableSpec() {
 }
 
 constexpr char kGoldenKvDurable[] =
-    "{\"mode\":\"Colo\",\"num_nodes\":16,\"vnodes_per_node\":1,\"flaps\":9,\"flapped_pair"
-    "s\":9,\"live_endpoints\":240,\"unreachable_endpoints\":0,\"test_duration_ns\":120000"
-    "000000,\"settle_time_ns\":0,\"settled\":true,\"max_cpu_utilization\":0.0003942579614"
-    "5833332,\"peak_memory_bytes\":1216385504,\"oom\":false,\"crashed_nodes\":1,\"restart"
-    "ed_nodes\":1,\"fault_events_applied\":1,\"fault_events_healed\":1,\"messages_blocked"
-    "\":0,\"lateness_p99_ns\":10995116,\"lateness_max_ns\":12613740,\"lateness_early_coun"
-    "t\":0,\"fidelity\":{\"verdict\":\"ok\",\"violated_budget\":\"\",\"first_violation_at"
-    "_ns\":0,\"violations\":[]},\"invariants\":{\"checked\":true,\"probes\":13,\"kv_check"
-    "ed\":true,\"ok\":true,\"violations\":[]},\"watchdog_fired\":false,\"replay_drift\":{"
-    "\"misses\":0,\"diverged\":false,\"aborted\":false,\"first_function\":\"\",\"first_di"
-    "gest\":\"\",\"first_at_ns\":0,\"first_call_index\":0,\"order_context\":\"\"},\"calc_"
-    "invocations\":0,\"calc_executed_real\":0,\"calc_duration_seconds\":{\"count\":0,\"me"
-    "an\":0,\"min\":0,\"max\":0,\"sum\":0},\"calc_lock_hold_seconds\":{\"count\":0,\"mean"
-    "\":0,\"min\":0,\"max\":0,\"sum\":0},\"pil\":{\"direct_runs\":0,\"memoized_runs\":0,"
-    "\"replay_hits\":0,\"replay_misses\":0},\"memo\":{\"records\":0,\"duplicate_puts\":0,"
-    "\"determinism_violations\":0,\"lookups\":0,\"hits\":0,\"misses\":0},\"order_divergen"
-    "ces\":0,\"order_enforced\":0,\"kv_issued\":119989,\"kv_ok\":119951,\"kv_unavailable"
-    "\":2,\"kv_timeout\":0,\"kv_inflight_at_stop\":36,\"kv_retries\":6,\"kv_gave_up\":2,"
-    "\"kv_latency_p50_ns\":150000,\"kv_latency_p99_ns\":250101768,\"kv_latency_p999_ns\":"
-    "250101768,\"kv_wal_bytes\":17478240,\"kv_hints_queued\":92,\"kv_hints_replayed\":92,"
-    "\"kv_hints_expired\":0,\"kv_read_repairs\":1383,\"kv_ops_one\":0,\"kv_ops_quorum\":1"
-    "19989,\"kv_ops_all\":0,\"kv_repair_sessions\":188,\"kv_repair_bytes_streamed\":22278"
-    "08,\"kv_repair_keys_fixed\":2043,\"kv_repair_aborted\":0,\"messages_sent\":687748,\""
-    "messages_delivered\":680267,\"stage_tasks_dropped\":0,\"events_executed\":1004471}";
+    "{\"mode\":\"Colo\",\"num_nodes\":16,\"vnodes_per_node\":1,\"flaps\":9,\"flapped_pairs"
+    "\":9,\"live_endpoints\":240,\"unreachable_endpoints\":0,\"test_duration_ns\":12000000"
+    "0000,\"settle_time_ns\":0,\"settled\":true,\"max_cpu_utilization\":0.0003942579614583"
+    "3332,\"peak_memory_bytes\":1216385504,\"oom\":false,\"crashed_nodes\":1,\"restarted_n"
+    "odes\":1,\"fault_events_applied\":1,\"fault_events_healed\":1,\"messages_blocked\":0,"
+    "\"lateness_p99_ns\":10995116,\"lateness_max_ns\":12613740,\"lateness_early_count\":0,"
+    "\"fidelity\":{\"verdict\":\"ok\",\"violated_budget\":\"\",\"first_violation_at_ns\":0"
+    ",\"violations\":[]},\"invariants\":{\"checked\":true,\"probes\":13,\"kv_checked\":tru"
+    "e,\"ok\":true,\"violations\":[]},\"watchdog_fired\":false,\"replay_drift\":{\"misses"
+    "\":0,\"diverged\":false,\"aborted\":false,\"first_function\":\"\",\"first_digest\":\""
+    "\",\"first_at_ns\":0,\"first_call_index\":0},\"calc_invocations\":0,\"calc_executed_r"
+    "eal\":0,\"calc_duration_seconds\":{\"count\":0,\"mean\":0,\"min\":0,\"max\":0,\"sum\""
+    ":0},\"calc_lock_hold_seconds\":{\"count\":0,\"mean\":0,\"min\":0,\"max\":0,\"sum\":0}"
+    ",\"pil\":{\"direct_runs\":0,\"memoized_runs\":0,\"replay_hits\":0,\"replay_misses\":0"
+    "},\"memo\":{\"records\":0,\"duplicate_puts\":0,\"determinism_violations\":0,\"lookups"
+    "\":0,\"hits\":0,\"misses\":0},\"kv_issued\":119989,\"kv_ok\":119951,\"kv_unavailable"
+    "\":2,\"kv_timeout\":0,\"kv_inflight_at_stop\":36,\"kv_retries\":6,\"kv_gave_up\":2,\""
+    "kv_latency_p50_ns\":150000,\"kv_latency_p99_ns\":250101768,\"kv_latency_p999_ns\":250"
+    "101768,\"kv_wal_bytes\":17478240,\"kv_hints_queued\":92,\"kv_hints_replayed\":92,\"kv"
+    "_hints_expired\":0,\"kv_read_repairs\":1383,\"kv_ops_one\":0,\"kv_ops_quorum\":119989"
+    ",\"kv_ops_all\":0,\"kv_repair_sessions\":188,\"kv_repair_bytes_streamed\":2227808,\"k"
+    "v_repair_keys_fixed\":2043,\"kv_repair_aborted\":0,\"messages_sent\":687748,\"message"
+    "s_delivered\":680267,\"stage_tasks_dropped\":0,\"events_executed\":1004471}";
 
 TEST(SimGolden, KvDurableN16Seed7ByteIdentical) {
   RunResult result = RunPinned(KvDurableSpec(), 16, 7);
@@ -200,20 +204,20 @@ constexpr char kGoldenC3831ShedsN128[] =
     "de 11 is still islanded from node 4 50 gossip rounds after fault quiescence — the unr"
     "eachable escape hatch never re-established contact\"}]},\"watchdog_fired\":false,\"re"
     "play_drift\":{\"misses\":0,\"diverged\":false,\"aborted\":false,\"first_function\":\""
-    "\",\"first_digest\":\"\",\"first_at_ns\":0,\"first_call_index\":0,\"order_context\":"
-    "\"\"},\"calc_invocations\":920,\"calc_executed_real\":27,\"calc_duration_seconds\":{"
-    "\"count\":920,\"mean\":1.5221284783043474,\"min\":0,\"max\":1.56815028,\"sum\":1400.3"
-    "582000400299},\"calc_lock_hold_seconds\":{\"count\":0,\"mean\":0,\"min\":0,\"max\":0,"
-    "\"sum\":0},\"pil\":{\"direct_runs\":920,\"memoized_runs\":0,\"replay_hits\":0,\"repla"
-    "y_misses\":0},\"memo\":{\"records\":0,\"duplicate_puts\":0,\"determinism_violations\""
-    ":0,\"lookups\":0,\"hits\":0,\"misses\":0},\"order_divergences\":0,\"order_enforced\":"
-    "0,\"kv_issued\":0,\"kv_ok\":0,\"kv_unavailable\":0,\"kv_timeout\":0,\"kv_inflight_at_"
-    "stop\":0,\"kv_retries\":0,\"kv_gave_up\":0,\"kv_latency_p50_ns\":0,\"kv_latency_p99_n"
-    "s\":0,\"kv_latency_p999_ns\":0,\"kv_wal_bytes\":0,\"kv_hints_queued\":0,\"kv_hints_re"
-    "played\":0,\"kv_hints_expired\":0,\"kv_read_repairs\":0,\"kv_ops_one\":0,\"kv_ops_quo"
-    "rum\":0,\"kv_ops_all\":0,\"kv_repair_sessions\":0,\"kv_repair_bytes_streamed\":0,\"kv"
-    "_repair_keys_fixed\":0,\"kv_repair_aborted\":0,\"messages_sent\":47919,\"messages_del"
-    "ivered\":47919,\"stage_tasks_dropped\":11132,\"events_executed\":151032}";
+    "\",\"first_digest\":\"\",\"first_at_ns\":0,\"first_call_index\":0},\"calc_invocations"
+    "\":920,\"calc_executed_real\":27,\"calc_duration_seconds\":{\"count\":920,\"mean\":1."
+    "5221284783043474,\"min\":0,\"max\":1.56815028,\"sum\":1400.3582000400299},\"calc_lock"
+    "_hold_seconds\":{\"count\":0,\"mean\":0,\"min\":0,\"max\":0,\"sum\":0},\"pil\":{\"dir"
+    "ect_runs\":920,\"memoized_runs\":0,\"replay_hits\":0,\"replay_misses\":0},\"memo\":{"
+    "\"records\":0,\"duplicate_puts\":0,\"determinism_violations\":0,\"lookups\":0,\"hits"
+    "\":0,\"misses\":0},\"kv_issued\":0,\"kv_ok\":0,\"kv_unavailable\":0,\"kv_timeout\":0,"
+    "\"kv_inflight_at_stop\":0,\"kv_retries\":0,\"kv_gave_up\":0,\"kv_latency_p50_ns\":0,"
+    "\"kv_latency_p99_ns\":0,\"kv_latency_p999_ns\":0,\"kv_wal_bytes\":0,\"kv_hints_queued"
+    "\":0,\"kv_hints_replayed\":0,\"kv_hints_expired\":0,\"kv_read_repairs\":0,\"kv_ops_on"
+    "e\":0,\"kv_ops_quorum\":0,\"kv_ops_all\":0,\"kv_repair_sessions\":0,\"kv_repair_bytes"
+    "_streamed\":0,\"kv_repair_keys_fixed\":0,\"kv_repair_aborted\":0,\"messages_sent\":47"
+    "919,\"messages_delivered\":47919,\"stage_tasks_dropped\":11132,\"events_executed\":15"
+    "1032}";
 
 TEST(SimGolden, C3831ColoShedsN128Seed7ByteIdentical) {
   RunResult result = RunPinned(BugCatalog::Get("C3831"), 128, 7);
