@@ -50,7 +50,10 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # after its block was recycled is reported, and sim_cpu_model_test replays
 # seeded scripts through the CPU model's reused burst slots. Every worker
 # thread of the jobs=4 suite tests above keeps its own step-block free list,
-# which the TSan leg checks is never shared.
+# which the TSan leg checks is never shared. gossip_failure_detector_test
+# forgets, re-reports and move-assigns detectors over live phi windows, whose
+# chunks the ASan build poisons on the pool's free list, so a slot read after
+# its chunk was recycled (or a window touching a destroyed pool) is reported.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -61,7 +64,8 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          kv_merkle_test kv_repair_test gossip_incremental_test
          sim_thread_expiry_test sim_golden_test
          kv_durability_test kv_cluster_test sim_payload_pool_test
-         sim_job_alloc_test sim_cpu_model_test)
+         sim_job_alloc_test sim_cpu_model_test
+         gossip_failure_detector_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"

@@ -753,6 +753,7 @@ void Cluster::CollectResult(RunResult* result) const {
       run.gossip_digest_bytes_sent += node->core().digest_bytes_sent();
       run.gossip_arena_bytes += node->arena_bytes_reserved();
       run.endpoint_store_bytes += g.endpoint_store_bytes();
+      run.fd_window_bytes += node->core().failure_detector().window_bytes();
     }
     run.payload_reuses =
         payloads_.syn.reuses() + payloads_.ack.reuses() + payloads_.ack2.reuses();

@@ -171,6 +171,7 @@ class ProtocolNode {
   NodeId id() const { return id_; }
   Gossiper& gossiper() { return gossiper_; }
   const Gossiper& gossiper() const { return gossiper_; }
+  const PhiAccrualFailureDetector& failure_detector() const { return fd_; }
   const TokenRing& ring() const { return ring_; }
   const PendingRanges& pending_ranges() const { return pending_ranges_; }
   const std::vector<PendingChange>& pending_changes() const { return pending_changes_; }

@@ -21,6 +21,7 @@ void SimProfiler::Counters::WriteJson(JsonWriter* w) const {
   w->Field("endpoint_store_bytes", endpoint_store_bytes);
   w->Field("intern_table_size", intern_table_size);
   w->Field("intern_table_bytes", intern_table_bytes);
+  w->Field("fd_window_bytes", fd_window_bytes);
   w->EndObject();
 }
 

@@ -68,6 +68,10 @@ class SimProfiler {
     uint64_t intern_table_size = 0;
     uint64_t intern_table_bytes = 0;
 
+    // Host bytes of the phi windows' chunk slabs, summed across the cluster
+    // (one window per observer-peer pair; not charged to MemoryModel).
+    uint64_t fd_window_bytes = 0;
+
     void WriteJson(JsonWriter* w) const;
   };
 

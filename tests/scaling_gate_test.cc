@@ -78,6 +78,7 @@ constexpr Counter kCounters[] = {
     PROFILE("gossip", endpoint_store_bytes, Norm::kPerNode),
     PROFILE("gossip", intern_table_size, Norm::kPerNode),
     PROFILE("gossip", intern_table_bytes, Norm::kPerNode),
+    PROFILE("fd", fd_window_bytes, Norm::kPerNode),
     RESULT("gossip", stage_tasks_dropped, Norm::kRate),
     RESULT("fd", flaps, Norm::kRate),
     RESULT("fd", flapped_pairs, Norm::kRate),
@@ -153,6 +154,7 @@ constexpr Expected kExpected[] = {
     {"decommission", "endpoint_store_bytes", 1.00},
     {"decommission", "intern_table_size", 0.00},
     {"decommission", "intern_table_bytes", 0.00},
+    {"decommission", "fd_window_bytes", 1.00},
     {"decommission", "live_endpoints", 1.05},
     {"decommission", "calc_invocations", -0.01},
     {"decommission", "calc_executed_real", -0.01},
@@ -178,6 +180,7 @@ constexpr Expected kExpected[] = {
     {"colo-probe", "endpoint_store_bytes", 1.00},
     {"colo-probe", "intern_table_size", 0.00},
     {"colo-probe", "intern_table_bytes", 0.01},
+    {"colo-probe", "fd_window_bytes", 0.79},
     {"colo-probe", "live_endpoints", 1.01},
     {"colo-probe", "calc_invocations", 0.39},
     {"colo-probe", "calc_executed_real", 0.39},
@@ -202,6 +205,7 @@ constexpr Expected kExpected[] = {
     {"kv-steady", "endpoint_store_bytes", 1.00},
     {"kv-steady", "intern_table_size", 0.00},
     {"kv-steady", "intern_table_bytes", 0.00},
+    {"kv-steady", "fd_window_bytes", 0.94},
     {"kv-steady", "live_endpoints", 1.03},
     {"kv-steady", "peak_memory_bytes", 0.00},
     {"kv-steady", "invariants.probes", -1.00},

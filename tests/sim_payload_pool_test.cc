@@ -1,12 +1,33 @@
 // PayloadPool: recycled payloads come back cleared with their capacity, the
-// free list is bounded, and a payload may outlive its pool.
+// free list is bounded, a payload may outlive its pool, and a warm
+// Acquire/release cycle allocates nothing. This binary replaces the global
+// operator new with a counting one (each test file links into its own
+// binary, so the replacement stays here).
 
 #include "src/sim/payload_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
+
+namespace {
+std::atomic<uint64_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace scalecheck {
 namespace {
@@ -76,10 +97,11 @@ TEST_F(PayloadPoolTest, PayloadReleasedAfterItsPoolIsDestroyedIsFreed) {
     parked.reset();
     EXPECT_EQ(Counted::live, 2);
   }
-  // The in-flight payload's recycler keeps the pool's free list alive.
+  // The in-flight payload's control block keeps the pool's free lists alive.
   EXPECT_EQ(in_flight->data.size(), 64u);
-  // Its last reference parks it on that orphaned list, and the recycler's
-  // own reference, the list's last, then frees both payloads.
+  // Its last reference parks it on that orphaned list, and the control
+  // block's own reference, the list's last, then frees both payloads and
+  // the parked control block.
   in_flight.reset();
   EXPECT_EQ(Counted::live, 0);
 }
@@ -105,6 +127,28 @@ TEST_F(PayloadPoolTest, CountsReusesAndAllocs) {
   pool.Acquire();
   EXPECT_EQ(pool.reuses(), 5u);
   EXPECT_EQ(pool.allocs(), 2u);
+}
+
+TEST_F(PayloadPoolTest, WarmAcquireReleaseCycleAllocatesNothing) {
+  Pool pool;
+  {
+    // Warm: two payloads with capacity, and two control blocks, parked.
+    std::shared_ptr<Counted> a = pool.Acquire();
+    std::shared_ptr<Counted> b = pool.Acquire();
+    a->data.reserve(16);
+    b->data.reserve(16);
+  }
+  uint64_t before = g_news.load();
+  for (int i = 0; i < 10'000; ++i) {
+    std::shared_ptr<Counted> a = pool.Acquire();
+    std::shared_ptr<Counted> b = pool.Acquire();
+    std::shared_ptr<Counted> copy = a;  // a copy shares the pooled block
+    a->data.push_back(i);
+    b->data.push_back(i);
+  }
+  EXPECT_EQ(g_news.load() - before, 0u) << "10k warm Acquire/release cycles";
+  EXPECT_EQ(pool.allocs(), 2u);
+  EXPECT_EQ(pool.reuses(), 20'000u);
 }
 
 }  // namespace
