@@ -54,6 +54,11 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # forgets, re-reports and move-assigns detectors over live phi windows, whose
 # chunks the ASan build poisons on the pool's free list, so a slot read after
 # its chunk was recycled (or a window touching a destroyed pool) is reported.
+# kv_alloc_test drives the pooled KV requests and acks through SimStage and
+# tears its deployment down with payloads still queued after their pools are
+# gone, so the ASan leg shows those payloads are freed without touching
+# freed pool state; the TSan leg's real_cluster_test covers the RealStage
+# side of the same Stage seam.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -65,7 +70,7 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          sim_thread_expiry_test sim_golden_test
          kv_durability_test kv_cluster_test sim_payload_pool_test
          sim_job_alloc_test sim_cpu_model_test
-         gossip_failure_detector_test)
+         gossip_failure_detector_test kv_alloc_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdarg>
+#include <deque>
 #include <unordered_map>
 
 #include "src/cluster/config.h"
@@ -345,7 +346,7 @@ class KvHistoryInvariant : public Invariant {
   }
 
  private:
-  void CheckRead(const KvOpRecord& read, const std::vector<KvOpRecord>& ops,
+  void CheckRead(const KvOpRecord& read, const std::deque<KvOpRecord>& ops,
                  InvariantRegistry* sink) {
     auto it = writes_by_key_.find(read.key);
     const std::vector<uint64_t> empty;
@@ -418,7 +419,8 @@ class KvHistoryInvariant : public Invariant {
 
   size_t issue_watermark_ = 0;
   size_t conclude_watermark_ = 0;
-  std::map<uint64_t, std::vector<uint64_t>> writes_by_key_;
+  // Only ever looked up by key, so hashed.
+  std::unordered_map<uint64_t, std::vector<uint64_t>> writes_by_key_;
 };
 
 // ---- kv-durability ----------------------------------------------------------
@@ -446,38 +448,80 @@ class KvDurabilityInvariant : public Invariant {
     const auto& order = h.conclusion_order();
     // Fold newly concluded OK writes into the per-(key, acker) obligation:
     // the newest timestamp that acker vouched for.
+    fresh_.clear();
     for (; conclude_watermark_ < order.size(); ++conclude_watermark_) {
       const KvOpRecord& rec = ops[order[conclude_watermark_]];
       if (!rec.is_write || rec.outcome != KvOutcome::kOk) continue;
       for (NodeId acker : rec.ackers) {
-        int64_t& ts = required_[std::make_pair(rec.key, acker)];
-        ts = std::max(ts, rec.write_timestamp);
+        fresh_.push_back(Obligation{rec.key, acker, rec.write_timestamp});
       }
     }
-    for (const auto& [key_acker, ts] : required_) {
-      const size_t acker = static_cast<size_t>(key_acker.second);
+    if (!fresh_.empty()) {
+      std::sort(fresh_.begin(), fresh_.end(), Before);
+      MergeFresh();
+    }
+    for (const Obligation& ob : required_) {
+      const size_t acker = static_cast<size_t>(ob.acker);
       if (acker >= ctx.nodes->size()) continue;
       const NodeView& node = (*ctx.nodes)[acker];
       if (!Running(node) || node.core->kv() == nullptr) continue;
-      int64_t have = node.core->kv()->storage().TimestampOf(key_acker.first);
-      if (have < ts) {
+      int64_t have = node.core->kv()->storage().TimestampOf(ob.key);
+      if (have < ob.timestamp) {
         sink->ReportViolation(
             name(), ctx.now,
             "node %lld acknowledged a write of key %llu at "
             "timestamp %lld but now holds %lld (acked write lost "
             "across crash/restart)",
-            static_cast<long long>(key_acker.second),
-            static_cast<unsigned long long>(key_acker.first),
-            static_cast<long long>(ts),
+            static_cast<long long>(ob.acker),
+            static_cast<unsigned long long>(ob.key),
+            static_cast<long long>(ob.timestamp),
             static_cast<long long>(have));
       }
     }
   }
 
  private:
+  // The newest acked timestamp a (key, acker) pair is on the hook for.
+  struct Obligation {
+    uint64_t key = 0;
+    NodeId acker = kInvalidNode;
+    int64_t timestamp = 0;
+  };
+  static bool Before(const Obligation& a, const Obligation& b) {
+    return a.key != b.key ? a.key < b.key : a.acker < b.acker;
+  }
+
+  // Merges the sorted fresh_ into required_, one entry per (key, acker)
+  // holding the largest timestamp of either side.
+  void MergeFresh() {
+    std::vector<Obligation> merged;
+    merged.reserve(required_.size() + fresh_.size());
+    auto add = [&merged](const Obligation& ob) {
+      if (!merged.empty() && !Before(merged.back(), ob)) {
+        merged.back().timestamp = std::max(merged.back().timestamp, ob.timestamp);
+      } else {
+        merged.push_back(ob);
+      }
+    };
+    size_t i = 0;
+    size_t j = 0;
+    while (i < required_.size() || j < fresh_.size()) {
+      if (j == fresh_.size() ||
+          (i < required_.size() && !Before(fresh_[j], required_[i]))) {
+        add(required_[i++]);
+      } else {
+        add(fresh_[j++]);
+      }
+    }
+    required_.swap(merged);
+  }
+
   size_t conclude_watermark_ = 0;
-  // (key, acker) -> newest acked timestamp that pair is on the hook for.
-  std::map<std::pair<uint64_t, NodeId>, int64_t> required_;
+  // Sorted by (key, acker), one entry per pair: walked in that order on
+  // every probe, so the first violation reported is the smallest pair.
+  std::vector<Obligation> required_;
+  // This probe's new obligations (kept for its capacity).
+  std::vector<Obligation> fresh_;
 };
 
 // ---- replica-convergence ----------------------------------------------------
@@ -625,7 +669,8 @@ class ReplicaConvergenceInvariant : public Invariant {
 
   size_t conclude_watermark_ = 0;
   std::vector<ConcludedWrite> concluded_;  // conclusion order
-  std::map<uint64_t, std::vector<TimedTimestamp>> by_key_;
+  // Only ever looked up by key, so hashed.
+  std::unordered_map<uint64_t, std::vector<TimedTimestamp>> by_key_;
 };
 
 }  // namespace

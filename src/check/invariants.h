@@ -155,7 +155,8 @@ class Invariant {
   virtual ~Invariant() = default;
   virtual const char* name() const = 0;
   // Inspect ctx and report violations through the registry. Must be
-  // deterministic: iterate ordered containers only.
+  // deterministic: iterate ordered containers only (a hash map may serve
+  // lookups, never an iteration).
   virtual void Probe(const InvariantContext& ctx, InvariantRegistry* sink) = 0;
 };
 

@@ -107,6 +107,9 @@ void Cluster::BuildDeployment() {
   int total = initial_nodes_ + joining_nodes_;
   CHECK_GT(total, 1);
   payloads_ = GossipPayloadPools(static_cast<size_t>(total));
+  if (cfg.kv.enabled) {
+    kv_payloads_ = std::make_unique<KvPayloadPools>(static_cast<size_t>(total));
+  }
 
   sim_ = std::make_unique<Simulator>(cfg.seed);
 
@@ -210,6 +213,7 @@ void Cluster::BuildDeployment() {
   env_.profile_hook = options_.profile_hook;
   env_.kv_history = kv_history_.get();
   env_.payloads = &payloads_;
+  env_.kv_payloads = kv_payloads_.get();
 
   // ---- Nodes -------------------------------------------------------------------
   Rng node_seeds(HashCombine(cfg.seed, 0xc1057e70ULL));

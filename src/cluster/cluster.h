@@ -147,6 +147,7 @@ class Cluster {
   std::unique_ptr<CalcOutputCache> owned_output_cache_;
   std::unique_ptr<TraceRecorder> trace_;
   GossipPayloadPools payloads_;
+  std::unique_ptr<KvPayloadPools> kv_payloads_;  // null unless config.kv.enabled
   Node::Env env_;
 
   EndpointInterner interner_;

@@ -89,6 +89,7 @@ Node::Node(Env* env, NodeId self, Machine* machine, uint64_t seed)
                       }
                     },
                 .kv_history = env->kv_history,
+                .kv_payloads = env->kv_payloads,
             }) {
   CHECK_NOTNULL(machine);
   // Charge gossip-scratch arena growth to the memory model as it happens.

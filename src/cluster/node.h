@@ -26,8 +26,8 @@
 // The pending-range calculation crosses the PIL boundary: depending on the
 // run mode it executes (real/colocated/memoize) or sleeps (replay). Also
 // sim-only: MemoryModel charges, the replay order enforcer and trace
-// records. Gossip payloads come from the cluster's shared pools
-// (Env::payloads), not from pools of the node's own.
+// records. Gossip and KV payloads come from the cluster's shared pools
+// (Env::payloads, Env::kv_payloads), not from pools of the node's own.
 
 #ifndef SCALECHECK_SRC_CLUSTER_NODE_H_
 #define SCALECHECK_SRC_CLUSTER_NODE_H_
@@ -155,6 +155,8 @@ class Node final : private ProtocolNode::Host {
     KvHistory* kv_history = nullptr;
     // The cluster's recycled SYN/ACK/ACK2 payloads (cluster.h).
     GossipPayloadPools* payloads = nullptr;
+    // The cluster's recycled KV request/response payloads (kv_service.h).
+    KvPayloadPools* kv_payloads = nullptr;
   };
 
   Node(Env* env, NodeId id, Machine* machine, uint64_t seed);

@@ -42,6 +42,7 @@ ProtocolNode::ProtocolNode(NodeId id, uint64_t seed, Deps wiring)
         .plant_repair_storm = config_->check.plant_repair_storm,
         .charge = std::move(wiring.kv_charge),
         .history = wiring.kv_history,
+        .payloads = wiring.kv_payloads,
     });
   }
 }

@@ -68,9 +68,10 @@ class ProtocolNode {
     Clock* clock = nullptr;
     Host* host = nullptr;
     Stage* kv_stage = nullptr;  // required when config->kv.enabled
-    // Optional KvService::Deps::charge and ::history.
+    // Optional KvService::Deps::charge, ::history and ::payloads.
     std::function<void(int64_t delta)> kv_charge;
     KvHistory* kv_history = nullptr;
+    KvPayloadPools* kv_payloads = nullptr;
   };
 
   // Gossip target picks and round phases draw from `seed`; the KV seeds are

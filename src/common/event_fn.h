@@ -11,6 +11,11 @@
 // the heap only for oversized or throwing-move callables, and is move-only —
 // so callbacks may own move-only resources, and by construction are never
 // copied between scheduling and execution.
+//
+// The inline buffer is aligned to kAlign (max_align_t by default). A
+// pointer-aligned SmallFn wastes no padding after its buffer, so a
+// SmallFn<..., 32, alignof(void*)> is 40 bytes and rides inline in a 40-byte
+// Job step (the Stage closures of src/transport/substrate.h).
 
 #ifndef SCALECHECK_SRC_COMMON_EVENT_FN_H_
 #define SCALECHECK_SRC_COMMON_EVENT_FN_H_
@@ -22,15 +27,17 @@
 
 namespace scalecheck {
 
-template <typename Signature, size_t kInline>
+template <typename Signature, size_t kInline,
+          size_t kAlign = alignof(std::max_align_t)>
 class SmallFn;
 
-template <typename R, typename... Args, size_t kInline>
-class SmallFn<R(Args...), kInline> {
+template <typename R, typename... Args, size_t kInline, size_t kAlign>
+class SmallFn<R(Args...), kInline, kAlign> {
  public:
-  // Callables up to this size (with a non-throwing move) live inline;
-  // larger ones are boxed.
+  // Callables up to this size and alignment (with a non-throwing move) live
+  // inline; larger ones are boxed.
   static constexpr size_t kInlineBytes = kInline;
+  static_assert(kAlign >= alignof(void*) && kAlign <= alignof(std::max_align_t));
 
   SmallFn() noexcept = default;
 
@@ -38,8 +45,7 @@ class SmallFn<R(Args...), kInline> {
             typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
                                         std::is_invocable_r_v<R, D&, Args...>>>
   SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor)
-    if constexpr (sizeof(D) <= kInlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t) &&
+    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= kAlign &&
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
       ops_ = InlineOps<D>();
@@ -131,7 +137,7 @@ class SmallFn<R(Args...), kInline> {
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  alignas(kAlign) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #include "src/common/hash.h"
 
+#include <bit>
 #include <cstring>
 
 #include "src/common/strings.h"
@@ -29,30 +30,53 @@ uint64_t Fnv1a64(const void* data, size_t len) {
 uint64_t Fnv1a64(std::string_view s) { return Fnv1a64(s.data(), s.size()); }
 
 namespace {
-// Table-driven CRC-32 (reflected 0xEDB88320). The table is built once at
-// first use; entry i is the CRC of the single byte i.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+// Slicing-by-8 CRC-32 (reflected 0xEDB88320), built once at first use.
+// t[0][i] is the CRC of the single byte i; t[k][i] is that of byte i
+// followed by k zero bytes, so eight table lookups advance the CRC by eight
+// input bytes at once.
+struct Crc32Tables {
+  uint32_t t[8][256];
+
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
     }
-    return t;
-  }();
-  return table;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
+    }
+  }
+};
+
+const Crc32Tables& Crc32TableSet() {
+  static const Crc32Tables tables;
+  return tables;
 }
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
+  const auto& t = Crc32TableSet().t;
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; len >= 8; len -= 8, p += 8) {
+      uint32_t lo;
+      uint32_t hi;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= c;
+      c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+  }
+  for (; len > 0; --len, ++p) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -71,9 +71,9 @@ std::map<NodeId, std::vector<KeyRange>> AntiEntropy::CoReplicaRanges(
     const TokenRing& ring, int rf, NodeId self) {
   std::map<NodeId, std::vector<KeyRange>> out;
   const auto& entries = ring.entries();
+  std::vector<NodeId> replicas;
   for (size_t i = 0; i < entries.size(); ++i) {
-    std::vector<NodeId> replicas =
-        ring.NaturalEndpointsForKey(entries[i].token, rf);
+    ring.NaturalEndpointsForKey(entries[i].token, rf, &replicas);
     bool mine = false;
     for (NodeId r : replicas) {
       if (r == self) {
@@ -171,7 +171,7 @@ void AntiEntropy::Tick() {
   if (sessions_.size() >= static_cast<size_t>(deps_.config.repair_max_sessions)) {
     return;
   }
-  if (kv_.inflight_.size() > kPressureMaxInflight) {
+  if (kv_.inflight_attempts() > kPressureMaxInflight) {
     ++kv_.stats_.repair_backoffs;
     return;  // foreground traffic wins; try again next interval
   }
@@ -253,7 +253,7 @@ void AntiEntropy::SendNextBatch(uint64_t id) {
   }
   // Yield to foreground pressure: re-check shortly instead of pushing more
   // repair traffic into an already-loaded node.
-  if (kv_.inflight_.size() > kPressureMaxInflight) {
+  if (kv_.inflight_attempts() > kPressureMaxInflight) {
     ++kv_.stats_.repair_backoffs;
     if (s.resume_timer == kInvalidTimer) {
       s.resume_timer = deps_.clock->ScheduleAfter(

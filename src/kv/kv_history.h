@@ -9,12 +9,16 @@
 // kv_inflight_at_stop). Ops are ordered by issue time, and
 // conclusion_order() gives the conclusion sequence. Recording is locked, as
 // real-carrier coordinators record at once; readers exclude writers
-// themselves (RealCluster holds every node's monitor).
+// themselves (RealCluster holds every node's monitor). Records sit in a
+// std::deque: a run records hundreds of thousands, and a vector's doubling
+// would hold the old and the new buffer at once.
+
 
 #ifndef SCALECHECK_SRC_KV_KV_HISTORY_H_
 #define SCALECHECK_SRC_KV_KV_HISTORY_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -59,7 +63,7 @@ class KvHistory {
   void RecordConcluded(uint64_t id, KvOutcome outcome,
                        const std::string& result_value, VirtualTime now);
 
-  const std::vector<KvOpRecord>& ops() const { return ops_; }
+  const std::deque<KvOpRecord>& ops() const { return ops_; }
   // Record ids in the order they concluded.
   const std::vector<uint64_t>& conclusion_order() const {
     return conclusion_order_;
@@ -71,7 +75,7 @@ class KvHistory {
 
  private:
   std::mutex mu_;
-  std::vector<KvOpRecord> ops_;
+  std::deque<KvOpRecord> ops_;
   std::vector<uint64_t> conclusion_order_;
 };
 

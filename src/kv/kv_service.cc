@@ -67,13 +67,22 @@ void KvService::Read(uint64_t key, DoneFn done) {
 }
 
 void KvService::Submit(bool is_write, uint64_t key, std::string value, DoneFn done) {
-  auto op = std::make_shared<ClientOp>();
+  ClientOp* op;
+  if (free_client_ops_.empty()) {
+    client_ops_.push_back(std::make_unique<ClientOp>());
+    op = client_ops_.back().get();
+  } else {
+    op = free_client_ops_.back();
+    free_client_ops_.pop_back();
+  }
   op->is_write = is_write;
   op->key = key;
   op->value = std::move(value);
   op->done = std::move(done);
+  op->attempt = 0;
   op->started = deps_.clock->Now();
   op->deadline_at = op->started + kRequestDeadline;
+  op->history_id = 0;
   switch (deps_.config.consistency) {
     case KvConsistency::kOne:
       ++stats_.ops_one;
@@ -89,10 +98,10 @@ void KvService::Submit(bool is_write, uint64_t key, std::string value, DoneFn do
     op->history_id = deps_.history->RecordIssued(deps_.self, is_write, key,
                                                  op->value, op->started);
   }
-  Attempt(std::move(op));
+  Attempt(op);
 }
 
-void KvService::Attempt(std::shared_ptr<ClientOp> op) {
+void KvService::Attempt(ClientOp* op) {
   ++op->attempt;
   if (down_) {
     Conclude(op, KvOutcome::kUnavailable, "");
@@ -104,15 +113,10 @@ void KvService::Attempt(std::shared_ptr<ClientOp> op) {
   if (timeout.nanos() < 1) {
     timeout = VirtualDuration::Nanos(1);
   }
-  StartOp(op,
-          [this, op](KvOutcome outcome, std::string value) {
-            OnAttemptDone(op, outcome, std::move(value));
-          },
-          timeout);
+  StartOp(op, timeout);
 }
 
-void KvService::OnAttemptDone(const std::shared_ptr<ClientOp>& op, KvOutcome outcome,
-                              std::string value) {
+void KvService::OnAttemptDone(ClientOp* op, KvOutcome outcome, std::string value) {
   if (outcome == KvOutcome::kOk) {
     Conclude(op, outcome, std::move(value));
     return;
@@ -135,8 +139,7 @@ void KvService::OnAttemptDone(const std::shared_ptr<ClientOp>& op, KvOutcome out
   deps_.clock->ScheduleAfter(backoff, [this, op] { Attempt(op); });
 }
 
-void KvService::Conclude(const std::shared_ptr<ClientOp>& op, KvOutcome outcome,
-                         std::string value) {
+void KvService::Conclude(ClientOp* op, KvOutcome outcome, std::string value) {
   switch (outcome) {
     case KvOutcome::kOk:
       ++stats_.ok;
@@ -152,61 +155,67 @@ void KvService::Conclude(const std::shared_ptr<ClientOp>& op, KvOutcome outcome,
       break;
   }
   if (deps_.history != nullptr) {
-    if (op->is_write && outcome == KvOutcome::kOk) {
-      deps_.history->RecordWriteAcked(op->history_id, op->write_timestamp,
-                                      op->ackers);
-    }
     deps_.history->RecordConcluded(op->history_id, outcome, value,
                                    deps_.clock->Now());
   }
-  if (op->done) {
-    op->done(outcome, std::move(value));
+  // Recycled before the callback, which may submit the client's next request.
+  DoneFn done = std::move(op->done);
+  op->done = nullptr;
+  free_client_ops_.push_back(op);
+  if (done) {
+    done(outcome, std::move(value));
   }
 }
 
-void KvService::StartOp(const std::shared_ptr<ClientOp>& op, DoneFn attempt_done,
-                        VirtualDuration timeout) {
+void KvService::StartOp(ClientOp* op, VirtualDuration timeout) {
   const bool is_write = op->is_write;
   const uint64_t key = op->key;
   if (deps_.ring->num_entries() == 0) {
-    attempt_done(KvOutcome::kUnavailable, "");
+    OnAttemptDone(op, KvOutcome::kUnavailable, "");
     return;
   }
-  std::vector<NodeId> replicas = deps_.ring->NaturalEndpointsForKey(
-      KvTokenForKey(key), deps_.replication_factor);
-  std::vector<NodeId> live;
-  std::vector<NodeId> dead;
-  for (NodeId replica : replicas) {
+  std::vector<NodeId> live = std::move(live_scratch_);
+  std::vector<NodeId> dead = std::move(dead_scratch_);
+  deps_.ring->NaturalEndpointsForKey(KvTokenForKey(key), deps_.replication_factor,
+                                     &live);
+  dead.clear();
+  size_t num_live = 0;
+  for (NodeId replica : live) {
     if (replica == deps_.self || deps_.gossiper->IsAlive(replica)) {
-      live.push_back(replica);
+      live[num_live++] = replica;
     } else {
       dead.push_back(replica);
     }
   }
+  live.resize(num_live);
   if (static_cast<int>(live.size()) < RequiredAcks()) {
+    live_scratch_ = std::move(live);
+    dead_scratch_ = std::move(dead);
     // The §2 user impact: replicas convicted by the flapping failure
     // detector are skipped, so the operation cannot reach its ack threshold.
-    attempt_done(KvOutcome::kUnavailable, "");
+    OnAttemptDone(op, KvOutcome::kUnavailable, "");
     return;
   }
 
-  uint64_t op_id = next_op_++;
-  InFlight& inflight = inflight_[op_id];
-  inflight.client = op;
-  inflight.is_write = is_write;
-  inflight.key = key;
-  inflight.needed = RequiredAcks();
-  inflight.outstanding = static_cast<int>(live.size());
-  inflight.targets = live;
-  inflight.started = deps_.clock->Now();
-  inflight.done = std::move(attempt_done);
-  inflight.timeout_timer = deps_.clock->ScheduleAfter(timeout, [this, op_id] {
-    auto it = inflight_.find(op_id);
-    if (it == inflight_.end()) {
+  auto [op_id, inflight] = inflight_.Insert();
+  inflight->client = op;
+  inflight->is_write = is_write;
+  inflight->key = key;
+  inflight->acks = 0;
+  inflight->needed = RequiredAcks();
+  inflight->outstanding = static_cast<int>(live.size());
+  inflight->targets.assign(live.begin(), live.end());
+  inflight->ack_from.clear();
+  inflight->read_versions.clear();
+  inflight->read_value.clear();
+  inflight->read_timestamp = -1;
+  inflight->timeout_timer = deps_.clock->ScheduleAfter(timeout, [this, op_id] {
+    InFlight* timed_out = inflight_.Find(op_id);
+    if (timed_out == nullptr) {
       return;
     }
-    it->second.timeout_timer = kInvalidTimer;
-    Finish(op_id, KvOutcome::kTimeout, "");
+    timed_out->timeout_timer = kInvalidTimer;
+    Finish(op_id, KvOutcome::kTimeout);
   });
 
   // Hybrid timestamp: virtual time in the high bits, coordinator id in the
@@ -217,43 +226,39 @@ void KvService::StartOp(const std::shared_ptr<ClientOp>& op, DoneFn attempt_done
       clock_counter_ + 1, deps_.clock->Now().nanos() * 1024 +
                               (static_cast<int64_t>(deps_.self) & 1023));
   int64_t timestamp = clock_counter_;
+  inflight->timestamp = timestamp;
   if (is_write) {
-    op->write_timestamp = timestamp;
     // Hinted handoff: the write is proceeding without the convicted
     // replicas, so remember their copy for replay when they come back.
     for (NodeId replica : dead) {
       QueueHint(replica, key, op->value, timestamp);
     }
   }
+  std::shared_ptr<KvRequestPayload> req = NewRequest();
+  req->op_id = op_id;
+  req->key = key;
+  req->value = op->value;
+  req->timestamp = timestamp;
+  std::shared_ptr<const Payload> payload = std::move(req);
+  // On an inline stage the local replica's ack can Finish this attempt (and
+  // conclude the request) inside the loop, so past this point neither `op`
+  // nor the slot is read: the loop runs over its own copy of the targets.
   for (NodeId replica : live) {
-    auto req = std::make_shared<KvRequestPayload>();
-    req->op_id = op_id;
-    req->key = key;
-    req->value = op->value;
-    req->timestamp = timestamp;
-    if (replica == deps_.self) {
-      // Local replica: apply on our own stage without the network hop.
-      Message self_msg;
-      self_msg.from = deps_.self;
-      self_msg.to = deps_.self;
-      self_msg.type = is_write ? kKvWriteReq : kKvReadReq;
-      self_msg.payload = req;
-      HandleMessage(self_msg);
-    } else {
-      deps_.transport->Send(deps_.self, replica, is_write ? kKvWriteReq : kKvReadReq,
-                          std::move(req));
-    }
+    SendTo(replica, is_write ? kKvWriteReq : kKvReadReq, payload);
   }
+  live_scratch_ = std::move(live);
+  dead_scratch_ = std::move(dead);
 }
 
 void KvService::HandleMessage(const Message& msg) {
   switch (msg.type) {
     case kKvWriteReq: {
       auto req = std::static_pointer_cast<const KvRequestPayload>(msg.payload);
-      NodeId coordinator = msg.from;
+      const NodeId coordinator = msg.from;
+      const uint64_t op_id = req->op_id;
       deps_.stage->Submit(
           "kv.write-replica",
-          [this, req] {
+          [this, req = std::move(req)] {
             WorkUnits work = storage_->Put(req->key, req->value, req->timestamp);
             if (deps_.config.wal) {
               // Sequential append: cheap relative to the memtable insert.
@@ -267,11 +272,11 @@ void KvService::HandleMessage(const Message& msg) {
             }
             return work;
           },
-          [this, req, coordinator] {
-            const bool fire_and_forget = req->op_id == 0;
+          [this, op_id, coordinator] {
+            const bool fire_and_forget = op_id == 0;
             if (!deps_.config.wal) {
               if (!fire_and_forget) {
-                SendWriteAck(coordinator, req->op_id);
+                SendWriteAck(coordinator, op_id);
               }
             } else {
               if (!fire_and_forget) {
@@ -279,9 +284,9 @@ void KvService::HandleMessage(const Message& msg) {
                   // PLANTED BUG: acking here, before the group commit, is
                   // the ack-before-fsync mistake — a crash inside the sync
                   // window silently loses an acknowledged write.
-                  SendWriteAck(coordinator, req->op_id);
+                  SendWriteAck(coordinator, op_id);
                 } else {
-                  pending_acks_.push_back(PendingAck{coordinator, req->op_id});
+                  pending_acks_.push_back(PendingAck{coordinator, op_id});
                 }
               }
               ScheduleWalSync();
@@ -291,36 +296,27 @@ void KvService::HandleMessage(const Message& msg) {
       break;
     }
     case kKvReadReq: {
-      auto req = std::static_pointer_cast<const KvRequestPayload>(msg.payload);
-      NodeId coordinator = msg.from;
-      auto value = std::make_shared<std::optional<std::string>>();
-      auto version = std::make_shared<int64_t>(0);
+      const auto& req = static_cast<const KvRequestPayload&>(*msg.payload);
+      const NodeId coordinator = msg.from;
+      const uint64_t key = req.key;
+      // One response, filled by the storage read and sent when it is done.
+      std::shared_ptr<KvResponsePayload> resp = NewResponse();
+      resp->op_id = req.op_id;
+      resp->ack = true;
       deps_.stage->Submit(
           "kv.read-replica",
-          [this, req, value, version] {
+          [this, resp, key] {
             WorkUnits work = 0;
-            *value = storage_->Get(req->key, &work);
-            *version = storage_->TimestampOf(req->key);
+            std::optional<std::string> value = storage_->Get(key, &work);
+            resp->found = value.has_value();
+            resp->timestamp = storage_->TimestampOf(key);
+            if (value.has_value()) {
+              resp->value = *std::move(value);
+            }
             return work;
           },
-          [this, req, coordinator, value, version] {
-            auto resp = std::make_shared<KvResponsePayload>();
-            resp->op_id = req->op_id;
-            resp->ack = true;
-            resp->found = value->has_value();
-            resp->timestamp = *version;
-            resp->value = value->value_or("");
-            if (coordinator == deps_.self) {
-              Message self_msg;
-              self_msg.from = deps_.self;
-              self_msg.to = deps_.self;
-              self_msg.type = kKvReadResp;
-              self_msg.payload = resp;
-              HandleMessage(self_msg);
-            } else {
-              deps_.transport->Send(deps_.self, coordinator, kKvReadResp,
-                                    std::move(resp));
-            }
+          [this, resp, coordinator] {
+            SendTo(coordinator, kKvReadResp, resp);
           });
       break;
     }
@@ -335,7 +331,7 @@ void KvService::HandleMessage(const Message& msg) {
       auto req = std::static_pointer_cast<const KvRequestPayload>(msg.payload);
       deps_.stage->Submit(
           "kv.repair-apply",
-          [this, req] {
+          [this, req = std::move(req)] {
             // TimestampOf guard instead of a bare Put: it makes the
             // "fixed" count honest (only actual advances count) and closes
             // the memtable-shadows-flushed-run edge for the repair path.
@@ -365,31 +361,30 @@ void KvService::HandleMessage(const Message& msg) {
     }
     case kKvWriteResp:
     case kKvReadResp: {
-      auto resp = std::static_pointer_cast<const KvResponsePayload>(msg.payload);
-      auto it = inflight_.find(resp->op_id);
-      if (it == inflight_.end()) {
+      const auto& resp = static_cast<const KvResponsePayload&>(*msg.payload);
+      InFlight* op = inflight_.Find(resp.op_id);
+      if (op == nullptr) {
         return;  // already finished, or a fire-and-forget (op_id 0) ack
       }
-      InFlight& op = it->second;
-      --op.outstanding;
-      if (resp->ack) {
-        ++op.acks;
-        op.ack_from.push_back(msg.from);
-        if (!op.is_write) {
-          op.read_versions.emplace_back(msg.from,
-                                        resp->found ? resp->timestamp : 0);
+      --op->outstanding;
+      if (resp.ack) {
+        ++op->acks;
+        op->ack_from.push_back(msg.from);
+        if (!op->is_write) {
+          op->read_versions.emplace_back(msg.from,
+                                         resp.found ? resp.timestamp : 0);
         }
         // Quorum read resolution: the newest version wins (last-write-wins
         // by coordinator timestamp, as the write path orders them).
-        if (resp->found && resp->timestamp > op.read_timestamp) {
-          op.read_timestamp = resp->timestamp;
-          op.read_value = resp->value;
+        if (resp.found && resp.timestamp > op->read_timestamp) {
+          op->read_timestamp = resp.timestamp;
+          op->read_value = resp.value;
         }
       }
-      if (op.acks >= op.needed) {
-        Finish(resp->op_id, KvOutcome::kOk, op.read_value);
-      } else if (op.outstanding == 0) {
-        Finish(resp->op_id, KvOutcome::kTimeout, "");
+      if (op->acks >= op->needed) {
+        Finish(resp.op_id, KvOutcome::kOk);
+      } else if (op->outstanding == 0) {
+        Finish(resp.op_id, KvOutcome::kTimeout);
       }
       break;
     }
@@ -398,44 +393,61 @@ void KvService::HandleMessage(const Message& msg) {
   }
 }
 
-void KvService::Finish(uint64_t op_id, KvOutcome outcome, std::string value) {
-  auto it = inflight_.find(op_id);
-  CHECK(it != inflight_.end());
-  InFlight op = std::move(it->second);
-  inflight_.erase(it);
-  if (op.timeout_timer != kInvalidTimer) {
-    deps_.clock->CancelTimer(op.timeout_timer);
+void KvService::Finish(uint64_t op_id, KvOutcome outcome) {
+  InFlight* op = inflight_.Find(op_id);
+  CHECK(op != nullptr);
+  if (op->timeout_timer != kInvalidTimer) {
+    deps_.clock->CancelTimer(op->timeout_timer);
   }
+  ClientOp* client = op->client;
+  std::string value;
   if (outcome == KvOutcome::kOk) {
-    if (op.is_write) {
+    if (op->is_write) {
       // The durability audit trail: which replicas this ack rests on.
-      op.client->ackers = op.ack_from;
+      if (deps_.history != nullptr) {
+        deps_.history->RecordWriteAcked(client->history_id, op->timestamp,
+                                        op->ack_from);
+      }
     } else {
-      MaybeReadRepair(op);
+      MaybeReadRepair(*op);
+      value = std::move(op->read_value);
     }
   }
+  // The slot is free before the callback, which may start a new attempt.
+  inflight_.Erase(op_id);
   // Outcome accounting happens at the client-request layer (Conclude), so a
   // retried attempt's failure is not double-counted.
-  if (op.done) {
-    op.done(outcome, std::move(value));
+  OnAttemptDone(client, outcome, std::move(value));
+}
+
+std::shared_ptr<KvRequestPayload> KvService::NewRequest() {
+  return deps_.payloads != nullptr ? deps_.payloads->request.Acquire()
+                                   : std::make_shared<KvRequestPayload>();
+}
+
+std::shared_ptr<KvResponsePayload> KvService::NewResponse() {
+  return deps_.payloads != nullptr ? deps_.payloads->response.Acquire()
+                                   : std::make_shared<KvResponsePayload>();
+}
+
+void KvService::SendTo(NodeId to, int type, std::shared_ptr<const Payload> payload) {
+  if (to == deps_.self) {
+    Message self_msg;
+    self_msg.from = deps_.self;
+    self_msg.to = deps_.self;
+    self_msg.type = type;
+    self_msg.payload = std::move(payload);
+    HandleMessage(self_msg);
+  } else {
+    deps_.transport->Send(deps_.self, to, type, std::move(payload));
   }
 }
 
 void KvService::SendWriteAck(NodeId coordinator, uint64_t op_id) {
-  auto resp = std::make_shared<KvResponsePayload>();
+  std::shared_ptr<KvResponsePayload> resp = NewResponse();
   resp->op_id = op_id;
   resp->ack = true;
-  if (coordinator == deps_.self) {
-    Message self_msg;
-    self_msg.from = deps_.self;
-    self_msg.to = deps_.self;
-    self_msg.type = kKvWriteResp;
-    self_msg.payload = resp;
-    HandleMessage(self_msg);
-  } else {
-    deps_.transport->Send(deps_.self, coordinator, kKvWriteResp,
-                          std::move(resp));
-  }
+  SendTo(coordinator, kKvWriteResp, std::move(resp));
 }
 
 void KvService::ScheduleWalSync() {
@@ -458,30 +470,21 @@ void KvService::SyncWal() {
     stats_.wal_bytes += synced;
   }
   // Group commit: every write that made it into this sync acks together.
-  std::vector<PendingAck> acks;
-  acks.swap(pending_acks_);
-  for (const PendingAck& ack : acks) {
+  sending_acks_.swap(pending_acks_);
+  for (const PendingAck& ack : sending_acks_) {
     SendWriteAck(ack.coordinator, ack.op_id);
   }
+  sending_acks_.clear();
 }
 
 void KvService::SendReplicaWrite(NodeId target, uint64_t key,
                                  const std::string& value, int64_t timestamp) {
-  auto req = std::make_shared<KvRequestPayload>();
+  std::shared_ptr<KvRequestPayload> req = NewRequest();
   req->op_id = 0;  // fire-and-forget: the replica's ack finds no in-flight op
   req->key = key;
   req->value = value;
   req->timestamp = timestamp;
-  if (target == deps_.self) {
-    Message self_msg;
-    self_msg.from = deps_.self;
-    self_msg.to = deps_.self;
-    self_msg.type = kKvWriteReq;
-    self_msg.payload = req;
-    HandleMessage(self_msg);
-  } else {
-    deps_.transport->Send(deps_.self, target, kKvWriteReq, std::move(req));
-  }
+  SendTo(target, kKvWriteReq, std::move(req));
 }
 
 void KvService::QueueHint(NodeId target, uint64_t key, const std::string& value,
@@ -581,22 +584,27 @@ void KvService::MaybeReadRepair(const InFlight& op) {
 void KvService::StreamRepairKeys(
     NodeId target, std::vector<std::pair<uint64_t, int64_t>> keys,
     std::function<void(int64_t, int64_t)> done) {
-  auto items = std::make_shared<std::vector<std::pair<uint64_t, int64_t>>>(
-      std::move(keys));
-  auto payloads =
-      std::make_shared<std::vector<std::shared_ptr<KvRequestPayload>>>();
+  // One shared state keeps both stage closures small enough to stay inline.
+  struct Stream {
+    std::vector<std::pair<uint64_t, int64_t>> items;
+    std::vector<std::shared_ptr<KvRequestPayload>> payloads;
+    std::function<void(int64_t, int64_t)> done;
+  };
+  auto stream = std::make_shared<Stream>();
+  stream->items = std::move(keys);
+  stream->done = std::move(done);
   deps_.stage->Submit(
       "kv.repair-stream",
-      [this, items, payloads] {
+      [this, stream] {
         WorkUnits work = 0;
-        for (const auto& [key, ts] : *items) {
+        for (const auto& [key, ts] : stream->items) {
           WorkUnits read_work = 0;
           auto value = storage_->Get(key, &read_work);
           work += read_work + 20;
           if (!value.has_value()) {
             continue;  // the tree was ahead of storage; nothing to send
           }
-          auto req = std::make_shared<KvRequestPayload>();
+          std::shared_ptr<KvRequestPayload> req = NewRequest();
           req->op_id = 0;  // fire-and-forget, like hint replay
           req->key = key;
           req->value = *std::move(value);
@@ -604,25 +612,25 @@ void KvService::StreamRepairKeys(
           // landed since the hashes were compared, the newer version is the
           // better repair and LWW keeps it correct either way.
           req->timestamp = storage_->TimestampOf(key);
-          payloads->push_back(std::move(req));
+          stream->payloads.push_back(std::move(req));
         }
         return work;
       },
-      [this, target, payloads, done = std::move(done)] {
+      [this, target, stream] {
         if (down_) {
-          if (done) {
-            done(0, 0);
+          if (stream->done) {
+            stream->done(0, 0);
           }
           return;
         }
         int64_t bytes = 0;
-        for (auto& req : *payloads) {
+        for (auto& req : stream->payloads) {
           bytes += static_cast<int64_t>(req->SizeBytes());
           deps_.transport->Send(deps_.self, target, kKvRepairStreamWrite,
                                 std::move(req));
         }
-        if (done) {
-          done(bytes, static_cast<int64_t>(payloads->size()));
+        if (stream->done) {
+          stream->done(bytes, static_cast<int64_t>(stream->payloads.size()));
         }
       });
 }

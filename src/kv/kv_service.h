@@ -27,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,10 +34,12 @@
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/gossip/gossiper.h"
+#include "src/kv/inflight_table.h"
 #include "src/kv/kv_config.h"
 #include "src/kv/storage_engine.h"
 #include "src/kv/wal.h"
 #include "src/ring/token_ring.h"
+#include "src/sim/payload_pool.h"
 #include "src/transport/substrate.h"
 
 namespace scalecheck {
@@ -65,6 +66,8 @@ enum KvMessageType : int {
   kKvReadResp = 13,
 };
 
+// One request per coordinator attempt, shared by every replica it goes to
+// (payloads are immutable once sent).
 struct KvRequestPayload : public Payload {
   uint64_t op_id = 0;
   uint64_t key = 0;
@@ -72,6 +75,13 @@ struct KvRequestPayload : public Payload {
   int64_t timestamp = 0;
 
   size_t SizeBytes() const override { return 48 + value.size(); }
+  // PayloadPool recycling hook: empty the content, keep the capacity.
+  void Clear() {
+    op_id = 0;
+    key = 0;
+    value.clear();
+    timestamp = 0;
+  }
 };
 
 struct KvResponsePayload : public Payload {
@@ -85,6 +95,27 @@ struct KvResponsePayload : public Payload {
   std::string value;      // reads only
 
   size_t SizeBytes() const override { return 24 + value.size(); }
+  // PayloadPool recycling hook: empty the content, keep the capacity.
+  void Clear() {
+    op_id = 0;
+    ack = false;
+    found = false;
+    timestamp = 0;
+    value.clear();
+  }
+};
+
+// The recycled KV payloads of one simulated cluster, shared by its nodes as
+// GossipPayloadPools are (src/cluster/cluster.h). A payload goes back to its
+// pool when the replica's stage job, or the coordinator's response handling,
+// lets go of it. Each pool parks up to `max_parked`; the cluster passes its
+// node count, enough for the acks one group commit releases at once.
+struct KvPayloadPools {
+  explicit KvPayloadPools(size_t max_parked = PayloadPool<KvRequestPayload>::kMaxParked)
+      : request(max_parked), response(max_parked) {}
+
+  PayloadPool<KvRequestPayload> request;
+  PayloadPool<KvResponsePayload> response;
 };
 
 enum class KvOutcome : int {
@@ -174,6 +205,11 @@ class KvService {
     // Client-op history sink for the invariant checker (null = off). Shared
     // by every coordinator in the run; single-threaded within a simulation.
     KvHistory* history = nullptr;
+    // Recycled request/response payloads (the simulated cluster's). Null:
+    // each payload is a fresh make_shared — what the real carrier passes,
+    // since a PayloadPool is single-threaded and its nodes send from many
+    // threads.
+    KvPayloadPools* payloads = nullptr;
   };
 
   explicit KvService(Deps deps);
@@ -216,6 +252,8 @@ class KvService {
   int64_t hint_queue_depth() const { return total_hints_; }
   // Null when repair is disabled.
   const AntiEntropy* repair() const { return repair_.get(); }
+  // Coordinator attempts awaiting their replicas' responses.
+  size_t inflight_attempts() const { return inflight_.size(); }
 
   // Swaps in a (typically subclassed, deliberately broken) storage engine.
   // Test-only: the replica path loses whatever the old engine held.
@@ -224,7 +262,8 @@ class KvService {
   }
 
  private:
-  // One client request, carried across attempts.
+  // One client request, carried across attempts. Recycled through
+  // free_client_ops_ once concluded.
   struct ClientOp {
     bool is_write = false;
     uint64_t key = 0;
@@ -234,16 +273,17 @@ class KvService {
     VirtualTime started;
     VirtualTime deadline_at;
     uint64_t history_id = 0;  // KvHistory record, when recording is on
-    // Filled by the successful attempt: the write's hybrid timestamp and the
-    // replicas that acked it — what the kv-durability invariant audits.
-    int64_t write_timestamp = 0;
-    std::vector<NodeId> ackers;
   };
 
+  // One replication attempt, in a slot of inflight_ that later attempts
+  // reuse (the vectors and the read buffer keep their capacity).
   struct InFlight {
-    std::shared_ptr<ClientOp> client;
+    ClientOp* client = nullptr;
     bool is_write = false;
     uint64_t key = 0;
+    // The attempt's hybrid timestamp: on an OK write, what the kv-durability
+    // invariant audits its ackers for.
+    int64_t timestamp = 0;
     int acks = 0;
     int needed = 0;
     int outstanding = 0;
@@ -254,8 +294,6 @@ class KvService {
     std::vector<std::pair<NodeId, int64_t>> read_versions;
     std::string read_value;
     int64_t read_timestamp = -1;  // newest replica version seen so far
-    VirtualTime started;
-    DoneFn done;
     TimerId timeout_timer = kInvalidTimer;
   };
 
@@ -272,20 +310,24 @@ class KvService {
   };
 
   void Submit(bool is_write, uint64_t key, std::string value, DoneFn done);
-  void Attempt(std::shared_ptr<ClientOp> op);
-  void OnAttemptDone(const std::shared_ptr<ClientOp>& op, KvOutcome outcome,
-                     std::string value);
-  void Conclude(const std::shared_ptr<ClientOp>& op, KvOutcome outcome,
-                std::string value);
+  void Attempt(ClientOp* op);
+  void OnAttemptDone(ClientOp* op, KvOutcome outcome, std::string value);
+  // Reports the outcome, recycles `op` and then calls its client back.
+  void Conclude(ClientOp* op, KvOutcome outcome, std::string value);
 
-  // One replication attempt; `attempt_done` fires exactly once with the outcome.
-  void StartOp(const std::shared_ptr<ClientOp>& op, DoneFn attempt_done,
-               VirtualDuration timeout);
-  void Finish(uint64_t op_id, KvOutcome outcome, std::string value);
+  // One replication attempt; it ends in exactly one OnAttemptDone(op, ...).
+  void StartOp(ClientOp* op, VirtualDuration timeout);
+  // Ends attempt `op_id`: the read's winning value on kOk, "" otherwise.
+  void Finish(uint64_t op_id, KvOutcome outcome);
   int RequiredAcks() const {
     return KvRequiredAcks(deps_.config.consistency, deps_.replication_factor);
   }
 
+  std::shared_ptr<KvRequestPayload> NewRequest();
+  std::shared_ptr<KvResponsePayload> NewResponse();
+  // Sends to `to` over the transport, or hands a message to self straight to
+  // HandleMessage (the local replica, without the network hop).
+  void SendTo(NodeId to, int type, std::shared_ptr<const Payload> payload);
   // Replica-side ack transmission (deferred to group commit unless the WAL is
   // off or the planted bug acks early).
   void SendWriteAck(NodeId coordinator, uint64_t op_id);
@@ -322,10 +364,20 @@ class KvService {
   Rng retry_rng_;
   Rng repair_rng_;
   bool down_ = false;
-  std::unordered_map<uint64_t, InFlight> inflight_;
-  uint64_t next_op_ = 1;
-  // Write acks withheld until the next group-commit sync.
+  // Every ClientOp this coordinator has made, and the concluded ones free
+  // for the next request.
+  std::vector<std::unique_ptr<ClientOp>> client_ops_;
+  std::vector<ClientOp*> free_client_ops_;
+  InflightTable<InFlight> inflight_;
+  // StartOp's replica lists, lent to one call at a time: a StartOp reentered
+  // from a synchronous Finish (an inline stage) finds them empty and grows
+  // its own.
+  std::vector<NodeId> live_scratch_;
+  std::vector<NodeId> dead_scratch_;
+  // Write acks withheld until the next group-commit sync, and the batch the
+  // running sync is sending (kept for its capacity).
   std::vector<PendingAck> pending_acks_;
+  std::vector<PendingAck> sending_acks_;
   TimerId wal_sync_timer_ = kInvalidTimer;
   // Hinted-handoff queue, per dead target. std::map for deterministic
   // iteration; bounded by deps_.config.hint_limit across all targets.

@@ -92,8 +92,7 @@ class SerializedClock final : public Clock {
 // simulator, where stage jobs of one node never interleave.
 class RealStage final : public Stage {
  public:
-  void Submit(const char* label, std::function<WorkUnits()> op,
-              std::function<void()> done) override {
+  void Submit(const char* label, OpFn op, DoneFn done) override {
     (void)label;
     op();
     done();

@@ -249,6 +249,7 @@ std::shared_ptr<TcpTransport::Conn> TcpTransport::GetConn(NodeId from, NodeId to
 void TcpTransport::SetLinkFilter(LinkFilterFn filter) {
   std::lock_guard<std::mutex> lock(filter_mu_);
   link_filter_ = std::move(filter);
+  filter_installed_.store(static_cast<bool>(link_filter_), std::memory_order_release);
 }
 
 void TcpTransport::SeverConnsTo(NodeId node) {
@@ -259,7 +260,9 @@ void TcpTransport::SeverConnsTo(NodeId node) {
 uint64_t TcpTransport::Send(NodeId from, NodeId to, int type,
                             std::shared_ptr<const Payload> payload) {
   sent_.fetch_add(1);
-  {
+  // A filter installed before this send began is seen here; one installed
+  // while the send runs may or may not apply, as with the lock alone.
+  if (filter_installed_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(filter_mu_);
     if (link_filter_) {
       LinkFault fault = link_filter_(from, to);

@@ -116,9 +116,12 @@ class TcpTransport final : public Transport, public LinkFilterHost {
   std::atomic<uint64_t> bytes_{0};
 
   // Link-filter state; filter_mu_ also serializes the loss rng (loss draws
-  // are rare — only while a degrade fault is active).
+  // are rare — only while a degrade fault is active). filter_installed_ is
+  // written under filter_mu_ and says whether link_filter_ is set, so a send
+  // with no filter installed (the fault-free case) takes no lock.
   std::mutex filter_mu_;
   LinkFilterFn link_filter_;
+  std::atomic<bool> filter_installed_{false};
   Rng loss_rng_{0x10557e57ULL};
 };
 

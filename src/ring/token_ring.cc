@@ -74,11 +74,20 @@ size_t TokenRing::OwnerIndex(Token key) const {
 }
 
 std::vector<NodeId> TokenRing::NaturalEndpointsForKey(Token key, int rf) const {
-  CHECK_GT(rf, 0);
   std::vector<NodeId> replicas;
+  NaturalEndpointsForKey(key, rf, &replicas);
+  return replicas;
+}
+
+void TokenRing::NaturalEndpointsForKey(Token key, int rf,
+                                       std::vector<NodeId>* out) const {
+  CHECK_GT(rf, 0);
+  std::vector<NodeId>& replicas = *out;
+  replicas.clear();
   if (entries_.empty()) {
-    return replicas;
+    return;
   }
+  replicas.reserve(std::min(static_cast<size_t>(rf), entries_.size()));
   size_t start = OwnerIndex(key);
   for (size_t walked = 0; walked < entries_.size(); ++walked) {
     NodeId owner = entries_[(start + walked) % entries_.size()].owner;
@@ -89,7 +98,6 @@ std::vector<NodeId> TokenRing::NaturalEndpointsForKey(Token key, int rf) const {
       }
     }
   }
-  return replicas;
 }
 
 KeyRange TokenRing::RangeOfEntry(size_t i) const {

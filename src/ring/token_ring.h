@@ -72,6 +72,9 @@ class TokenRing {
   // First `rf` distinct owners walking clockwise from the owner of `key`.
   // Returns fewer if the ring has fewer distinct nodes.
   std::vector<NodeId> NaturalEndpointsForKey(Token key, int rf) const;
+  // The same, into `*out` (cleared first), so a caller on a hot path reuses
+  // one buffer's capacity across lookups.
+  void NaturalEndpointsForKey(Token key, int rf, std::vector<NodeId>* out) const;
 
   // The key range ending at entries()[i].token.
   KeyRange RangeOfEntry(size_t i) const;

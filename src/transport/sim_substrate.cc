@@ -42,8 +42,12 @@ uint64_t SimTransport::Send(NodeId from, NodeId to, int type,
 
 SimStage::SimStage(SimThread* thread) : thread_(thread) { CHECK_NOTNULL(thread); }
 
-void SimStage::Submit(const char* label, std::function<WorkUnits()> op,
-                      std::function<void()> done) {
+// Compute and Run wrap each callable in a step closure that holds nothing
+// else, so a Stage callable that fits its own buffer fits the step's too.
+static_assert(sizeof(Stage::OpFn) <= Job::Step::kInlineBytes &&
+              sizeof(Stage::DoneFn) <= Job::Step::kInlineBytes);
+
+void SimStage::Submit(const char* label, OpFn op, DoneFn done) {
   // op runs as the Compute step's work function: if it kills the thread (a
   // crash from inside the stage), no burst starts and done never runs.
   Job job(label);

@@ -77,8 +77,7 @@ class SimStage final : public Stage {
  public:
   explicit SimStage(SimThread* thread);
 
-  void Submit(const char* label, std::function<WorkUnits()> op,
-              std::function<void()> done) override;
+  void Submit(const char* label, OpFn op, DoneFn done) override;
 
  private:
   SimThread* thread_;

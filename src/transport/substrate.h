@@ -83,15 +83,23 @@ class Transport {
 
 // A single-threaded replica-work executor: runs `op` (which returns the CPU
 // work it performed), charges that work to the carrier's notion of CPU, then
-// runs `done`. Sim mode maps this onto a SimThread Job (Run/Compute/Run —
-// the virtual CPU model stretches the burst under colocation contention);
+// runs `done`. Sim mode maps this onto a SimThread Job (Compute(op), Run(done)
+// — the virtual CPU model stretches the burst under colocation contention);
 // real mode executes inline, where the work is charged by physics.
+//
+// Both callables are move-only SmallFns holding up to 32 bytes of capture
+// inline (a `this`, a shared_ptr and one more word). Pointer-aligned, each is
+// 40 bytes, which is exactly what a Job step holds inline, so a replica job
+// whose captures fit allocates nothing on SimStage (sim_substrate.cc asserts
+// the fit). A capture over 32 bytes still works; it is boxed on the heap.
 class Stage {
  public:
+  using OpFn = SmallFn<WorkUnits(), 32, alignof(void*)>;
+  using DoneFn = SmallFn<void(), 32, alignof(void*)>;
+
   virtual ~Stage() = default;
 
-  virtual void Submit(const char* label, std::function<WorkUnits()> op,
-                      std::function<void()> done) = 0;
+  virtual void Submit(const char* label, OpFn op, DoneFn done) = 0;
 };
 
 // A repeating timer over the Clock seam: fires fn every `period` starting

@@ -2,9 +2,9 @@
 // planted left-join bug is caught as a zombie endpoint, the report is
 // deterministic, and the exit-code contract distinguishes invariant
 // violations (4) from fidelity verdicts (3). The registry is also driven
-// directly over hand-primed ProtocolNodes, so ring-ownership and
-// generation-monotonic are made to fire and the sighting aggregation
-// (first time and detail, counts) is pinned.
+// directly over hand-primed ProtocolNodes, so ring-ownership,
+// generation-monotonic and kv-durability are made to fire and the sighting
+// aggregation (first time and detail, counts) is pinned.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,8 @@
 
 #include "src/check/invariants.h"
 #include "src/cluster/protocol_node.h"
+#include "src/common/strings.h"
+#include "src/kv/kv_history.h"
 #include "src/scalecheck/bug_catalog.h"
 #include "src/scalecheck/scale_check.h"
 #include "src/sim/network.h"
@@ -380,6 +382,148 @@ class ScriptedInvariant final : public Invariant {
   size_t probe_ = 0;
   int call_ = 0;
 };
+
+// ---- kv-durability over hand-built histories ----------------------------------
+
+class NoopStage final : public Stage {
+ public:
+  void Submit(const char* /*label*/, OpFn /*op*/, DoneFn /*done*/) override {}
+};
+
+// Four KV cores whose storage engines start empty, so every acked write an
+// acker is on the hook for is a violation unless the test stores a newer
+// version. Node 3 is not started, so its obligations are skipped.
+class KvDurabilityOverCoresTest : public ::testing::Test {
+ protected:
+  static constexpr NodeId kCores = 4;
+
+  KvDurabilityOverCoresTest() {
+    config_.kv.enabled = true;
+    config_.kv.wal = true;
+    for (NodeId id = 0; id < kCores; ++id) {
+      cores_.push_back(std::make_unique<ProtocolNode>(
+          id, /*seed=*/7 + id,
+          ProtocolNode::Deps{
+              .config = &config_,
+              .transport = &transport_,
+              .clock = &clock_,
+              .host = &host_,
+              .kv_stage = &stage_,
+              .kv_charge = nullptr,
+              .kv_history = nullptr,
+          }));
+      views_.push_back(NodeView{cores_.back().get(), /*started=*/id != 3});
+    }
+    registry_.AddBuiltins();
+  }
+
+  // One concluded write of `key` acked by `ackers` at `timestamp`.
+  void AckedWrite(uint64_t key, int64_t timestamp, std::vector<NodeId> ackers,
+                  KvOutcome outcome = KvOutcome::kOk) {
+    const VirtualTime now = VirtualTime::Zero() + VirtualDuration::Millis(++clock_ms_);
+    uint64_t id = history_.RecordIssued(/*coordinator=*/0, /*is_write=*/true, key, "v", now);
+    if (outcome == KvOutcome::kOk) history_.RecordWriteAcked(id, timestamp, ackers);
+    history_.RecordConcluded(id, outcome, "", now);
+  }
+
+  void Probe() {
+    InvariantContext ctx;
+    ctx.now = VirtualTime::Zero() + VirtualDuration::Millis(++clock_ms_);
+    ctx.nodes = &views_;
+    ctx.config = &config_;
+    ctx.kv_checkable = true;
+    ctx.history = &history_;
+    registry_.Probe(ctx);
+  }
+
+  // What the (key, acker)-ordered std::map the checker used to keep
+  // reports: its first violating pair, and how many pairs violate.
+  std::pair<std::string, int64_t> Reference() const {
+    std::map<std::pair<uint64_t, NodeId>, int64_t> required;
+    for (uint64_t id : history_.conclusion_order()) {
+      const KvOpRecord& rec = history_.ops()[id];
+      if (!rec.is_write || rec.outcome != KvOutcome::kOk) continue;
+      for (NodeId acker : rec.ackers) {
+        int64_t& ts = required[{rec.key, acker}];
+        ts = std::max(ts, rec.write_timestamp);
+      }
+    }
+    std::string first;
+    int64_t violators = 0;
+    for (const auto& [key_acker, ts] : required) {
+      const auto [key, acker] = key_acker;
+      if (acker >= kCores || !views_[acker].started) continue;
+      int64_t have = cores_[acker]->kv()->storage().TimestampOf(key);
+      if (have >= ts) continue;
+      ++violators;
+      if (first.empty()) {
+        first = StrFormat(
+            "node %lld acknowledged a write of key %llu at timestamp %lld but "
+            "now holds %lld (acked write lost across crash/restart)",
+            static_cast<long long>(acker), static_cast<unsigned long long>(key),
+            static_cast<long long>(ts), static_cast<long long>(have));
+      }
+    }
+    return {first, violators};
+  }
+
+  const InvariantViolation* Durability() const {
+    for (const InvariantViolation& v : registry_.report().violations) {
+      if (v.invariant == "kv-durability") return &v;
+    }
+    return nullptr;
+  }
+
+  ClusterConfig config_;
+  Simulator sim_{1};
+  NetworkModel network_{&sim_, NetworkModel::Config{}, /*seed=*/7};
+  SimClock clock_{&sim_};
+  SimTransport transport_{&network_};
+  NullHost host_;
+  NoopStage stage_;
+  std::vector<std::unique_ptr<ProtocolNode>> cores_;
+  std::vector<NodeView> views_;
+  KvHistory history_;
+  InvariantRegistry registry_{CheckOptions{}};
+  int64_t clock_ms_ = 0;
+};
+
+TEST_F(KvDurabilityOverCoresTest, FirstViolationIsTheSmallestKeyAckerPair) {
+  // Several violators, concluded out of (key, acker) order, with repeats of
+  // a pair at older and newer timestamps, an acker that is not running (3),
+  // one past the node table (9), a failed write, and one pair whose acker
+  // holds a newer version.
+  AckedWrite(/*key=*/50, 500, {2, 1});
+  AckedWrite(/*key=*/7, 700, {3, 2});
+  AckedWrite(/*key=*/7, 650, {2, 0});
+  AckedWrite(/*key=*/7, 900, {1, 9});
+  AckedWrite(/*key=*/3, 300, {0}, KvOutcome::kTimeout);
+  AckedWrite(/*key=*/12, 120, {0, 1});
+  cores_[0]->kv()->storage().Put(12, "newer", 200);
+  Probe();
+  auto [first, violators] = Reference();
+  const InvariantViolation* v = Durability();
+  ASSERT_NE(v, nullptr) << registry_.report().ToJson();
+  EXPECT_EQ(v->detail, first);
+  EXPECT_EQ(v->detail,
+            "node 0 acknowledged a write of key 7 at timestamp 650 but now "
+            "holds 0 (acked write lost across crash/restart)");
+  EXPECT_EQ(v->count, violators);
+  EXPECT_EQ(violators, 6);  // (7,0) (7,1) (7,2) (12,1) (50,1) (50,2): not (12,0)
+
+  // A later probe merges new obligations (a smaller key, a newer timestamp
+  // for a known pair) into the sorted ones: every violator counts again,
+  // and the first sighting's detail stays.
+  AckedWrite(/*key=*/2, 20, {2});
+  AckedWrite(/*key=*/7, 1000, {0});
+  Probe();
+  auto [first_now, violators_now] = Reference();
+  EXPECT_EQ(first_now,
+            "node 2 acknowledged a write of key 2 at timestamp 20 but now "
+            "holds 0 (acked write lost across crash/restart)");
+  EXPECT_EQ(v->detail, first);
+  EXPECT_EQ(v->count, violators + violators_now);
+}
 
 TEST(InvariantRegistryTest, FirstSightingWinsTimeAndDetailLaterOnesCount) {
   InvariantRegistry registry{CheckOptions{}};

@@ -23,8 +23,7 @@ constexpr NodeId kSelf = 0;
 // Runs replica work to completion on the caller (no modelled cost).
 class InlineStage final : public Stage {
  public:
-  void Submit(const char* /*label*/, std::function<WorkUnits()> op,
-              std::function<void()> done) override {
+  void Submit(const char* /*label*/, OpFn op, DoneFn done) override {
     op();
     done();
   }

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/rng.h"
 
 namespace scalecheck {
 namespace {
@@ -113,6 +116,60 @@ TEST(Crc32Test, SeedChainsIncrementalComputation) {
   EXPECT_EQ(Crc32(s + 4, 5, partial), Crc32(s, 9));
   EXPECT_NE(Crc32(s, 9), Crc32(s, 8));
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// The bytewise table loop Crc32 used before slicing-by-8, kept as the
+// reference the sliced one must match bit for bit.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t len, uint32_t seed) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLen = 4097;
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  Rng rng(0xc3c32);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len, 0))
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32Test, SlicedChainsLikeBytewise) {
+  std::vector<uint8_t> buf(1500);
+  Rng rng(0x5eed);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (int trial = 0; trial < 200; ++trial) {
+    // A random split of a random span, chained through the first part's CRC,
+    // and an arbitrary seed as a chained start.
+    const size_t begin = rng.PickIndex(64);
+    const size_t len = rng.PickIndex(buf.size() - begin);
+    const size_t split = len == 0 ? 0 : rng.PickIndex(len + 1);
+    const uint8_t* p = buf.data() + begin;
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const uint32_t head = Crc32(p, split, seed);
+    EXPECT_EQ(head, BytewiseCrc32(p, split, seed));
+    EXPECT_EQ(Crc32(p + split, len - split, head), BytewiseCrc32(p, len, seed))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/scalecheck/scale_check.h"
@@ -61,6 +62,26 @@ TEST(KvHistoryTest, ManualOpsRecordedAtIssueAndConclusion) {
   EXPECT_EQ(read.result_value, "the-value");
   // The write concluded before the read was even issued.
   EXPECT_EQ(history->conclusion_order()[0], 0u);
+}
+
+// Records live in a deque: one read through ops() stays valid while the
+// history grows (a vector would move every record on each doubling).
+TEST(KvHistoryTest, RecordsStayPutAsTheHistoryGrows) {
+  KvHistory history;
+  const uint64_t first = history.RecordIssued(/*coordinator=*/1, /*is_write=*/true,
+                                              /*key=*/5, "first", VirtualTime::Zero());
+  const KvOpRecord* record = &history.ops()[first];
+  for (uint64_t key = 0; key < 10'000; ++key) {
+    history.RecordIssued(/*coordinator=*/2, /*is_write=*/false, key, "", VirtualTime::Zero());
+  }
+  history.RecordWriteAcked(first, /*write_timestamp=*/42, {1, 2});
+  history.RecordConcluded(first, KvOutcome::kOk, "", VirtualTime::Zero());
+  ASSERT_EQ(history.size(), 10'001u);
+  EXPECT_EQ(record, &history.ops()[first]);
+  EXPECT_EQ(record->value, "first");
+  EXPECT_EQ(record->write_timestamp, 42);
+  EXPECT_EQ(record->ackers, (std::vector<NodeId>{1, 2}));
+  EXPECT_TRUE(record->concluded);
 }
 
 TEST(KvHistoryTest, DriverLoadIsCompletelyRecorded) {
