@@ -41,7 +41,8 @@
 #   6. real-mode smoke: the same protocol code on REAL localhost TCP sockets
 #      (--mode=real) must gossip an 8-node cluster to convergence under a
 #      wall-clock timeout, complete a WAL-backed quorum KV smoke (group
-#      commit over real sockets), pass the shared invariant registry with
+#      commit over real sockets) whose KvService ledger reads 16 issued,
+#      16 OK, 0 in flight and a non-zero p99, pass the shared invariant registry with
 #      the KV checks armed and more than one probe, and exit 0,
 #   7. real-mode chaos smoke: replay the islanding FaultPlan against the
 #      socket carrier (--mode=real --faults=island) — the link filter must
@@ -338,6 +339,17 @@ if [[ "$out" != *'"settled":true'* || "$out" != *'"mode":"RealNet"'* ]]; then
 fi
 if [[ "$out" != *'"kv_ok":16,'* ]]; then
   echo "FAIL: real-mode WAL-backed KV smoke did not complete 16/16 ops" >&2
+  exit 1
+fi
+# The run's KV ledger comes from the coordinators' KvService counters on both
+# carriers: every request issued is counted there, none is left in flight,
+# and the OK latencies reach the merged percentiles.
+if [[ "$out" != *'"kv_issued":16,'* || "$out" != *'"kv_inflight_at_stop":0,'* ]]; then
+  echo "FAIL: real-mode KV smoke ledger does not read 16 issued, 0 in flight" >&2
+  exit 1
+fi
+if [[ "$out" != *'"kv_latency_p99_ns":'[1-9]* ]]; then
+  echo "FAIL: real-mode KV smoke reports no OK latency" >&2
   exit 1
 fi
 if [[ "$out" == *'"kv_wal_bytes":0,'* ]]; then

@@ -48,6 +48,8 @@ std::string InvariantReport::ToJson() const {
   return w.str();
 }
 
+bool NodeView::running() const { return started && !core->crashed(); }
+
 bool KvHistoryCheckable(WorkloadKind workload, const ClusterConfig& config) {
   return (workload == WorkloadKind::kSteadyState ||
           workload == WorkloadKind::kFailover) &&
@@ -55,10 +57,6 @@ bool KvHistoryCheckable(WorkloadKind workload, const ClusterConfig& config) {
 }
 
 namespace {
-
-// Gate shared by every membership-sensitive checker: the node is running and
-// participating.
-bool Running(const NodeView& node) { return node.started && !node.core->crashed(); }
 
 // The running NORMAL nodes, in id order, whose current incarnation has been
 // NORMAL for at least `window`: dissemination among them must have
@@ -69,7 +67,7 @@ std::vector<const ProtocolNode*> StableNormal(const InvariantContext& ctx,
                                               VirtualDuration window) {
   std::vector<const ProtocolNode*> stable;
   for (const NodeView& node : *ctx.nodes) {
-    if (!Running(node) || node.core->my_status() != StatusKind::kNormal) continue;
+    if (!node.running() || node.core->my_status() != StatusKind::kNormal) continue;
     auto it = sink.tracks().find(node.core->id());
     if (it == sink.tracks().end() || !it->second.has_normal_since) continue;
     if (ctx.now < it->second.normal_since + window) continue;
@@ -90,7 +88,7 @@ class RingOwnershipInvariant : public Invariant {
     // their capacity across probes.
     size_t subjects = 0;
     for (const NodeView& subject_view : *ctx.nodes) {
-      if (!Running(subject_view) || subject_view.core->my_status() != StatusKind::kNormal) {
+      if (!subject_view.running() || subject_view.core->my_status() != StatusKind::kNormal) {
         continue;
       }
       if (subjects == truths_.size()) truths_.emplace_back();
@@ -101,7 +99,7 @@ class RingOwnershipInvariant : public Invariant {
       std::sort(truth.tokens.begin(), truth.tokens.end());
     }
     for (const NodeView& viewer_view : *ctx.nodes) {
-      if (!Running(viewer_view) || !viewer_view.core->IsSettledView()) continue;
+      if (!viewer_view.running() || !viewer_view.core->IsSettledView()) continue;
       const ProtocolNode* viewer = viewer_view.core;
       for (size_t i = 0; i < subjects; ++i) {
         const ProtocolNode* subject = truths_[i].node;
@@ -208,7 +206,7 @@ class ZombieEndpointInvariant : public Invariant {
     const VirtualDuration grace = sink->options().convergence_grace;
     for (const NodeView& target_view : *ctx.nodes) {
       const ProtocolNode* target = target_view.core;
-      if (!Running(target_view)) continue;
+      if (!target_view.running()) continue;
       StatusKind status = target->my_status();
       if (status != StatusKind::kLeft && status != StatusKind::kRemoved) {
         continue;
@@ -219,7 +217,7 @@ class ZombieEndpointInvariant : public Invariant {
       if (ctx.now < quiet + grace) continue;
       for (const NodeView& viewer_view : *ctx.nodes) {
         const ProtocolNode* viewer = viewer_view.core;
-        if (viewer == target || !Running(viewer_view) || !viewer->IsSettledView()) {
+        if (viewer == target || !viewer_view.running() || !viewer->IsSettledView()) {
           continue;
         }
         if (viewer->ring().HasNode(target->id())) {
@@ -243,7 +241,7 @@ class GenVersionMonotonicInvariant : public Invariant {
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
     for (const NodeView& viewer_view : *ctx.nodes) {
-      if (!Running(viewer_view)) continue;
+      if (!viewer_view.running()) continue;
       const ProtocolNode* viewer = viewer_view.core;
       int64_t viewer_gen =
           viewer->gossiper().LocalState().heartbeat().generation;
@@ -464,7 +462,7 @@ class KvDurabilityInvariant : public Invariant {
       const size_t acker = static_cast<size_t>(ob.acker);
       if (acker >= ctx.nodes->size()) continue;
       const NodeView& node = (*ctx.nodes)[acker];
-      if (!Running(node) || node.core->kv() == nullptr) continue;
+      if (!node.running() || node.core->kv() == nullptr) continue;
       int64_t have = node.core->kv()->storage().TimestampOf(ob.key);
       if (have < ob.timestamp) {
         sink->ReportViolation(
@@ -620,7 +618,7 @@ class ReplicaConvergenceInvariant : public Invariant {
     const double elapsed_seconds =
         static_cast<double>(ctx.now.nanos()) / 1e9;
     for (const NodeView& node : *ctx.nodes) {
-      if (!Running(node) || node.core->kv() == nullptr) continue;
+      if (!node.running() || node.core->kv() == nullptr) continue;
       const KvStats& stats = node.core->kv()->stats();
       if (RepairOverBudget(ctx.config->kv, elapsed_seconds, stats.repair_bytes_streamed,
                            stats.repair_sessions)) {
@@ -722,6 +720,19 @@ void InvariantRegistry::UpdateTracks(const InvariantContext& ctx) {
       track.left_seen_at = ctx.now;
     }
   }
+}
+
+void InvariantRegistry::ProbeNodes(VirtualTime now, const std::vector<NodeView>& nodes,
+                                   const ClusterConfig& config, WorkloadKind workload,
+                                   VirtualTime fault_quiet_at, const KvHistory* history) {
+  InvariantContext ctx;
+  ctx.now = now;
+  ctx.nodes = &nodes;
+  ctx.config = &config;
+  ctx.fault_quiet_at = fault_quiet_at;
+  ctx.kv_checkable = KvHistoryCheckable(workload, config);
+  ctx.history = history;
+  Probe(ctx);
 }
 
 void InvariantRegistry::Probe(const InvariantContext& ctx) {

@@ -116,13 +116,25 @@ struct NodeTrack {
 
 class InvariantRegistry;
 
-// One node as the invariants see it on either carrier: the protocol core
-// plus the one host fact the core lacks. A node is running iff it has
-// started and core->crashed() is false.
+// One node as the invariants and the run totals see it on either carrier:
+// the protocol core plus the one host fact the core lacks.
 struct NodeView {
   const ProtocolNode* core = nullptr;
   bool started = false;  // a joiner is not started before its join time
+
+  // Started and not crashed: participating in the protocol.
+  bool running() const;
 };
+
+// A carrier's nodes (its Node or RealNode pointers, in id order) as
+// NodeViews. The real carrier holds every node's monitor while it reads them.
+template <typename Nodes>
+std::vector<NodeView> ViewNodes(const Nodes& nodes) {
+  std::vector<NodeView> views;
+  views.reserve(nodes.size());
+  for (const auto& node : nodes) views.push_back(NodeView{&node->core(), node->started()});
+  return views;
+}
 
 // Whether the kv-history, kv-durability and replica-convergence data checks
 // are sound for this run. The workload must preserve key ownership: the
@@ -173,6 +185,12 @@ class InvariantRegistry {
 
   // Updates node tracks, then dispatches every registered invariant.
   void Probe(const InvariantContext& ctx);
+  // The probe both carriers run: `nodes` at `now`, in a run with `config`
+  // and `workload` that is quiet from `fault_quiet_at` and records its client
+  // ops into `history` (null when off).
+  void ProbeNodes(VirtualTime now, const std::vector<NodeView>& nodes,
+                  const ClusterConfig& config, WorkloadKind workload,
+                  VirtualTime fault_quiet_at, const KvHistory* history);
 
   // Aggregates into the report keyed by invariant name. The first sighting
   // of a name pins `at` and formats `fmt` into the detail; a later sighting

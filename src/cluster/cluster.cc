@@ -188,11 +188,10 @@ void Cluster::BuildDeployment() {
   }
 
   // ---- Node environment -------------------------------------------------------
-  sim_clock_ = std::make_unique<SimClock>(sim_.get());
   sim_transport_ = std::make_unique<SimTransport>(network_.get());
   env_.sim = sim_.get();
   env_.transport = sim_transport_.get();
-  env_.clock = sim_clock_.get();
+  env_.clock = sim_.get();
   env_.flaps = &flaps_;
   env_.pil = pil_.get();
   env_.config = &options_.config;
@@ -256,7 +255,7 @@ void Cluster::BuildDeployment() {
   // ---- Fault injection ---------------------------------------------------
   if (!options_.faults.empty()) {
     FaultInjector::Hooks hooks;
-    hooks.clock = sim_clock_.get();
+    hooks.clock = sim_.get();
     hooks.links = network_.get();
     hooks.trace = trace_.get();
     hooks.crash_node = [this](NodeId victim) {
@@ -473,7 +472,7 @@ RunResult Cluster::Run() {
   VirtualTime horizon = VirtualTime::Zero() + wl.horizon;
 
   // KV client load: ops against random coordinators (70% reads).
-  std::unique_ptr<PeriodicTimer> kv_driver;
+  std::unique_ptr<PeriodicClockTimer> kv_driver;
   if (options_.kv_ops_per_second > 0.0) {
     CHECK(options_.config.kv.enabled) << "kv load needs config.kv.enabled";
     kv_rng_ = std::make_unique<Rng>(Mix64(options_.config.seed ^ 0x4b56ULL));
@@ -491,7 +490,7 @@ RunResult Cluster::Run() {
     }
     VirtualDuration period =
         VirtualDuration::FromSecondsF(1.0 / options_.kv_ops_per_second);
-    kv_driver = std::make_unique<PeriodicTimer>(sim_.get(), period, [this] {
+    kv_driver = std::make_unique<PeriodicClockTimer>(sim_.get(), period, [this] {
       // Pick a running coordinator.
       for (int attempt = 0; attempt < 4; ++attempt) {
         size_t idx = kv_rng_->PickIndex(nodes_.size());
@@ -501,34 +500,18 @@ RunResult Cluster::Run() {
           continue;
         }
         uint64_t key = SampleKvKey();
-        ++kv_issued_;
-        VirtualTime issued = sim_->Now();
-        auto done = [this, issued](KvOutcome outcome, const std::string&) {
-          switch (outcome) {
-            case KvOutcome::kOk:
-              ++kv_ok_;
-              kv_latency_.AddDuration(sim_->Now() - issued);
-              break;
-            case KvOutcome::kUnavailable:
-              ++kv_unavailable_;
-              break;
-            case KvOutcome::kTimeout:
-              ++kv_timeout_;
-              break;
-          }
-        };
+        ++kv_seq_;
         if (kv_rng_->Bernoulli(0.3)) {
           // Unique per-write values (padded to kKvValueBytes) so the
           // KV history checker can attribute any read result to exactly one
           // write.
-          std::string value =
-              StrFormat("v%lld.", static_cast<long long>(kv_issued_));
+          std::string value = StrFormat("v%lld.", static_cast<long long>(kv_seq_));
           if (value.size() < kKvValueBytes) {
             value.resize(kKvValueBytes, 'v');
           }
-          coordinator->kv()->Write(key, std::move(value), done);
+          coordinator->kv()->Write(key, std::move(value), nullptr);
         } else {
-          coordinator->kv()->Read(key, done);
+          coordinator->kv()->Read(key, nullptr);
         }
         return;
       }
@@ -541,7 +524,7 @@ RunResult Cluster::Run() {
   // itself done at t=0 and stop before the chaos even starts.
   VirtualTime fault_quiet_at = VirtualTime::Zero() + options_.faults.End();
   VirtualTime stop_at = VirtualTime::Max();
-  auto checker = std::make_shared<PeriodicTimer>(
+  auto checker = std::make_shared<PeriodicClockTimer>(
       sim_.get(), VirtualDuration::Seconds(5),
       [this, &stop_at, horizon, fault_quiet_at] {
         if (!settled_ && sim_->Now() >= fault_quiet_at && WorkloadSettled()) {
@@ -557,9 +540,9 @@ RunResult Cluster::Run() {
 
   // Invariant probing on its own virtual-time cadence (deterministic model
   // inspection; no messages, no CPU charge).
-  std::unique_ptr<PeriodicTimer> invariant_timer;
+  std::unique_ptr<PeriodicClockTimer> invariant_timer;
   if (invariants_ != nullptr) {
-    invariant_timer = std::make_unique<PeriodicTimer>(
+    invariant_timer = std::make_unique<PeriodicClockTimer>(
         sim_.get(), options_.config.check.probe_period,
         [this] { ProbeInvariants(); });
     invariant_timer->Start(options_.config.check.probe_period);
@@ -608,16 +591,9 @@ void Cluster::ProbeInvariants() {
   if (invariants_ == nullptr) {
     return;
   }
-  std::vector<NodeView> view;
-  for (const auto& node : nodes_) view.push_back(NodeView{&node->core(), node->started()});
-  InvariantContext ctx;
-  ctx.now = sim_->Now();
-  ctx.nodes = &view;
-  ctx.config = &options_.config;
-  ctx.fault_quiet_at = VirtualTime::Zero() + options_.faults.End();
-  ctx.kv_checkable = KvHistoryCheckable(options_.workload.kind, options_.config);
-  ctx.history = kv_history_.get();
-  invariants_->Probe(ctx);
+  invariants_->ProbeNodes(sim_->Now(), ViewNodes(nodes_), options_.config,
+                          options_.workload.kind,
+                          VirtualTime::Zero() + options_.faults.End(), kv_history_.get());
 }
 
 void Cluster::CollectResult(RunResult* result) const {
@@ -628,15 +604,7 @@ void Cluster::CollectResult(RunResult* result) const {
 
   result->flaps = flaps_.total_flaps();
   result->flapped_pairs = flaps_.flapped_pairs();
-  for (const auto& node : nodes_) {  // id order: deterministic sums
-    if (node->crashed() || !node->started()) {
-      continue;
-    }
-    result->live_endpoints +=
-        static_cast<int64_t>(node->core().gossiper().LiveEndpointsView().size());
-    result->unreachable_endpoints +=
-        static_cast<int64_t>(node->core().gossiper().UnreachableEndpointsView().size());
-  }
+  result->FoldNodeTotals(ViewNodes(nodes_));
 
   result->test_duration = sim_->Now() - VirtualTime::Zero();
   result->settled = settled_;
@@ -722,20 +690,6 @@ void Cluster::CollectResult(RunResult* result) const {
   if (options_.memo_store != nullptr) {
     result->memo = options_.memo_store->stats();
   }
-  result->kv_issued = kv_issued_;
-  result->kv_ok = kv_ok_;
-  result->kv_unavailable = kv_unavailable_;
-  result->kv_timeout = kv_timeout_;
-  result->kv_inflight_at_stop = kv_issued_ - (kv_ok_ + kv_unavailable_ + kv_timeout_);
-  result->kv_latency_p50 = kv_latency_.PercentileDuration(50);
-  result->kv_latency_p99 = kv_latency_.PercentileDuration(99);
-  result->kv_latency_p999 = kv_latency_.PercentileDuration(99.9);
-  for (const auto& node : nodes_) {
-    if (const KvService* kv = node->kv(); kv != nullptr) {
-      result->AddKvNodeStats(kv->stats());
-    }
-  }
-
   result->messages_sent = network_->messages_sent();
   result->messages_delivered = network_->messages_delivered();
   result->events_executed = sim_->events_executed();

@@ -128,8 +128,7 @@ class Cluster {
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<MachineSet> machines_;
   std::unique_ptr<NetworkModel> network_;
-  // Substrate seam adapters the nodes actually talk through.
-  std::unique_ptr<SimClock> sim_clock_;
+  // The transport adapter the nodes send through; their clock is sim_ itself.
   std::unique_ptr<SimTransport> sim_transport_;
   FlapCounter flaps_;
   FunctionRegistry registry_;
@@ -168,15 +167,13 @@ class Cluster {
   // Fault injection (null when Options::faults is empty).
   std::unique_ptr<FaultInjector> injector_;
 
-  // KV load-driver aggregates.
+  // KV load driver. Its requests, outcomes and latencies are counted by
+  // each coordinator's KvService, not here.
   std::unique_ptr<Rng> kv_rng_;
   std::vector<double> kv_zipf_cdf_;  // built once when kv_key_dist=kZipf
   uint64_t SampleKvKey();
-  int64_t kv_issued_ = 0;
-  int64_t kv_ok_ = 0;
-  int64_t kv_unavailable_ = 0;
-  int64_t kv_timeout_ = 0;
-  LogHistogram kv_latency_{1e5, 1.5, 80};
+  // Requests issued so far; numbers the unique write values.
+  int64_t kv_seq_ = 0;
 };
 
 }  // namespace scalecheck

@@ -25,8 +25,7 @@
 // modelled CPU cost and, where the placement says so, the ring SimMutex.
 // The pending-range calculation crosses the PIL boundary: depending on the
 // run mode it executes (real/colocated/memoize) or sleeps (replay). Also
-// sim-only: MemoryModel charges, the replay order enforcer and trace
-// records. Gossip and KV payloads come from the cluster's shared pools
+// sim-only: MemoryModel charges and trace records. Gossip and KV payloads come from the cluster's shared pools
 // (Env::payloads, Env::kv_payloads), not from pools of the node's own.
 
 #ifndef SCALECHECK_SRC_CLUSTER_NODE_H_

@@ -1,8 +1,12 @@
-// RunResult rendering: the human Summary line and the stable JSON form.
+// RunResult: the end-of-run fold over the nodes, the human Summary line and
+// the stable JSON form.
 
 #include "src/cluster/run_result.h"
 
+#include <optional>
+
 #include "src/cluster/config.h"
+#include "src/cluster/protocol_node.h"
 #include "src/kv/kv_service.h"
 
 namespace scalecheck {
@@ -21,21 +25,49 @@ void WriteStat(JsonWriter* w, const std::string& key, const RunningStat& stat) {
 
 }  // namespace
 
-void RunResult::AddKvNodeStats(const KvStats& stats) {
-  kv_retries += stats.retries;
-  kv_gave_up += stats.gave_up;
-  kv_wal_bytes += stats.wal_bytes;
-  kv_hints_queued += stats.hints_queued;
-  kv_hints_replayed += stats.hints_replayed;
-  kv_hints_expired += stats.hints_expired;
-  kv_read_repairs += stats.read_repairs;
-  kv_ops_one += stats.ops_one;
-  kv_ops_quorum += stats.ops_quorum;
-  kv_ops_all += stats.ops_all;
-  kv_repair_sessions += stats.repair_sessions;
-  kv_repair_bytes_streamed += stats.repair_bytes_streamed;
-  kv_repair_keys_fixed += stats.repair_keys_fixed;
-  kv_repair_aborted += stats.repair_aborted;
+void RunResult::FoldNodeTotals(const std::vector<NodeView>& nodes) {
+  std::optional<LogHistogram> latency;
+  for (const NodeView& node : nodes) {
+    if (node.running()) {
+      const Gossiper& gossiper = node.core->gossiper();
+      live_endpoints += static_cast<int64_t>(gossiper.LiveEndpointsView().size());
+      unreachable_endpoints += static_cast<int64_t>(gossiper.UnreachableEndpointsView().size());
+    }
+    const KvService* kv = node.core->kv();
+    if (kv == nullptr) {
+      continue;
+    }
+    const KvStats& stats = kv->stats();
+    kv_issued += stats.ops_one + stats.ops_quorum + stats.ops_all;
+    kv_ok += stats.ok;
+    kv_unavailable += stats.unavailable;
+    kv_timeout += stats.timeout;
+    kv_retries += stats.retries;
+    kv_gave_up += stats.gave_up;
+    kv_wal_bytes += stats.wal_bytes;
+    kv_hints_queued += stats.hints_queued;
+    kv_hints_replayed += stats.hints_replayed;
+    kv_hints_expired += stats.hints_expired;
+    kv_read_repairs += stats.read_repairs;
+    kv_ops_one += stats.ops_one;
+    kv_ops_quorum += stats.ops_quorum;
+    kv_ops_all += stats.ops_all;
+    kv_repair_sessions += stats.repair_sessions;
+    kv_repair_bytes_streamed += stats.repair_bytes_streamed;
+    kv_repair_keys_fixed += stats.repair_keys_fixed;
+    kv_repair_aborted += stats.repair_aborted;
+    if (latency.has_value()) {
+      latency->Merge(stats.latency);
+    } else {
+      latency = stats.latency;
+    }
+  }
+  kv_inflight_at_stop = kv_issued - (kv_ok + kv_unavailable + kv_timeout);
+  if (latency.has_value()) {
+    kv_latency_p50 = latency->PercentileDuration(50);
+    kv_latency_p99 = latency->PercentileDuration(99);
+    kv_latency_p999 = latency->PercentileDuration(99.9);
+  }
 }
 
 std::string RunResult::Summary() const {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/check/invariants.h"
 #include "src/common/stats.h"
@@ -16,8 +17,6 @@
 #include "src/sim/profiler.h"
 
 namespace scalecheck {
-
-struct KvStats;
 
 struct RunResult {
   // Configuration echoes.
@@ -109,8 +108,9 @@ struct RunResult {
   int64_t kv_inflight_at_stop = 0;
   int64_t kv_retries = 0;
   int64_t kv_gave_up = 0;
-  // Client latency percentiles from the same LogHistogram on both carriers,
-  // so a repair storm's foreground impact reads off one table.
+  // Client latency percentiles of OK requests, from the per-node KvStats
+  // histograms merged, so a repair storm's foreground impact reads off one
+  // table on both carriers.
   VirtualDuration kv_latency_p50;
   VirtualDuration kv_latency_p99;
   VirtualDuration kv_latency_p999;
@@ -148,10 +148,13 @@ struct RunResult {
   bool has_profile = false;
   SimProfiler::Counters profile;
 
-  // Adds one node's replica-side KV counters (retries, WAL, hints, repair,
-  // ops by consistency level) to the run totals; both carriers call it once
-  // per node.
-  void AddKvNodeStats(const KvStats& stats);
+  // The end-of-run totals both carriers read off their protocol nodes, in id
+  // order so the sums are deterministic: live and unreachable endpoints over
+  // running nodes, and the KV ledger over every node with a KV service. Each
+  // KvService counts its own client requests, outcomes and OK latencies, so
+  // no carrier keeps a second ledger. Called once, on a result whose totals
+  // are still zero.
+  void FoldNodeTotals(const std::vector<NodeView>& nodes);
 
   std::string Summary() const;
 

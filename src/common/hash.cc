@@ -111,13 +111,6 @@ void Digest::Absorb(uint8_t tag, const void* data, size_t len) {
   }
 }
 
-Digest& Digest::AddBytes(const void* data, size_t len) {
-  uint64_t n = len;
-  Absorb(1, &n, sizeof(n));
-  Absorb(2, data, len);
-  return *this;
-}
-
 Digest& Digest::Add(int64_t v) {
   Absorb(3, &v, sizeof(v));
   return *this;

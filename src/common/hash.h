@@ -57,7 +57,6 @@ class Digest {
  public:
   Digest();
 
-  Digest& AddBytes(const void* data, size_t len);
   Digest& Add(int64_t v);
   Digest& Add(uint64_t v);
   Digest& Add(int32_t v) { return Add(static_cast<int64_t>(v)); }

@@ -69,6 +69,18 @@ void LogHistogram::Add(double value) {
   max_ = std::max(max_, value);
 }
 
+void LogHistogram::Merge(const LogHistogram& other) {
+  CHECK_EQ(base_, other.base_);
+  CHECK_EQ(growth_, other.growth_);
+  CHECK_EQ(buckets_.size(), other.buckets_.size());
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
+  count_ += other.count_;
+  sum_ += other.sum_;
+  max_ = std::max(max_, other.max_);
+}
+
 double LogHistogram::BucketUpperBound(size_t i) const {
   if (i == 0) {
     return base_;

@@ -46,6 +46,10 @@ class LogHistogram {
 
   void Add(double value);
   void AddDuration(VirtualDuration d) { Add(static_cast<double>(d.nanos())); }
+  // Adds every sample of `other`, which must have the same bucket layout.
+  // Exact: percentiles read only bucket counts and the max, so the merge
+  // answers as one histogram fed both sample sets would.
+  void Merge(const LogHistogram& other);
 
   int64_t count() const { return count_; }
   // Approximate percentile (p in [0, 100]); returns a bucket upper bound.

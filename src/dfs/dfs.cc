@@ -7,6 +7,7 @@
 #include "src/common/strings.h"
 #include "src/pil/function_registry.h"
 #include "src/sim/simulator.h"
+#include "src/transport/substrate.h"
 
 namespace scalecheck {
 
@@ -219,7 +220,7 @@ class NameNode {
   DfsResult* result_;
   SimThread handler_;  // the FSNamesystem lock: one serialized handler
   SimThread monitor_;
-  PeriodicTimer expiry_timer_;
+  PeriodicClockTimer expiry_timer_;
   std::map<NodeId, DnState> datanodes_;
   bool scan_inflight_ = false;
   bool scan_dirty_ = false;
@@ -290,8 +291,8 @@ class DataNode {
   DfsConfig config_;
   NodeId id_;
   SimThread thread_;
-  PeriodicTimer heartbeat_timer_;
-  PeriodicTimer report_timer_;
+  PeriodicClockTimer heartbeat_timer_;
+  PeriodicClockTimer report_timer_;
 };
 
 }  // namespace
@@ -369,7 +370,7 @@ DfsResult RunDfsStartup(const DfsConfig& config, DfsMode mode, MemoStore* memo) 
   VirtualTime stable_since;
   VirtualTime stop_at = VirtualTime::Max();
   VirtualTime horizon = VirtualTime::Zero() + config.horizon;
-  PeriodicTimer checker(&sim, VirtualDuration::Seconds(5), [&] {
+  PeriodicClockTimer checker(&sim, VirtualDuration::Seconds(5), [&] {
     if (!stable && namenode.Stable()) {
       stable = true;
       stable_since = sim.Now();

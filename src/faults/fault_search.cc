@@ -15,18 +15,6 @@
 
 namespace scalecheck {
 
-Result<RunMode> RunModeFromName(const std::string& name) {
-  static constexpr RunMode kModes[] = {RunMode::kRealScale, RunMode::kColocated,
-                                       RunMode::kMemoize, RunMode::kPilReplay,
-                                       RunMode::kRealSockets};
-  for (RunMode mode : kModes) {
-    if (name == RunModeName(mode)) {
-      return mode;
-    }
-  }
-  return Status(StatusCode::kInvalidArgument, "unknown run mode '" + name + "'");
-}
-
 namespace {
 
 constexpr char kReproFormat[] = "scalecheck-repro-v1";

@@ -29,10 +29,6 @@
 
 namespace scalecheck {
 
-// Strict inverse of RunModeName ("Real" / "Colo" / "Memoize" / "SC+PIL");
-// unknown names are kInvalidArgument (repro artifacts must not guess).
-Result<RunMode> RunModeFromName(const std::string& name);
-
 // The smallest cluster ChaosSearch explores and a repro artifact replays:
 // fault victims spare the seed/contact nodes 0..2 and the workload's
 // membership target n/2.

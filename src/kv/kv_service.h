@@ -165,13 +165,6 @@ struct KvStats {
   int64_t repair_retries = 0;   // hash batches re-sent after a timeout
   int64_t repair_backoffs = 0;  // scheduler yields to foreground pressure
   LogHistogram latency{/*base=*/1e5, /*growth=*/1.5, /*num_buckets=*/80};
-
-  int64_t total() const { return ok + unavailable + timeout; }
-  double UnavailableFraction() const {
-    return total() == 0 ? 0.0
-                        : static_cast<double>(unavailable + timeout) /
-                              static_cast<double>(total());
-  }
 };
 
 // One per node. The owning Node routes kKv* messages here and exposes the
@@ -181,7 +174,7 @@ class KvService {
   // KvService speaks only to the substrate seam: a Clock for timeouts and
   // backoff, a Transport for replica traffic, a Stage for charging replica
   // storage work. The same translation unit links into the simulator (via
-  // SimClock/SimTransport/SimStage) and the real-socket runner (via
+  // Simulator/SimTransport/SimStage) and the real-socket runner (via
   // RealClock/TcpTransport/RealStage) — no forked copies, no mode #ifdefs.
   struct Deps {
     Clock* clock = nullptr;
@@ -237,7 +230,6 @@ class KvService {
   // and the volatile hint queue vanish, the unsynced WAL tail is lost, and —
   // with the WAL enabled — so is the in-memory storage engine. OnRestart
   // rebuilds storage by replaying the WAL's durable prefix.
-  void SetDown(bool down) { down_ = down; }
   void OnCrash();
   void OnRestart();
 

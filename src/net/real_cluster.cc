@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/faults/fault_injector.h"
 #include "src/ring/token_ring.h"
@@ -112,16 +111,8 @@ void RealCluster::ProbeInvariants() {
     return;
   }
   std::vector<std::unique_lock<std::mutex>> held = LockAllMonitors(nodes_);
-  std::vector<NodeView> view;
-  for (const auto& node : nodes_) view.push_back(NodeView{&node->core(), node->started()});
-  InvariantContext ctx;
-  ctx.now = clock_.Now();
-  ctx.nodes = &view;
-  ctx.config = &options_.config;
-  ctx.fault_quiet_at = quiet_at_;
-  ctx.kv_checkable = KvHistoryCheckable(WorkloadKind::kSteadyState, options_.config);
-  ctx.history = kv_history_.get();
-  invariants_->Probe(ctx);
+  invariants_->ProbeNodes(clock_.Now(), ViewNodes(nodes_), options_.config,
+                          WorkloadKind::kSteadyState, quiet_at_, kv_history_.get());
 }
 
 void RealCluster::PollInvariants() {
@@ -217,8 +208,8 @@ RunResult RealCluster::Run() {
   }
 
   // Optional KV smoke: quorum writes then reads, round-robin coordinators.
-  int64_t kv_issued = 0;
-  LogHistogram kv_latency{/*base=*/1e5, /*growth=*/1.5, /*num_buckets=*/80};
+  // Each coordinator's KvService counts the requests and their outcomes; the
+  // smoke only waits for them.
   if (settled && healed && options_.config.kv.enabled && options_.kv_ops > 0) {
     std::mutex done_mu;
     std::condition_variable done_cv;
@@ -226,15 +217,12 @@ RunResult RealCluster::Run() {
     auto issue = [&](bool is_write, int i) {
       RealNode* coordinator = nodes_[static_cast<size_t>(i) % nodes_.size()].get();
       uint64_t key = static_cast<uint64_t>(i) * 7919;
-      VirtualTime started = clock_.Now();
       {
         std::lock_guard<std::mutex> lock(done_mu);
         ++outstanding;
       }
-      ++kv_issued;
-      auto done = [&, started](KvOutcome, std::string) {
+      auto done = [&](KvOutcome, std::string) {
         std::lock_guard<std::mutex> lock(done_mu);
-        kv_latency.AddDuration(clock_.Now() - started);
         --outstanding;
         done_cv.notify_all();
       };
@@ -268,13 +256,10 @@ RunResult RealCluster::Run() {
 
   VirtualTime end = clock_.Now();
   ProbeInvariants();
-  int64_t live_sum = 0;
-  int64_t unreachable_sum = 0;
-  for (const auto& node : nodes_) {
-    node->WithCore([&](const ProtocolNode& core) {
-      live_sum += static_cast<int64_t>(core.gossiper().LiveEndpointsView().size());
-      unreachable_sum += static_cast<int64_t>(core.gossiper().UnreachableEndpointsView().size());
-    });
+  RunResult result;
+  {
+    std::vector<std::unique_lock<std::mutex>> held = LockAllMonitors(nodes_);
+    result.FoldNodeTotals(ViewNodes(nodes_));
   }
   for (auto& node : nodes_) {
     node->Stop();
@@ -283,7 +268,6 @@ RunResult RealCluster::Run() {
   // but clear it so the member transport never outlives what it points at.
   transport_.SetLinkFilter(nullptr);
 
-  RunResult result;
   result.mode = RunMode::kRealSockets;
   result.num_nodes = options_.config.initial_nodes;
   result.vnodes_per_node = options_.config.vnodes_per_node;
@@ -298,8 +282,6 @@ RunResult RealCluster::Run() {
   result.messages_sent = transport_.messages_sent();
   result.messages_delivered = transport_.messages_delivered();
   result.messages_blocked = transport_.messages_blocked();
-  result.live_endpoints = live_sum;
-  result.unreachable_endpoints = unreachable_sum;
   if (injector != nullptr) {
     FaultInjector::Stats stats = injector->stats();
     result.fault_events_applied = stats.events_applied;
@@ -308,21 +290,6 @@ RunResult RealCluster::Run() {
   if (invariants_ != nullptr) {
     result.invariants = invariants_->report();
   }
-  result.kv_issued = kv_issued;
-  for (const auto& node : nodes_) {
-    KvStats stats = node->WithCore([](const ProtocolNode& core) {
-      return core.kv() == nullptr ? KvStats{} : core.kv()->stats();
-    });
-    result.kv_ok += stats.ok;
-    result.kv_unavailable += stats.unavailable;
-    result.kv_timeout += stats.timeout;
-    result.AddKvNodeStats(stats);
-  }
-  result.kv_inflight_at_stop =
-      kv_issued - (result.kv_ok + result.kv_unavailable + result.kv_timeout);
-  result.kv_latency_p50 = kv_latency.PercentileDuration(50);
-  result.kv_latency_p99 = kv_latency.PercentileDuration(99);
-  result.kv_latency_p999 = kv_latency.PercentileDuration(99.9);
   return result;
 }
 

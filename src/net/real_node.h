@@ -12,7 +12,7 @@
 // and a synchronous calculator run.
 //
 // Sim-only features have no counterpart here: PIL boundaries, payload pools,
-// memory modelling, order enforcement, crash/restart. See DESIGN.md §9.
+// memory modelling, crash/restart. See DESIGN.md §9.
 
 #ifndef SCALECHECK_SRC_NET_REAL_NODE_H_
 #define SCALECHECK_SRC_NET_REAL_NODE_H_

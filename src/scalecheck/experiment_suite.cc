@@ -138,8 +138,9 @@ SuiteReport ExperimentSuite::Run() {
   // spec alone, so parallel and serial executions agree byte-for-byte.
 
   // ---- Execute the DAG on the pool ------------------------------------------
+  // One synchronized CalcOutputCache shared by every run (host wall-clock
+  // only; see CalcOutputCache for why this preserves determinism).
   CalcOutputCache shared_cache;
-  CalcOutputCache* cache = spec_.share_output_cache ? &shared_cache : nullptr;
 
   ThreadPool pool(spec_.jobs);
   std::mutex mu;
@@ -181,7 +182,7 @@ SuiteReport ExperimentSuite::Run() {
           Cluster::Options options =
               task.bug->MakeClusterOptions(task.nodes, task.mode, task.seed);
           options.memo_store = task.store;
-          options.shared_output_cache = cache;
+          options.shared_output_cache = &shared_cache;
           options.wall_budget_seconds = budget;
           record.result = Cluster(std::move(options)).Run();
           record.attempts = attempt;

@@ -39,10 +39,6 @@ struct ExperimentSpec {
   // changes wall-clock only, never results.
   int jobs = 1;
 
-  // Share one synchronized CalcOutputCache across all runs (host wall-clock
-  // optimization; see CalcOutputCache for why this preserves determinism).
-  bool share_output_cache = true;
-
   // ---- Self-healing execution ----------------------------------------------
   // Host wall-clock budget per cell (0 disables the watchdog). A per-bug
   // BugSpec::wall_budget_seconds > 0 overrides this for that bug's cells. A

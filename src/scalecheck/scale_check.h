@@ -9,7 +9,7 @@
 // BugSpec::MakeClusterOptions is the one mapping from a spec to a deployment
 // of one scale in one of the paper's modes; every entry point builds its
 // Cluster from it. RunSingle runs that deployment as is; callers that attach
-// a memo store, order log, trace or profiler set the field on the options
+// a memo store, trace or profiler set the field on the options
 // and run Cluster(std::move(options)).Run(). For grids of runs — every
 // figure and table is one, and so is the four-mode comparison Figure 3
 // plots — use ExperimentSuite (experiment_suite.h), which fans the
@@ -77,8 +77,8 @@ struct BugSpec {
   double wall_budget_seconds = 0.0;
 
   // The deployment of n initial nodes in `mode`: configuration, workload,
-  // fault schedule and KV load. Hooks (memo store, order logs, output cache,
-  // trace, profiler, wall budget) are left for the caller to attach.
+  // fault schedule and KV load. Hooks (memo store, output cache, trace,
+  // profiler, wall budget) are left for the caller to attach.
   Cluster::Options MakeClusterOptions(int n, RunMode mode, uint64_t seed) const;
   // The parts MakeClusterOptions assembles.
   ClusterConfig MakeConfig(int n, RunMode mode, uint64_t seed) const;

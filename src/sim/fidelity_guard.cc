@@ -6,6 +6,7 @@
 #include "src/common/strings.h"
 #include "src/sim/machine.h"
 #include "src/sim/simulator.h"
+#include "src/transport/substrate.h"
 
 namespace scalecheck {
 
@@ -56,12 +57,9 @@ FidelityGuard::FidelityGuard(Simulator* sim, MachineSet* machines,
 FidelityGuard::~FidelityGuard() = default;
 
 void FidelityGuard::Arm() {
-  armed_ = true;
-  armed_wall_ = std::chrono::steady_clock::now();
-  armed_virtual_ = sim_->Now();
   if (!timer_) {
-    timer_ = std::make_unique<PeriodicTimer>(sim_, budgets_.probe_period,
-                                             [this] { Probe(); });
+    timer_ = std::make_unique<PeriodicClockTimer>(sim_, budgets_.probe_period,
+                                                  [this] { Probe(); });
   }
   timer_->Start(budgets_.probe_period);
 }
@@ -136,19 +134,6 @@ void FidelityGuard::Probe() {
              budgets_.memory_headroom_invalid, now);
   if (oom) {
     ReportViolation("oom", FidelityVerdict::kInvalid, 0.0, 0.0, now);
-  }
-  if (armed_ && (budgets_.wall_inflation_degraded > 0.0 ||
-                 budgets_.wall_inflation_invalid > 0.0)) {
-    const double virt = (now - armed_virtual_).seconds();
-    if (virt > 0.1) {  // too little virtual progress gives a noisy ratio
-      const double host =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        armed_wall_)
-              .count();
-      CheckUpper("wall_inflation", host / virt,
-                 budgets_.wall_inflation_degraded,
-                 budgets_.wall_inflation_invalid, now);
-    }
   }
 }
 

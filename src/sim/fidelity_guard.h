@@ -19,13 +19,12 @@
 // severity was crossed — so a sweep over N can show exactly where fidelity
 // breaks. All probing happens in virtual time on deterministic model state;
 // given the same (config, seed) the report serializes to identical bytes.
-// The only exception is the host wall-inflation budget, which reads the host
-// clock and is therefore disabled by default.
+// Only the watchdog reads the host clock, and a run it stops is never
+// serialized.
 
 #ifndef SCALECHECK_SRC_SIM_FIDELITY_GUARD_H_
 #define SCALECHECK_SRC_SIM_FIDELITY_GUARD_H_
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +35,7 @@ namespace scalecheck {
 
 class JsonWriter;
 class MachineSet;
-class PeriodicTimer;
+class PeriodicClockTimer;
 class Simulator;
 
 enum class FidelityVerdict : int {
@@ -48,7 +47,7 @@ enum class FidelityVerdict : int {
 const char* FidelityVerdictName(FidelityVerdict v);
 
 // Per-run budgets. Each metric has a degraded and an invalid threshold; for
-// "upper" budgets (lateness, CPU, wall inflation) a sample above the limit
+// "upper" budgets (lateness, CPU) a sample above the limit
 // violates it, for memory headroom a sample below. Defaults encode the
 // paper's §8 limits: lateness p99 past ~2s or an OOM is exactly where the
 // Nome testbed's colocation results stopped matching real-scale runs.
@@ -72,12 +71,6 @@ struct FidelityBudgets {
   // observed OOM is always invalid, independent of these thresholds.
   double memory_headroom_degraded = 0.20;
   double memory_headroom_invalid = 0.05;
-
-  // Host seconds spent per virtual second simulated. 0 disables (default):
-  // host wall time is nondeterministic, so enabling this makes verdicts
-  // host-dependent and breaks byte-identical JSON across machines.
-  double wall_inflation_degraded = 0.0;
-  double wall_inflation_invalid = 0.0;
 };
 
 // First crossing of one (budget, severity) pair.
@@ -111,8 +104,7 @@ class FidelityGuard {
   FidelityGuard(const FidelityGuard&) = delete;
   FidelityGuard& operator=(const FidelityGuard&) = delete;
 
-  // Starts periodic probing and takes the host wall / virtual time baseline
-  // for the wall-inflation budget.
+  // Starts periodic probing.
   void Arm();
   void Disarm();
 
@@ -142,10 +134,7 @@ class FidelityGuard {
   MachineSet* machines_;
   FidelityBudgets budgets_;
   FidelityReport report_;
-  std::unique_ptr<PeriodicTimer> timer_;
-  std::chrono::steady_clock::time_point armed_wall_{};
-  VirtualTime armed_virtual_;
-  bool armed_ = false;
+  std::unique_ptr<PeriodicClockTimer> timer_;
 };
 
 }  // namespace scalecheck

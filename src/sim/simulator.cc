@@ -65,37 +65,4 @@ uint64_t Simulator::Run(VirtualTime until) {
   return executed;
 }
 
-PeriodicTimer::PeriodicTimer(Simulator* sim, VirtualDuration period,
-                             std::function<void()> fn)
-    : sim_(sim), period_(period), fn_(std::move(fn)) {
-  CHECK_NOTNULL(sim_);
-  CHECK_GT(period.nanos(), 0);
-}
-
-PeriodicTimer::~PeriodicTimer() { Stop(); }
-
-void PeriodicTimer::Start(VirtualDuration initial_delay) {
-  Stop();
-  armed_ = true;
-  pending_ = sim_->ScheduleAfter(initial_delay, [this] { Fire(); });
-}
-
-void PeriodicTimer::Stop() {
-  if (pending_ != kInvalidEvent) {
-    sim_->Cancel(pending_);
-    pending_ = kInvalidEvent;
-  }
-  armed_ = false;
-}
-
-void PeriodicTimer::Fire() {
-  pending_ = kInvalidEvent;
-  if (!armed_) {
-    return;
-  }
-  // Re-arm before invoking so fn may Stop() the timer.
-  pending_ = sim_->ScheduleAfter(period_, [this] { Fire(); });
-  fn_();
-}
-
 }  // namespace scalecheck

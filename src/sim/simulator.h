@@ -10,22 +10,25 @@
 #define SCALECHECK_SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/sim/event_queue.h"
+#include "src/transport/substrate.h"
 
 namespace scalecheck {
 
-class Simulator {
+// The simulator is also the simulated carrier's Clock: protocol code and
+// PeriodicClockTimer schedule on it directly, an EventId serving as the
+// TimerId. The class is final, so calls through a Simulator* bind statically.
+class Simulator final : public Clock {
  public:
   explicit Simulator(uint64_t seed);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  VirtualTime Now() const { return now_; }
+  VirtualTime Now() const override { return now_; }
 
   // Schedules fn at absolute virtual time t (>= Now()). Accepts any callable
   // (EventFn is move-only and small-buffer-optimized, so hot-path lambdas are
@@ -33,10 +36,11 @@ class Simulator {
   EventId ScheduleAt(VirtualTime t, EventFn fn);
 
   // Schedules fn after a non-negative delay.
-  EventId ScheduleAfter(VirtualDuration d, EventFn fn);
+  EventId ScheduleAfter(VirtualDuration d, EventFn fn) override;
 
   // Cancels a pending event; returns false if it already fired.
   bool Cancel(EventId id) { return queue_.Cancel(id); }
+  bool CancelTimer(TimerId id) override { return Cancel(id); }
 
   // Runs until the queue drains or the clock passes `until`, whichever comes
   // first. Events scheduled exactly at `until` still run. Returns the number
@@ -79,30 +83,6 @@ class Simulator {
   uint64_t events_executed_ = 0;
   double wall_budget_seconds_ = 0.0;
   bool wall_budget_exceeded_ = false;
-};
-
-// A repeating timer built on the simulator: fires fn every `period` starting
-// at `first`. Cancelable; safe to destroy while armed.
-class PeriodicTimer {
- public:
-  PeriodicTimer(Simulator* sim, VirtualDuration period, std::function<void()> fn);
-  ~PeriodicTimer();
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-
-  // Starts (or restarts) the timer; first firing after `initial_delay`.
-  void Start(VirtualDuration initial_delay);
-  void Stop();
-  bool armed() const { return armed_; }
-
- private:
-  void Fire();
-
-  Simulator* sim_;
-  VirtualDuration period_;
-  std::function<void()> fn_;
-  EventId pending_ = kInvalidEvent;
-  bool armed_ = false;
 };
 
 }  // namespace scalecheck

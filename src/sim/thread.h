@@ -9,11 +9,12 @@
 //   Compute(w)     a CPU burst of w work units charged to the thread's
 //                  machine; the thread is busy until the CPU model completes
 //                  the burst (this is where colocation contention bites)
-//   Sleep(d)       timer wait; zero CPU (this is what PIL substitutes for
-//                  Compute)
+//   Sleep(d)       timer wait; zero CPU
 //   Lock/Unlock    virtual mutex operations (C5456's coarse ring lock)
 //   Async(fn)      escape hatch: fn receives a completion callback; used by
 //                  the PIL executor to decide compute-vs-sleep at run time
+//                  (a PIL replay waits out the recorded duration here, as a
+//                  simulator event, not in a Sleep step)
 //
 // Compute work and sleep durations are evaluated lazily at step start, since
 // they usually depend on state mutated by earlier jobs.
@@ -216,7 +217,8 @@ class SimThread {
   WorkUnits total_work() const { return total_work_; }
   // Virtual time spent inside Compute steps (includes contention stretch).
   VirtualDuration compute_time() const { return compute_time_; }
-  // Virtual time spent inside Sleep steps (PIL sleeps land here).
+  // Virtual time spent inside Sleep steps. PIL replay waits in an Async
+  // step, so it does not land here.
   VirtualDuration sleep_time() const { return sleep_time_; }
 
  private:

@@ -6,8 +6,6 @@
 
 namespace scalecheck {
 
-SimClock::SimClock(Simulator* sim) : sim_(sim) { CHECK_NOTNULL(sim); }
-
 SimTransport::SimTransport(NetworkModel* network)
     : SimTransport(network, Options{}) {}
 

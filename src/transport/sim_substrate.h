@@ -1,10 +1,10 @@
 // Simulated carrier: the substrate seam implemented over the deterministic
-// Simulator + NetworkModel + SimThread.
+// Simulator + NetworkModel + SimThread. The Simulator is the Clock itself
+// (src/sim/simulator.h); these are the other two adapters.
 //
-// These adapters are deliberately trivial — every call forwards 1:1 to the
+// The adapters are deliberately trivial — every call forwards 1:1 to the
 // object the protocol code used to call directly, so the event stream, RNG
-// draws, message ids and per-pair sequence numbers are bit-identical to the
-// pre-seam code. That is the determinism contract the sim golden test
+// draws and message ids are bit-identical to the pre-seam code. That is the determinism contract the sim golden test
 // (tests/sim_golden_test.cc) pins: refactoring the protocol onto the seam
 // must not change a single byte of a pinned (spec, seed) RunResult JSON.
 //
@@ -28,20 +28,6 @@
 #include "src/transport/substrate.h"
 
 namespace scalecheck {
-
-class SimClock final : public Clock {
- public:
-  explicit SimClock(Simulator* sim);
-
-  VirtualTime Now() const override { return sim_->Now(); }
-  TimerId ScheduleAfter(VirtualDuration d, EventFn fn) override {
-    return sim_->ScheduleAfter(d, std::move(fn));
-  }
-  bool CancelTimer(TimerId id) override { return sim_->Cancel(id); }
-
- private:
-  Simulator* sim_;
-};
 
 class SimTransport final : public Transport {
  public:

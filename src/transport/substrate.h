@@ -10,11 +10,13 @@
 //
 // Everything below the seam is a carrier. Two exist:
 //
-//   SimTransport/SimClock/SimStage (src/transport/sim_substrate.h): thin
-//     adapters over the deterministic Simulator + NetworkModel + SimThread.
-//     Byte-identical to the pre-seam direct calls — every Schedule/Send
-//     forwards 1:1, so event ids, RNG streams, memoize/replay and ChaosSearch
-//     behavior are unchanged (tests/sim_golden_test.cc pins this).
+//   Simulator/SimTransport/SimStage (src/sim/simulator.h,
+//     src/transport/sim_substrate.h): the deterministic Simulator is the
+//     Clock, and thin adapters put NetworkModel and SimThread behind the
+//     other two. Byte-identical to the pre-seam direct calls — every
+//     Schedule/Send forwards 1:1, so event ids, RNG streams, memoize/replay
+//     and ChaosSearch behavior are unchanged (tests/sim_golden_test.cc pins
+//     this).
 //
 //   TcpTransport/RealClock/RealStage (src/net/): a threaded localhost TCP
 //     carrier with real sockets and real wall-clock timers. The same protocol
@@ -39,8 +41,8 @@
 namespace scalecheck {
 
 // Identifies a pending timer. In sim mode this is the simulator's EventId
-// (both are dense uint64 handles with 0 invalid), so SimClock forwards
-// without translation.
+// (both are dense uint64 handles with 0 invalid), so the Simulator hands out
+// its event ids as timer ids without translation.
 using TimerId = uint64_t;
 inline constexpr TimerId kInvalidTimer = 0;
 
@@ -103,9 +105,9 @@ class Stage {
 };
 
 // A repeating timer over the Clock seam: fires fn every `period` starting
-// after `initial_delay`. Semantically identical to the simulator's
-// PeriodicTimer (re-arms before invoking, so fn may Stop() it); over SimClock
-// it schedules the exact same event stream.
+// after `initial_delay`, re-arming before it invokes fn, so fn may Stop() it.
+// Cancelable, and safe to destroy while armed. The one periodic timer on both
+// carriers: over the Simulator its firings are ordinary simulator events.
 class PeriodicClockTimer {
  public:
   PeriodicClockTimer(Clock* clock, VirtualDuration period, std::function<void()> fn);

@@ -236,7 +236,7 @@ class RegistryOverCoresTest : public ::testing::Test {
           ProtocolNode::Deps{
               .config = &config_,
               .transport = &transport_,
-              .clock = &clock_,
+              .clock = &sim_,
               .host = &host_,
               .kv_stage = nullptr,
               .kv_charge = nullptr,
@@ -273,7 +273,6 @@ class RegistryOverCoresTest : public ::testing::Test {
   ClusterConfig config_;
   Simulator sim_{1};
   NetworkModel network_{&sim_, NetworkModel::Config{}, /*seed=*/7};
-  SimClock clock_{&sim_};
   SimTransport transport_{&network_};
   NullHost host_;
   std::vector<std::unique_ptr<ProtocolNode>> cores_;
@@ -406,7 +405,7 @@ class KvDurabilityOverCoresTest : public ::testing::Test {
           ProtocolNode::Deps{
               .config = &config_,
               .transport = &transport_,
-              .clock = &clock_,
+              .clock = &sim_,
               .host = &host_,
               .kv_stage = &stage_,
               .kv_charge = nullptr,
@@ -477,7 +476,6 @@ class KvDurabilityOverCoresTest : public ::testing::Test {
   ClusterConfig config_;
   Simulator sim_{1};
   NetworkModel network_{&sim_, NetworkModel::Config{}, /*seed=*/7};
-  SimClock clock_{&sim_};
   SimTransport transport_{&network_};
   NullHost host_;
   NoopStage stage_;

@@ -1,5 +1,5 @@
-// ProtocolNode on its own: the carrier-neutral protocol core driven over
-// SimClock/SimTransport with a recording host, so the behaviours both
+// ProtocolNode on its own: the carrier-neutral protocol core driven over the
+// Simulator and a SimTransport with a recording host, so the behaviours both
 // carriers now share are pinned without either host around them.
 
 #include <gtest/gtest.h>
@@ -60,7 +60,7 @@ class ProtocolNodeTest : public ::testing::Test {
                   ProtocolNode::Deps{
                       .config = &config_,
                       .transport = &transport_,
-                      .clock = &clock_,
+                      .clock = &sim_,
                       .host = &host_,
                       .kv_stage = &stage_,
                       .kv_charge = nullptr,
@@ -99,7 +99,6 @@ class ProtocolNodeTest : public ::testing::Test {
   ClusterConfig config_;
   Simulator sim_{1};
   NetworkModel network_{&sim_, NetworkModel::Config{}, /*seed=*/7};
-  SimClock clock_{&sim_};
   SimTransport transport_{&network_};
   InlineStage stage_;
   RecordingHost host_;

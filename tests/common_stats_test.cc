@@ -102,6 +102,47 @@ TEST(LogHistogram, DurationHelpers) {
   EXPECT_GE(h.PercentileDuration(99).nanos(), 1000000);
 }
 
+TEST(LogHistogram, MergeMatchesOneHistogramFedTheUnion) {
+  // Per-node KV latency histograms fold into one run percentile this way.
+  LogHistogram a(1e5, 1.5, 80);
+  LogHistogram b(1e5, 1.5, 80);
+  LogHistogram empty(1e5, 1.5, 80);
+  LogHistogram both(1e5, 1.5, 80);
+  for (int i = 0; i < 1000; ++i) {
+    double fast = 2e5 + 997.0 * i;
+    a.Add(fast);
+    both.Add(fast);
+  }
+  // b's largest sample sits below its bucket's upper bound, so the high
+  // percentiles are clamped to it: the merged max must be b's.
+  for (double slow : {3e7, 4e7, 5.05e7}) {
+    b.Add(slow);
+    both.Add(slow);
+  }
+  LogHistogram merged = empty;
+  merged.Merge(a);
+  merged.Merge(empty);
+  merged.Merge(b);
+  EXPECT_EQ(merged.count(), both.count());
+  EXPECT_DOUBLE_EQ(merged.max_value(), 5.05e7);
+  EXPECT_DOUBLE_EQ(merged.Percentile(100), 5.05e7);
+  for (double p : {50.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(merged.PercentileDuration(p), both.PercentileDuration(p)) << p;
+  }
+
+  // An empty side changes nothing.
+  LogHistogram alone = a;
+  alone.Merge(empty);
+  EXPECT_EQ(alone.count(), a.count());
+  EXPECT_EQ(alone.PercentileDuration(99), a.PercentileDuration(99));
+}
+
+TEST(LogHistogram, MergeOfAnotherLayoutDies) {
+  LogHistogram a(1e5, 1.5, 80);
+  EXPECT_DEATH(a.Merge(LogHistogram(1e5, 1.5, 96)), "");
+  EXPECT_DEATH(a.Merge(LogHistogram(1e3, 1.5, 80)), "");
+}
+
 TEST(LogHistogram, SummaryMentionsCount) {
   LogHistogram h;
   h.Add(5.0);

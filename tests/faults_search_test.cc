@@ -50,17 +50,6 @@ bool PlanViolates(const FaultSearchConfig& config, const FaultPlan& plan,
   return true;
 }
 
-TEST(RunModeNameTest, RoundTripsAndRejectsUnknown) {
-  for (RunMode mode : {RunMode::kRealScale, RunMode::kColocated,
-                       RunMode::kMemoize, RunMode::kPilReplay}) {
-    Result<RunMode> back = RunModeFromName(RunModeName(mode));
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.value(), mode);
-  }
-  EXPECT_FALSE(RunModeFromName("Hybrid").ok());
-  EXPECT_FALSE(RunModeFromName("").ok());
-}
-
 TEST(RunExitCodeTest, DistinguishesViolationFromFidelity) {
   RunResult clean;
   EXPECT_EQ(RunExitCode(clean), 0);

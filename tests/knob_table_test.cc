@@ -339,6 +339,29 @@ TEST(KnobTable, ArtifactReaderRejectsBadValues) {
   EXPECT_FALSE(ReadArtifactKnobs(ParseJson(text).value(), &read).ok());
 }
 
+// The artifact's "mode" key is the one RunMode parser: the strict inverse of
+// RunModeName, so every mode round-trips and no other name is guessed at.
+TEST(RunModeNameTest, RoundTripsAndRejectsUnknown) {
+  const std::string good = KnobJson(RunSettings{});
+  const std::string from = "\"mode\":\"Colo\"";
+  ASSERT_NE(good.find(from), std::string::npos);
+  auto read_mode = [&](const std::string& name, RunSettings* read) {
+    std::string text = good;
+    text.replace(text.find(from), from.size(), "\"mode\":\"" + name + "\"");
+    return ReadArtifactKnobs(ParseJson(text).value(), read);
+  };
+  for (RunMode mode : {RunMode::kRealScale, RunMode::kColocated, RunMode::kMemoize,
+                       RunMode::kPilReplay, RunMode::kRealSockets}) {
+    RunSettings read;
+    ASSERT_TRUE(read_mode(RunModeName(mode), &read).ok()) << RunModeName(mode);
+    EXPECT_EQ(read.run.mode, mode);
+  }
+  for (const char* unknown : {"Hybrid", "", "colo"}) {
+    RunSettings read;
+    EXPECT_FALSE(read_mode(unknown, &read).ok()) << unknown;
+  }
+}
+
 // An artifact is held to the flag rule: a KV key that differs from the
 // default needs what its row's KvNeeds names. Both edits of the
 // kv-durability search artifact would otherwise plant nothing.

@@ -109,7 +109,7 @@ class KvRoundTrips {
           ProtocolNode::Deps{
               .config = &config_,
               .transport = &transport_,
-              .clock = &clock_,
+              .clock = &sim_,
               .host = &host_,
               .kv_stage = stages_.back().get(),
               .kv_charge = nullptr,
@@ -188,7 +188,6 @@ class KvRoundTrips {
   ClusterConfig config_;
   Simulator sim_{7};
   NetworkModel network_{&sim_, NetworkModel::Config{}, /*seed=*/11};
-  SimClock clock_{&sim_};
   SimTransport transport_{&network_};
   NullHost host_;
   std::vector<std::unique_ptr<Machine>> machines_;

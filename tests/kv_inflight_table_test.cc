@@ -123,7 +123,7 @@ class CoordinatorTest : public ::testing::Test {
                   ProtocolNode::Deps{
                       .config = &config_,
                       .transport = &transport_,
-                      .clock = &clock_,
+                      .clock = &sim_,
                       .host = &host_,
                       .kv_stage = &stage_,
                       .kv_charge = nullptr,
@@ -163,7 +163,6 @@ class CoordinatorTest : public ::testing::Test {
   ClusterConfig config_;
   Simulator sim_{1};
   NetworkModel network_{&sim_, NetworkModel::Config{}, /*seed=*/7};
-  SimClock clock_{&sim_};
   SimTransport transport_{&network_};
   InlineStage stage_;
   NullHost host_;

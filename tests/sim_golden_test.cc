@@ -7,8 +7,8 @@
 //                  --faults=standard-chaos --json
 //   scalecheck_cli --bug=C3831 --mode=suite --sim-modes=colo --nodes=128 --seed=7 --json
 //
-// The seam (SimClock/SimTransport/SimStage forwarding to Simulator +
-// NetworkModel) must not perturb one byte of the result: same event order,
+// The seam (the Simulator as the Clock, SimTransport/SimStage forwarding to
+// NetworkModel/SimThread) must not perturb one byte of the result: same event order,
 // same RNG draws, same message ids, same settle time, same JSON. If this
 // test fails the seam leaked into simulation semantics — fix the seam, do
 // NOT re-pin the golden unless the change is an intentional,

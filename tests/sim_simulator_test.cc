@@ -81,11 +81,13 @@ TEST(SimulatorTest, SchedulingIntoThePastDies) {
   EXPECT_DEATH(sim.ScheduleAt(VirtualTime::Zero(), [] {}), "past");
 }
 
+// PeriodicClockTimer with the Simulator as its Clock: the one periodic timer
+// the simulated cluster, the fidelity guard and the DFS model schedule with.
 TEST(PeriodicTimerTest, FiresAtPeriod) {
   Simulator sim(1);
   std::vector<int64_t> fire_ms;
-  PeriodicTimer timer(&sim, VirtualDuration::Millis(100),
-                      [&] { fire_ms.push_back((sim.Now() - VirtualTime::Zero()).millis()); });
+  PeriodicClockTimer timer(&sim, VirtualDuration::Millis(100),
+                           [&] { fire_ms.push_back((sim.Now() - VirtualTime::Zero()).millis()); });
   timer.Start(VirtualDuration::Millis(50));
   sim.Run(VirtualTime::Zero() + VirtualDuration::Millis(360));
   EXPECT_EQ(fire_ms, (std::vector<int64_t>{50, 150, 250, 350}));
@@ -94,7 +96,7 @@ TEST(PeriodicTimerTest, FiresAtPeriod) {
 TEST(PeriodicTimerTest, StopPreventsFutureFirings) {
   Simulator sim(1);
   int fires = 0;
-  PeriodicTimer timer(&sim, VirtualDuration::Millis(10), [&] {
+  PeriodicClockTimer timer(&sim, VirtualDuration::Millis(10), [&] {
     if (++fires == 3) {
       timer.Stop();
     }
@@ -108,7 +110,7 @@ TEST(PeriodicTimerTest, StopPreventsFutureFirings) {
 TEST(PeriodicTimerTest, DestructionWhileArmedIsSafe) {
   Simulator sim(1);
   {
-    PeriodicTimer timer(&sim, VirtualDuration::Millis(10), [] {});
+    PeriodicClockTimer timer(&sim, VirtualDuration::Millis(10), [] {});
     timer.Start(VirtualDuration::Zero());
   }
   // The cancelled event must not fire a dangling callback.

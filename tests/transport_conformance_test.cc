@@ -1,6 +1,6 @@
 // Transport + Clock conformance suite, instantiated against BOTH carriers:
 //
-//   sim : SimTransport/SimClock over Simulator + NetworkModel, with
+//   sim : SimTransport over NetworkModel, the Simulator as the Clock, with
 //         roundtrip_codec on — every payload passes through the shared wire
 //         codec exactly as TCP frames would.
 //   tcp : TcpTransport/RealClock — real localhost sockets, real timers.
@@ -57,11 +57,10 @@ class SimCarrier : public Carrier {
   SimCarrier()
       : sim_(/*seed=*/1234),
         network_(&sim_, NetworkModel::Config{}, /*seed=*/1234),
-        transport_(&network_, SimTransport::Options{.roundtrip_codec = true}),
-        clock_(&sim_) {}
+        transport_(&network_, SimTransport::Options{.roundtrip_codec = true}) {}
 
   Transport* transport() override { return &transport_; }
-  Clock* clock() override { return &clock_; }
+  Clock* clock() override { return &sim_; }
   bool RunUntil(std::function<bool()> pred) override {
     const VirtualTime deadline = sim_.Now() + VirtualDuration::Seconds(10);
     while (!pred() && sim_.Now() < deadline) {
@@ -72,14 +71,13 @@ class SimCarrier : public Carrier {
   void WaitABit() override {
     sim_.Run(sim_.Now() + VirtualDuration::Millis(200));
   }
-  Clock* timer_clock() override { return &clock_; }
+  Clock* timer_clock() override { return &sim_; }
   std::mutex* timer_mu() override { return &timer_mu_; }
 
  private:
   Simulator sim_;
   NetworkModel network_;
   SimTransport transport_;
-  SimClock clock_;
   std::mutex timer_mu_;
 };
 
